@@ -182,7 +182,7 @@ type benchExchangeB struct {
 // CastB implements local.BitBroadcaster — every send is a full-row
 // broadcast, so the engines' fused scatter+aggregate fast path applies.
 // RoundB below must stay observationally identical (it is the path the
-// goroutine engine and the NoFuse ablation still take).
+// NoFuse ablation still takes).
 func (n *benchExchangeB) CastB(r int, recv local.BitRow) (uint64, bool, bool) {
 	n.acc += uint64(recv.CountValue(1))
 	if r > n.rounds {
@@ -262,16 +262,17 @@ func measureAllocsPerRound(run func(rounds int)) float64 {
 	return d
 }
 
-// BenchmarkEngines compares the three LOCAL engines on raw synchronous-round
+// BenchmarkEngines compares the LOCAL engines on raw synchronous-round
 // throughput: a large sparse random graph (100k nodes), a heavy-tailed
 // power-law graph of the same size (the case that separates arc-balanced
 // from node-count sharding — its hubs serialize a node-count-sharded pool),
 // a high-girth bipartite tree, and — in full (non -short) runs — a
 // million-node random graph that only fits because the CSR graph core
-// stores adjacency in two flat arrays. The seq/goroutine/pool cases run the
-// word-plane program (the broadest fast path); pool-bit runs the bit-plane
-// program the migrated splitting algorithms use, and pool-boxed keeps the
-// boxed Message plane as the in-benchmark baseline. rounds/sec is the
+// stores adjacency in two flat arrays. The seq/pool cases run the word-plane
+// program (the broadest fast path); pool-bit runs the bit-plane program the
+// migrated splitting algorithms use, and seq-boxed keeps the boxed Message
+// plane — which only the sequential loop runs — as the in-benchmark
+// baseline. rounds/sec is the
 // headline metric; allocs/round (marginal, setup excluded) and
 // plane-bytes/node track the message-plane cost next to graph-bytes/node.
 func BenchmarkEngines(b *testing.B) {
@@ -304,10 +305,9 @@ func BenchmarkEngines(b *testing.B) {
 		plane string
 	}{
 		{"seq", local.SequentialEngine{}, "word"},
-		{"goroutine", local.GoroutineEngine{}, "word"},
 		{"pool", local.WorkerPoolEngine{}, "word"},
 		{"pool-bit", local.WorkerPoolEngine{}, "bit"},
-		{"pool-boxed", local.WorkerPoolEngine{}, "boxed"},
+		{"seq-boxed", local.SequentialEngine{}, "boxed"},
 	}
 	for _, tc := range cases {
 		if tc.large && testing.Short() {
@@ -320,9 +320,6 @@ func BenchmarkEngines(b *testing.B) {
 		arcs := len(csr.Edges)
 		graphBytesPerNode := float64(4*(len(csr.Off)+arcs)) / float64(n)
 		for _, eng := range engines {
-			if tc.large && eng.name == "goroutine" {
-				continue
-			}
 			b.Run(tc.name+"/"+eng.name, func(b *testing.B) {
 				b.ReportAllocs()
 				allocsPerRound := measureAllocsPerRound(func(rounds int) {
@@ -351,8 +348,8 @@ func BenchmarkEngines(b *testing.B) {
 
 // BenchmarkMsgPlane is the message-plane comparison the BENCH_msgplane.json
 // and BENCH_bitplane.json CI artifacts snapshot: the same exchange program
-// on the bit, word and boxed planes, across all four execution paths
-// (sequential, goroutine, worker pool, and a 4-trial batch), at 100k nodes
+// on the bit, word and boxed planes, across the execution paths (sequential,
+// worker pool, and a 4-trial batch), at 100k nodes
 // and — in full (non -short) runs — at 1M nodes, where the 64-bit word
 // planes leave the LLC and stream through DRAM while the packed bit planes
 // stay cache-resident (this is where the bit plane's ≥2× shows up).
@@ -360,9 +357,10 @@ func BenchmarkEngines(b *testing.B) {
 // plane-bits/arc the single-plane footprint (≤ 2 for the bit plane), and
 // plane-bytes/node the double-buffered per-node cost, so the artifacts
 // track GC pressure and memory cost of each representation across PRs. The
-// 1M case drops the goroutine path (a goroutine per node is pure overhead
-// at that scale), the boxed plane (a million-node boxed batch is gigabytes
-// of GC-scanned pointers), and runs 2 batch trials instead of 4.
+// boxed plane runs on the sequential path only (pool and batch hand boxed
+// runs to the same sequential loop). The 1M case drops the boxed plane (a
+// million-node boxed run is gigabytes of GC-scanned pointers) and runs 2
+// batch trials instead of 4.
 func BenchmarkMsgPlane(b *testing.B) {
 	const rounds = 20
 	sizes := []struct {
@@ -395,7 +393,6 @@ func BenchmarkMsgPlane(b *testing.B) {
 			run  func(b *testing.B, rounds, trials int, plane string) (totalRounds int)
 		}{
 			{"seq", engineRun(local.SequentialEngine{})},
-			{"goroutine", engineRun(local.GoroutineEngine{})},
 			{"pool", engineRun(local.WorkerPoolEngine{})},
 			{"batch", func(b *testing.B, rounds, trials int, plane string) int {
 				ts := make([]local.Trial, trials)
@@ -416,11 +413,8 @@ func BenchmarkMsgPlane(b *testing.B) {
 			}},
 		}
 		for _, pt := range paths {
-			if sz.large && pt.name == "goroutine" {
-				continue
-			}
 			for _, plane := range []string{"bit", "word", "boxed"} {
-				if sz.large && plane == "boxed" {
+				if plane == "boxed" && (sz.large || pt.name != "seq") {
 					continue
 				}
 				b.Run(sz.name+"/"+pt.name+"/"+plane, func(b *testing.B) {
@@ -616,7 +610,6 @@ func BenchmarkEnginesColoring(b *testing.B) {
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"goroutine", local.GoroutineEngine{}},
 		{"pool", local.WorkerPoolEngine{}},
 	} {
 		b.Run(eng.name, func(b *testing.B) {

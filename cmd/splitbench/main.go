@@ -5,7 +5,7 @@
 // Usage:
 //
 //	splitbench [-experiment E1,E7,...] [-quick] [-seed N] [-batch]
-//	           [-engine seq|goroutine|pool|batch] [-plane auto|boxed|word|bit]
+//	           [-engine seq|pool|batch] [-plane auto|boxed|word|bit]
 //	           [-tune SPEC] [-workers N] [-format text|csv|json] [-graph FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-blockprofile FILE] [-mutexprofile FILE]
@@ -53,11 +53,12 @@
 // is bit-identical to a serial run.
 //
 // -engine selects the LOCAL simulation engine used inside the experiments:
-// "seq" iterates nodes in one goroutine, "goroutine" spawns one goroutine
-// per node, "pool" shards nodes over a fixed worker pool (the fastest
-// choice on large instances), and "batch" routes single runs through the
-// batched trial runner. Engines are observationally identical, so this flag
-// changes wall-clock time only.
+// "seq" iterates nodes in one goroutine, "pool" shards nodes over a fixed
+// worker pool (the fastest choice on large instances), and "batch" routes
+// single runs through the batched trial runner. Pool and batch are
+// throughput paths for word and bit programs; boxed programs run on the
+// sequential loop under every engine. Engines are observationally
+// identical, so this flag changes wall-clock time only.
 //
 // -plane pins the message-plane representation of every LOCAL run inside
 // the selected experiments ("auto", the default, lets each run take the
@@ -107,7 +108,7 @@ func run() int {
 		expFlag = flag.String("experiment", "", "comma-separated experiment ids (default: all)")
 		quick   = flag.Bool("quick", false, "smaller instances and fewer trials")
 		seed    = flag.Uint64("seed", 1, "randomness seed")
-		engine  = flag.String("engine", "seq", "LOCAL engine: seq|goroutine|pool|batch")
+		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable programs)")
 		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nosticky|nofuse|notile|tile=R|tilebudget=W, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "experiment pool size (0 = GOMAXPROCS, 1 = serial)")

@@ -21,7 +21,7 @@
 // the file fixes the instance, so those generator knobs would be silently
 // ignored.
 //
-// -engine selects the LOCAL simulation engine (seq|goroutine|pool|batch);
+// -engine selects the LOCAL simulation engine (seq|pool|batch);
 // engines are observationally identical, so it only changes wall-clock time.
 // With -engine=pool or -engine=batch, -workers also sizes the engine's
 // worker pool; passing -workers with any other engine outside a sweep is an
@@ -95,7 +95,7 @@ func run() int {
 		d       = flag.Int("d", 16, "left degree")
 		algo    = flag.String("algo", "det", "comma-separated algorithms: det|rand|sixr|trivial|ref|hg-det|hg-rand")
 		seed    = flag.Uint64("seed", 1, "randomness seed (first seed of a -trials sweep)")
-		engine  = flag.String("engine", "seq", "LOCAL engine: seq|goroutine|pool|batch")
+		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable algorithms)")
 		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nosticky|nofuse|notile|tile=R|tilebudget=W, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "trial/engine pool size (0 = GOMAXPROCS)")

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -120,7 +123,7 @@ func TestSolveEngineIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []local.Engine{local.GoroutineEngine{}, local.WorkerPoolEngine{Workers: 3}} {
+	for _, eng := range []local.Engine{local.WorkerPoolEngine{Workers: 3}, local.BatchEngine{Workers: 2}} {
 		res, err := solve("det", b, src.Fork(1), eng)
 		if err != nil {
 			t.Fatalf("%T: %v", eng, err)
@@ -157,7 +160,6 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", set(), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
 		{"workers+seq+single", set("workers"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"workers+goroutine+single", set("workers"), false, "goroutine", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, true},
 		{"workers+pool+single", set("workers"), false, "pool", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
 		{"workers+batch-engine+single", set("workers"), false, "batch", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
 		{"workers+seq+sweep", set("workers"), true, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
@@ -185,6 +187,29 @@ func TestValidateFlags(t *testing.T) {
 		err := validateFlags(tc.set, tc.sweep, tc.engine, tc.gen, tc.in, tc.batch, tc.plane, tc.faults)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: got err %v, wantErr=%t", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRemovedEngineFailsLoudly runs wsplit (this test binary, re-executed
+// into run) with -engine goroutine: the removed engine must be a usage
+// error (exit 2) whose message says it was removed and names the engines
+// that remain.
+func TestRemovedEngineFailsLoudly(t *testing.T) {
+	if os.Getenv("WSPLIT_TEST_RUN") == "1" {
+		os.Args = []string{"wsplit", "-engine", "goroutine"}
+		os.Exit(run())
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedEngineFailsLoudly$")
+	cmd.Env = append(os.Environ(), "WSPLIT_TEST_RUN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-engine goroutine: err = %v, want exit status 2; output:\n%s", err, out)
+	}
+	for _, want := range []string{`engine "goroutine" was removed`, "have seq, pool, batch"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("-engine goroutine: output %q lacks %q", out, want)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 // Endpoints (JSON everywhere):
 //
 //	POST   /v1/sweeps       submit a sweep spec; 202 with the job status,
-//	                        400 on an invalid spec, 429 with Retry-After
+//	                        400 on an invalid spec or trailing data after
+//	                        it, 413 on a body over 64 KiB, 429 with Retry-After
 //	                        when the queue is full or the server drains
 //	                        (retryable: back off and resubmit)
 //	GET    /v1/sweeps       list all jobs, newest first
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -108,10 +110,13 @@ func run() int {
 func newMux(svc *service.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		var spec service.SweepSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(w, r)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("spec body exceeds the %d-byte limit", tooBig.Limit))
+			return
+		case err != nil:
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
 			return
 		}
@@ -157,6 +162,30 @@ func newMux(svc *service.Server) *http.ServeMux {
 		writeJSON(w, code, st)
 	})
 	return mux
+}
+
+// maxSpecBytes bounds a POST /v1/sweeps body. A maximal spec — MaxAlgos
+// algorithm names plus a few integers — is well under 1 KiB.
+const maxSpecBytes = 64 << 10
+
+// decodeSpec reads exactly one sweep spec from the request body. Unknown
+// fields, trailing data after the object and a body over maxSpecBytes
+// (reported as *http.MaxBytesError) are errors.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (service.SweepSpec, error) {
+	var spec service.SweepSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return spec, nil
+	case nil:
+		return spec, errors.New("trailing data after the spec object")
+	default:
+		return spec, err
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -105,6 +105,45 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimits pins the request-body bounds of POST /v1/sweeps: a
+// body over the size limit is refused with 413 and a message naming the
+// limit, and trailing data after the spec object is a 400 rather than
+// silently ignored.
+func TestSubmitBodyLimits(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{QueueCap: 4, Workers: 1})
+	cases := []struct {
+		name, body string
+		code       int
+		errSub     string
+	}{
+		{"over-limit", `{"gen":"star","d":16,"algos":["trivial"],"seed":1,"trials":2}` + strings.Repeat(" ", maxSpecBytes),
+			http.StatusRequestEntityTooLarge, "byte limit"},
+		{"over-limit-string", `{"gen":"` + strings.Repeat("a", maxSpecBytes) + `"}`,
+			http.StatusRequestEntityTooLarge, "byte limit"},
+		{"trailing-object", smallSweep + `{"gen":"star"}`, http.StatusBadRequest, "trailing data"},
+		{"trailing-garbage", smallSweep + ` xyz`, http.StatusBadRequest, "decoding spec"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		if derr != nil || !strings.Contains(e.Error, tc.errSub) {
+			t.Errorf("%s: error body %q (decode err %v), want it to mention %q", tc.name, e.Error, derr, tc.errSub)
+		}
+	}
+	// A spec followed only by whitespace is still exactly one spec.
+	if resp, _ := submit(t, ts, smallSweep+"\n"); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("spec + newline: status = %d, want 202", resp.StatusCode)
+	}
+}
+
 func TestQueueFullGives429(t *testing.T) {
 	const q = 2
 	_, ts := newTestServer(t, service.Options{QueueCap: q, Workers: 1})

@@ -1,10 +1,9 @@
-// Engine pool: the same deterministic weak-splitting run under all three
-// LOCAL engines. The outputs are bit-for-bit identical — per-node randomness
-// is keyed by (seed, ID), never by scheduling — so the engines differ only
-// in wall-clock time: the sequential engine iterates nodes in one goroutine,
-// the goroutine engine spawns one goroutine per node (and collapses under
-// scheduler pressure at scale), and the worker-pool engine shards the active
-// nodes over GOMAXPROCS workers with reused double-buffered message arrays.
+// Engine pool: the same deterministic weak-splitting run under both LOCAL
+// engines. The outputs are bit-for-bit identical — per-node randomness is
+// keyed by (seed, ID), never by scheduling — so the engines differ only in
+// wall-clock time: the sequential engine iterates nodes in one goroutine,
+// and the worker-pool engine shards the active nodes over GOMAXPROCS
+// workers with reused double-buffered message arrays.
 package main
 
 import (
@@ -37,7 +36,6 @@ func run() error {
 		e    splitting.Engine
 	}{
 		{"sequential", splitting.Sequential()},
-		{"goroutine-per-node", splitting.Goroutines()},
 		{"worker-pool", splitting.WorkerPool(0)},
 	}
 	var ref *splitting.Result

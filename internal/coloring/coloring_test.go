@@ -85,17 +85,17 @@ func TestEnginesAgreeOnColoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gorRes, err := DeltaPlusOne(g, local.GoroutineEngine{}, local.Options{IDs: ids})
+	poolRes, err := DeltaPlusOne(g, local.WorkerPoolEngine{Workers: 3}, local.Options{IDs: ids})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range seqRes.Colors {
-		if seqRes.Colors[v] != gorRes.Colors[v] {
+		if seqRes.Colors[v] != poolRes.Colors[v] {
 			t.Fatalf("engines disagree at node %d", v)
 		}
 	}
-	if seqRes.Stats != gorRes.Stats {
-		t.Errorf("stats differ: %+v vs %+v", seqRes.Stats, gorRes.Stats)
+	if seqRes.Stats != poolRes.Stats {
+		t.Errorf("stats differ: %+v vs %+v", seqRes.Stats, poolRes.Stats)
 	}
 }
 

@@ -496,18 +496,18 @@ func TestRandomizedSplitReproducible(t *testing.T) {
 	}
 }
 
-func TestBasicDerandomizedGoroutineEngine(t *testing.T) {
+func TestBasicDerandomizedPoolEngine(t *testing.T) {
 	b := instance(t, 40, 60, 15, 43)
 	seq, err := BasicDerandomized(b, local.SequentialEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, err := BasicDerandomized(b, local.GoroutineEngine{})
+	pool, err := BasicDerandomized(b, local.WorkerPoolEngine{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range seq.Colors {
-		if seq.Colors[v] != gor.Colors[v] {
+		if seq.Colors[v] != pool.Colors[v] {
 			t.Fatal("engines disagree in the Lemma 2.1 pipeline")
 		}
 	}

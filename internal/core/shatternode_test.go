@@ -44,12 +44,12 @@ func TestShatterLocalEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, _, err := ShatterLocal(b, local.GoroutineEngine{}, src)
+	pool, _, err := ShatterLocal(b, local.WorkerPoolEngine{Workers: 3}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range seq.Colors {
-		if seq.Colors[v] != gor.Colors[v] {
+		if seq.Colors[v] != pool.Colors[v] {
 			t.Fatal("engines disagree on shattering colors")
 		}
 	}
@@ -85,7 +85,7 @@ func TestLocalCheckRejectsInvalid(t *testing.T) {
 	}
 	// All-red: every constraint must vote no.
 	colors := make([]int, b.NV())
-	votes, allYes, err := LocalCheck(b, colors, local.GoroutineEngine{})
+	votes, allYes, err := LocalCheck(b, colors, local.WorkerPoolEngine{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,9 +174,6 @@ type Grid struct {
 	// invalid splittings) are never retried, and neither is a fired grid
 	// Control.
 	Retries int
-	// RetryBackoff, when positive, sleeps RetryBackoff<<k before retry k —
-	// bounded exponential backoff for load-induced deadline expiries.
-	RetryBackoff time.Duration
 }
 
 // Run executes every (graph, algorithm, seed) cell of the grid across the
@@ -303,7 +300,7 @@ func runBatchGroup(gs GraphSpec, as AlgoSpec, seeds []uint64, b *graph.Bipartite
 // per-attempt timeout, and retry policy. A fired grid control ends the cell
 // immediately — before the first attempt or instead of a retry — with the
 // cancellation error; transient failures (deadline expiry, node-program
-// panic) are re-attempted up to Retries times with bounded backoff.
+// panic) are re-attempted immediately, up to Retries times.
 func (g Grid) runCell(gs GraphSpec, as AlgoSpec, seed uint64, eng local.Engine) TrialResult {
 	for attempt := 0; ; attempt++ {
 		if cerr := g.Control.Err(); cerr != nil {
@@ -315,9 +312,6 @@ func (g Grid) runCell(gs GraphSpec, as AlgoSpec, seed uint64, eng local.Engine) 
 		tr.Retried = attempt
 		if err == nil || attempt >= g.Retries || !transientTrialErr(err) || g.Control.Err() != nil {
 			return tr
-		}
-		if g.RetryBackoff > 0 {
-			time.Sleep(g.RetryBackoff << attempt)
 		}
 	}
 }

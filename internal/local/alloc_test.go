@@ -1,8 +1,8 @@
 // Allocation-regression pins for the word-plane fast path: a steady-state
 // round must perform zero heap allocations on every execution path
-// (sequential, goroutine, worker pool, batch). The measurement is marginal —
-// the same run at two round budgets, so one-time setup (views, nodes,
-// planes, goroutine/worker spawn) cancels out and only the per-round cost
+// (sequential, unfused sequential, worker pool, batch). The measurement is
+// marginal — the same run at two round budgets, so one-time setup (views,
+// nodes, planes, worker spawn) cancels out and only the per-round cost
 // remains; this is the engine-level sibling of the CSR builder's
 // TestCSRBuilderAllocs-style constant-allocation pins.
 package local_test
@@ -35,7 +35,7 @@ func marginalAllocs(t *testing.T, lo, hi int, run func(rounds int)) int64 {
 }
 
 // TestWordPathZeroAllocsPerRound pins steady-state 0 allocs/round for a
-// word program on all four execution paths. The slack of a few mallocs per
+// word program on every execution path. The slack of a few mallocs per
 // hundred extra rounds absorbs runtime-internal noise (e.g. a goroutine
 // stack growth) without letting a real per-round or per-node allocation —
 // which would cost hundreds to hundreds of thousands of mallocs here —
@@ -59,9 +59,11 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"goroutine", func(rounds int) {
+		// NoFuse changes only the bit plane: on word programs this row
+		// reruns seq's loop and stays as the table's unfused reference row.
+		{"seq-nofuse", func(rounds int) {
 			out := make([]uint64, n)
-			if _, err := (local.GoroutineEngine{}).Run(topo, wordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+			if _, err := local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true}).Run(topo, wordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -99,8 +101,7 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 
 // TestBitPathZeroAllocsPerRound is TestWordPathZeroAllocsPerRound for the
 // packed bit planes: a steady-state round must allocate nothing on any of
-// the four execution paths — the planes, the per-worker (or per-node)
-// packed scratch rows, and the delivery table are all set up once.
+// the execution paths — the planes, the per-worker packed scratch rows, and the delivery table are all set up once.
 func TestBitPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -120,9 +121,9 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"goroutine", func(rounds int) {
+		{"seq-nofuse", func(rounds int) {
 			out := make([]uint64, n)
-			if _, err := (local.GoroutineEngine{}).Run(topo, bitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+			if _, err := local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true}).Run(topo, bitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},

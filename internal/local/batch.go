@@ -14,15 +14,14 @@ import (
 // scheduling, and cache-cold topology traversal once per trial. BatchRun
 // executes all trials over one shared Topology in a single pass instead:
 //
-//   - Message planes are laid out per representation: boxed trials share one
-//     flat [S × arcs]Message array per buffer (double-buffered, like the
-//     engines), word trials share [S × arcs]Word planes, and bit trials
-//     share packed bit planes with word-aligned per-trial strides (so no
-//     two trials share a plane word). Within a trial's region node v's
-//     inbox row uses the topology's own offsets. Directed edge (trial, arc)
-//     owns a unique slot, so writes are race-free by construction on the
-//     boxed/word planes; the bit planes use the atomic discipline of
-//     bit.go for words shared between adjacent rows.
+//   - Message planes are laid out per representation: word trials share
+//     double-buffered [S × arcs]Word planes, and bit trials share packed bit
+//     planes with word-aligned per-trial strides (so no two trials share a
+//     plane word). Within a trial's region node v's inbox row uses the
+//     topology's own offsets. Directed edge (trial, arc) owns a unique slot,
+//     so writes are race-free by construction on the word planes; the bit
+//     planes use the atomic discipline of bit.go for words shared between
+//     adjacent rows.
 //   - A single worker pool schedules (trial, shard) units: each global round
 //     carves every live trial's active set into contiguous arc-balanced
 //     shards (carveByWeight; a node weighs 1 + deg, so a trial's hub-heavy
@@ -32,6 +31,8 @@ import (
 //     trials free pool capacity for long ones — exactly the shape of a
 //     shattering sweep, where most trials collapse early and a few run
 //     long tails.
+//   - Boxed trials have no throughput path: each runs to completion on the
+//     sequential engine's boxed loop during setup, on the coordinator.
 //
 // Trials are observationally independent: per-node randomness is keyed by
 // (seed, ID) only, so every trial's message trace, outputs and Stats are
@@ -82,8 +83,7 @@ const batchMinShard = 1024
 
 // batchTrial is the per-trial state of a batch run.
 type batchTrial struct {
-	idx       int // position in the trials slice (and the result slices)
-	nodes     []Node
+	idx       int        // position in the trials slice (and the result slices)
 	wnodes    []WordNode // non-nil when the trial takes the word fast path
 	bnodes    []BitNode  // non-nil when the trial takes the bit fast path
 	active    []int32    // indices of still-running nodes; first `remaining` valid
@@ -103,22 +103,21 @@ type batchTrial struct {
 	bdead           deadDeliver      // bit trial: delivery-table view with dead arcs marked
 	bdeliver        []int32          // bit trial: bdead.table(), refreshed between rounds
 	bcasters        []BitBroadcaster // bit trial: per-node fused broadcast paths (nil when unfused)
-	faults    *faultState // nil when the trial injects no faults
-	ctl       *RunControl // nil when the trial is uncontrolled
-	maxRounds int
-	base      int // plane offset of this trial in the boxed/word planes: idx × arcs
-	stats     Stats
-	errNode   int // node index of the first per-round error, -1 if none
-	err       error
+	faults          *faultState      // nil when the trial injects no faults
+	ctl             *RunControl      // nil when the trial is uncontrolled
+	maxRounds       int
+	base            int // plane offset of this trial in the word planes: idx × arcs
+	stats           Stats
+	errNode         int // node index of the first per-round error, -1 if none
+	err             error
 }
 
 // batchPlanes bundles the double-buffered plane pairs of one batch run, one
 // pair per message representation actually present; a pair is only
 // allocated when a trial of its kind exists. Trial s's region is
-// [s·arcs, (s+1)·arcs) of the boxed/word planes, and words
+// [s·arcs, (s+1)·arcs) of the word planes, and words
 // [s·stride, (s+1)·stride) of each packed bit sub-plane.
 type batchPlanes struct {
-	inbox, next   []Message
 	winbox, wnext []Word
 	binbox, bnext bitPlane
 	laneStride    int // words per trial in the packed bit planes
@@ -126,7 +125,6 @@ type batchPlanes struct {
 
 // swap flips every double buffer at a round boundary.
 func (pl *batchPlanes) swap() {
-	pl.inbox, pl.next = pl.next, pl.inbox
 	pl.winbox, pl.wnext = pl.wnext, pl.winbox
 	pl.binbox, pl.bnext = pl.bnext, pl.binbox
 }
@@ -162,7 +160,7 @@ type batchUnit struct {
 //
 // Each trial is bit-identical to SequentialEngine{}.Run(t, trials[i].Factory,
 // trials[i].Opts); batching changes wall-clock time only.
-func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error) {
+func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error) {
 	nTrials := len(trials)
 	statsOut := make([]Stats, nTrials)
 	errsOut := make([]error, nTrials)
@@ -215,14 +213,31 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 		if opts.Source != nil {
 			rngs = opts.Source.NodeStreams(ids)
 		}
-		if tr.nodes, errsOut[s] = buildTrialNodes(trials[s].Factory, vs, rngs); errsOut[s] != nil {
+		nodes, err := buildTrialNodes(trials[s].Factory, vs, rngs)
+		if err != nil {
+			errsOut[s] = err
 			continue
 		}
 		var bw int
-		var perr error
-		tr.bnodes, bw, tr.wnodes, perr = planeNodes(tr.nodes, opts.Plane)
-		if perr != nil {
-			errsOut[s] = perr
+		tr.bnodes, bw, tr.wnodes, err = planeNodes(nodes, opts.Plane)
+		if err != nil {
+			errsOut[s] = err
+			continue
+		}
+		if tr.faults, err = newFaultState(t, opts.Faults); err != nil {
+			errsOut[s] = err
+			continue
+		}
+		tr.maxRounds = opts.MaxRounds
+		if tr.maxRounds <= 0 {
+			tr.maxRounds = defaultMaxRounds
+		}
+		if tr.bnodes == nil && tr.wnodes == nil {
+			// A boxed trial runs here, on the coordinator, through the
+			// sequential boxed loop — governed by the batch-level control
+			// first and its own second, as a batched trial would be.
+			statsOut[s], errsOut[s] = runSeqBoxed(t, nodes, tr.maxRounds, tr.faults,
+				opts.Control.under(bopts.Control), opts.Tune.prefetchScalar())
 			continue
 		}
 		if bw > bitWidth {
@@ -239,10 +254,6 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 			tr.pf = opts.Tune.prefetchScalar()
 		}
 		tr.carvedRemaining = -1
-		if tr.faults, perr = newFaultState(t, opts.Faults); perr != nil {
-			errsOut[s] = perr
-			continue
-		}
 		tr.ctl = opts.Control
 		tr.active = make([]int32, n)
 		for v := range tr.active {
@@ -252,10 +263,6 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 		tr.dead = make([]bool, n)
 		tr.remaining = n
 		tr.weight = int64(n + arcs)
-		tr.maxRounds = trials[s].Opts.MaxRounds
-		if tr.maxRounds <= 0 {
-			tr.maxRounds = defaultMaxRounds
-		}
 		if tr.remaining > 0 {
 			live = append(live, tr)
 		}
@@ -267,34 +274,24 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 	// One flat plane pair per message representation actually present,
 	// allocated once and reused across rounds: bit trials share packed
 	// planes (a mixed-width batch lays every bit trial out at the widest
-	// lane — values are unaffected, only the stride grows), word trials
-	// share pointer-free [S×arcs]Word planes the GC never scans, and boxed
-	// trials share [S×arcs]Message planes. Rows are cleared by their owners
-	// right after consumption and at termination, so nothing is re-zeroed
-	// wholesale.
+	// lane — values are unaffected, only the stride grows), and word trials
+	// share pointer-free [S×arcs]Word planes the GC never scans. Rows are
+	// cleared by their owners right after consumption and at termination, so
+	// nothing is re-zeroed wholesale.
 	var pl batchPlanes
 	for _, tr := range live {
 		switch {
-		case tr.bnodes != nil:
-			if pl.binbox.lanes == nil {
-				pl.laneStride = planeWords(arcs, bitWidth)
-				pl.binbox = bitPlane{lanes: make([]uint64, nTrials*pl.laneStride), width: uint32(bitWidth)}
-				pl.bnext = bitPlane{lanes: make([]uint64, nTrials*pl.laneStride), width: uint32(bitWidth)}
-			}
-		case tr.wnodes != nil:
-			if pl.winbox == nil {
-				pl.winbox = make([]Word, nTrials*arcs)
-				pl.wnext = make([]Word, nTrials*arcs)
-			}
-		default:
-			if pl.inbox == nil {
-				pl.inbox = make([]Message, nTrials*arcs)
-				pl.next = make([]Message, nTrials*arcs)
-			}
+		case tr.bnodes != nil && pl.binbox.lanes == nil:
+			pl.laneStride = planeWords(arcs, bitWidth)
+			pl.binbox = bitPlane{lanes: make([]uint64, nTrials*pl.laneStride), width: uint32(bitWidth)}
+			pl.bnext = bitPlane{lanes: make([]uint64, nTrials*pl.laneStride), width: uint32(bitWidth)}
+		case tr.wnodes != nil && pl.winbox == nil:
+			pl.winbox = make([]Word, nTrials*arcs)
+			pl.wnext = make([]Word, nTrials*arcs)
 		}
 	}
 
-	nw := opts.Workers
+	nw := bopts.Workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
@@ -386,19 +383,17 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 	}
 
 	// clearTrial zeroes a retired trial's rows in whichever plane pair it
-	// uses, so no message (or stale word or bit) outlives the trial within a
-	// long-running batch.
+	// uses, so no stale word or bit outlives the trial within a long-running
+	// batch.
 	clearTrial := func(tr *batchTrial) {
-		switch {
-		case tr.bnodes != nil:
+		if tr.bnodes != nil {
 			bi, bn := pl.bitTrial(tr.idx)
 			bi.clearAll()
 			bn.clearAll()
-		case tr.wnodes != nil:
-			clearWordPlaneRegion(pl.winbox, pl.wnext, tr.base, arcs)
-		default:
-			clearPlaneRegion(pl.inbox, pl.next, tr.base, arcs)
+			return
 		}
+		clear(pl.winbox[tr.base : tr.base+arcs])
+		clear(pl.wnext[tr.base : tr.base+arcs])
 	}
 
 	for r := 1; len(live) > 0; r++ {
@@ -407,7 +402,7 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 		// the round, exactly as the engines do: a cancelled trial keeps the
 		// Stats of the rounds that executed, and the rounds that ran are
 		// bit-identical to an uncancelled run.
-		gerr := opts.Control.Err()
+		gerr := bopts.Control.Err()
 		keepLive := live[:0]
 		for _, tr := range live {
 			cerr := gerr
@@ -525,25 +520,16 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 					continue
 				}
 				lo, hi := t.off[v], t.off[v+1]
-				switch {
-				case tr.bnodes != nil:
+				if tr.bnodes != nil {
 					_, bn := pl.bitTrial(tr.idx)
 					tr.stats.Messages -= bn.countRow(lo, hi)
 					bn.clearRow(lo, hi, false)
 					tr.bdead.kill(v)
-				case tr.wnodes != nil:
+				} else {
 					row := pl.wnext[tr.base+int(lo) : tr.base+int(hi)]
 					for i := range row {
 						if row[i] != NilWord {
 							row[i] = NilWord
-							tr.stats.Messages--
-						}
-					}
-				default:
-					row := pl.next[tr.base+int(lo) : tr.base+int(hi)]
-					for i := range row {
-						if row[i] != nil {
-							row[i] = nil
 							tr.stats.Messages--
 						}
 					}
@@ -557,14 +543,11 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 			tr.remaining = len(keep)
 			if tr.faults != nil {
 				var crashed []int32
-				switch {
-				case tr.bnodes != nil:
+				if tr.bnodes != nil {
 					_, bn := pl.bitTrial(tr.idx)
 					crashed = tr.faults.boundaryBit(r, bn, &tr.stats)
-				case tr.wnodes != nil:
+				} else {
 					crashed = tr.faults.boundaryWord(r, pl.wnext, tr.base, &tr.stats)
-				default:
-					crashed = tr.faults.boundaryBoxed(r, pl.next, tr.base, &tr.stats)
 				}
 				for _, v := range crashed {
 					tr.done[v] = true
@@ -596,67 +579,27 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 	return statsOut, errsOut
 }
 
-// runBatchUnit executes one (trial, shard) unit: it runs Round for every
-// node of the shard against the trial's inbox plane, delivers sends into the
-// trial's next plane (dropping messages to dead nodes, which are never
-// consumed), and clears each consumed inbox row. All mutated state is owned
-// by this unit for the duration of the round, except the bit planes' shared
-// boundary words, which the bit path handles atomically. Word and bit
-// trials route to their zero-allocation variants; wsend/bsend are the
-// calling worker's reused send scratch (zero when no trial of that kind
+// runBatchUnit executes one (trial, shard) unit: it runs every node of the
+// shard against the trial's inbox plane, delivers sends into the trial's
+// next plane (dropping messages to dead nodes, which are never consumed),
+// and clears each consumed inbox row. All mutated state is owned by this
+// unit for the duration of the round, except the bit planes' shared
+// boundary words, which the bit path handles atomically. wsend/bsend are
+// the calling worker's reused send scratch (zero when no trial of that kind
 // exists in the batch).
 func runBatchUnit(t *Topology, pl *batchPlanes, wsend []Word, bsend BitRow, u *batchUnit, par bool) {
 	if u.trial.bnodes != nil {
 		runBatchUnitBit(t, pl, bsend, u, par)
 		return
 	}
-	if u.trial.wnodes != nil {
-		runBatchUnitWord(t, pl.winbox, pl.wnext, wsend, u)
-		return
-	}
-	tr := u.trial
-	inbox, next := pl.inbox, pl.next
-	msgs := int64(0)
-	// Panic isolation: a panic in one trial's Round call becomes that unit's
-	// error — merged like a port-count violation, retiring only this trial —
-	// while sibling trials and the worker pool keep running.
-	curV := -1
-	defer func() {
-		if p := recover(); p != nil {
-			u.err = newPanicError(curV, u.r, p)
-			u.errNode = curV
-			u.msgs = msgs
-		}
-	}()
-	for i := u.lo; i < u.hi; i++ {
-		v := int(tr.active[i])
-		curV = v
-		lo, hi := int(t.off[v]), int(t.off[v+1])
-		recv := inbox[tr.base+lo : tr.base+hi : tr.base+hi]
-		send, fin := tr.nodes[v].Round(u.r, recv)
-		if fin {
-			tr.done[v] = true
-		}
-		if send != nil {
-			if len(send) != hi-lo {
-				u.err = fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), hi-lo)
-				u.errNode = v
-				break
-			}
-			msgs += t.deliverBoxed(next, tr.dead, tr.base, int32(lo), send, tr.pf)
-		}
-		for p := range recv {
-			recv[p] = nil
-		}
-	}
-	u.msgs = msgs
+	runBatchUnitWord(t, pl.winbox, pl.wnext, wsend, u)
 }
 
-// runBatchUnitWord is runBatchUnit for a word trial: same ownership and
-// delivery semantics over the pointer-free word planes, with the worker's
-// reused send scratch instead of per-node send slices. The engine provides
-// the (fixed-size) send buffer, so the port-count violation of the boxed
-// path cannot occur here. The panic guard's defer sits outside the marked
+// runBatchUnitWord is runBatchUnit for a word trial, over the pointer-free
+// word planes with the worker's reused send scratch. Panic isolation: a
+// panic in one trial's node program becomes that unit's error — merged like
+// any per-round error, retiring only this trial — while sibling trials and
+// the worker pool keep running. The guard's defer sits outside the marked
 // loop (defers are banned inside) and is open-coded — the steady state
 // still allocates nothing.
 func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
@@ -688,12 +631,10 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 	u.msgs = msgs
 }
 
-// runBatchUnitBit is runBatchUnit for a bit trial: the trial's packed plane
-// regions behave exactly like a standalone engine's planes (within-trial
-// arc indexing, atomic discipline for shared boundary words), and the
-// worker's packed send scratch is reused for every node. The panic guard's
-// defer sits outside the marked loop (defers are banned inside) and is
-// open-coded — the steady state still allocates nothing.
+// runBatchUnitBit is runBatchUnitWord for a bit trial: the trial's packed
+// plane regions behave exactly like a standalone engine's planes
+// (within-trial arc indexing, atomic discipline for shared boundary words),
+// and the worker's packed send scratch is reused for every node.
 func runBatchUnitBit(t *Topology, pl *batchPlanes, bsend BitRow, u *batchUnit, par bool) {
 	tr := u.trial
 	inbox, next := pl.bitTrial(tr.idx)
@@ -757,21 +698,4 @@ func buildTrialNodes(f Factory, vs []View, rngs []*rand.Rand) (nodes []Node, err
 		nodes[v] = f(view)
 	}
 	return nodes, nil
-}
-
-// clearPlaneRegion nils a retired trial's rows in both planes so no Message
-// pointers outlive the trial within a long-running batch.
-func clearPlaneRegion(inbox, next []Message, base, arcs int) {
-	for i := base; i < base+arcs; i++ {
-		inbox[i] = nil
-		next[i] = nil
-	}
-}
-
-// clearWordPlaneRegion is clearPlaneRegion for the word planes.
-func clearWordPlaneRegion(inbox, next []Word, base, arcs int) {
-	for i := base; i < base+arcs; i++ {
-		inbox[i] = NilWord
-		next[i] = NilWord
-	}
 }

@@ -2,7 +2,9 @@
 // outputs and full Stats — to a standalone SequentialEngine run with the same
 // Options, whatever the worker count and however the trials' lifetimes
 // interleave. Error handling is per-trial: one failing trial must not disturb
-// its batchmates.
+// its batchmates. A boxed trial runs on the sequential oracle inside the
+// batch, so every program here also runs as a bit twin forced onto the word
+// and bit planes, which drives the batch runner's own loops.
 package local_test
 
 import (
@@ -61,13 +63,74 @@ func chatterFactory(spread int, out []uint64) local.Factory {
 	}
 }
 
-// batchCase runs one trial standalone under SequentialEngine and returns its
-// outputs and stats, as the reference for the batched run.
+// bitChatter is chatterbox on the packed bit plane: the same staggered,
+// randomness-keyed termination, and a present lane on every port up to and
+// including the last round, so it hits terminated receivers just as often.
+type bitChatter struct {
+	stop int
+	acc  uint64
+	out  []uint64
+	idx  int
+}
+
+func (c *bitChatter) RoundB(r int, recv, send local.BitRow) bool {
+	for p := 0; p < recv.Len(); p++ {
+		if recv.Has(p) {
+			c.acc = c.acc*1099511628211 + uint64(p)<<32 ^ recv.Get(p)
+		}
+	}
+	for p := 0; p < send.Len(); p++ {
+		send.Set(p, (c.acc^uint64(r))>>(p%64)&1)
+	}
+	done := r >= c.stop
+	if done {
+		c.out[c.idx] = c.acc
+	}
+	return done
+}
+
+func bitChatterFactory(spread int, out []uint64) local.Factory {
+	idx := 0
+	return func(v local.View) local.Node {
+		c := &bitChatter{
+			stop: 1 + int(v.Rand.Uint64()%uint64(spread)),
+			acc:  v.Rand.Uint64(),
+			out:  out,
+			idx:  idx,
+		}
+		idx++
+		return local.BitProgram(c)
+	}
+}
+
+// planeProg pairs a program with the plane its runs are forced onto.
+type planeProg struct {
+	name  string
+	mk    func(k int, out []uint64) local.Factory
+	plane local.Plane
+}
+
+// twins returns a boxed program and its bit twin forced onto the word and
+// the bit plane. Boxed runs go to the sequential loop under every engine,
+// so only the twins reach the pool's and the batch runner's own loops.
+func twins(boxed, bit func(int, []uint64) local.Factory) []planeProg {
+	return []planeProg{
+		{"boxed", boxed, local.PlaneBoxed},
+		{"word", bit, local.PlaneWord},
+		{"bit", bit, local.PlaneBit},
+	}
+}
+
+// sequentialReference runs one trial standalone on the sequential boxed
+// loop — the oracle, whatever plane the trial itself is forced onto — and
+// returns its outputs and stats, as the reference for the batched run.
 func sequentialReference(t *testing.T, topo *local.Topology, mk func(out []uint64) local.Trial) ([]uint64, local.Stats) {
 	t.Helper()
 	out := make([]uint64, topo.N())
 	trial := mk(out)
-	stats, err := local.SequentialEngine{}.Run(topo, trial.Factory, trial.Opts)
+	opts := trial.Opts
+	opts.Plane = local.PlaneBoxed
+	stats, err := local.SequentialEngine{}.Run(topo, trial.Factory, opts)
 	if err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
@@ -92,38 +155,40 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Parallel()
 				topo := local.NewTopology(tg.g)
 				n := tg.g.N()
-				mk := func(seed uint64) func(out []uint64) local.Trial {
-					return func(out []uint64) local.Trial {
-						src := prob.NewSource(seed)
-						return local.Trial{
-							Factory: chatterFactory(9, out),
-							Opts:    local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))},
+				for _, p := range twins(chatterFactory, bitChatterFactory) {
+					mk := func(seed uint64) func(out []uint64) local.Trial {
+						return func(out []uint64) local.Trial {
+							src := prob.NewSource(seed)
+							return local.Trial{
+								Factory: p.mk(9, out),
+								Opts:    local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), Plane: p.plane},
+							}
 						}
 					}
-				}
-				wantOut := make([][]uint64, len(seeds))
-				wantStats := make([]local.Stats, len(seeds))
-				for i, seed := range seeds {
-					wantOut[i], wantStats[i] = sequentialReference(t, topo, mk(seed))
-				}
-				gotOut := make([][]uint64, len(seeds))
-				trials := make([]local.Trial, len(seeds))
-				for i, seed := range seeds {
-					gotOut[i] = make([]uint64, n)
-					trials[i] = mk(seed)(gotOut[i])
-				}
-				stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: workers})
-				for i := range seeds {
-					if errs[i] != nil {
-						t.Fatalf("trial %d: %v", i, errs[i])
+					wantOut := make([][]uint64, len(seeds))
+					wantStats := make([]local.Stats, len(seeds))
+					for i, seed := range seeds {
+						wantOut[i], wantStats[i] = sequentialReference(t, topo, mk(seed))
 					}
-					if stats[i] != wantStats[i] {
-						t.Errorf("trial %d stats %+v != sequential %+v", i, stats[i], wantStats[i])
+					gotOut := make([][]uint64, len(seeds))
+					trials := make([]local.Trial, len(seeds))
+					for i, seed := range seeds {
+						gotOut[i] = make([]uint64, n)
+						trials[i] = mk(seed)(gotOut[i])
 					}
-					for v := range gotOut[i] {
-						if gotOut[i][v] != wantOut[i][v] {
-							t.Fatalf("trial %d disagrees with sequential at node %d: %x vs %x",
-								i, v, gotOut[i][v], wantOut[i][v])
+					stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: workers})
+					for i := range seeds {
+						if errs[i] != nil {
+							t.Fatalf("%s trial %d: %v", p.name, i, errs[i])
+						}
+						if stats[i] != wantStats[i] {
+							t.Errorf("%s trial %d stats %+v != sequential %+v", p.name, i, stats[i], wantStats[i])
+						}
+						for v := range gotOut[i] {
+							if gotOut[i][v] != wantOut[i][v] {
+								t.Fatalf("%s trial %d disagrees with sequential at node %d: %x vs %x",
+									p.name, i, v, gotOut[i][v], wantOut[i][v])
+							}
 						}
 					}
 				}
@@ -133,42 +198,44 @@ func TestBatchMatchesSequential(t *testing.T) {
 }
 
 // TestBatchMatchesSequentialEchoHash reruns the cross-engine echo-hash
-// program through the batch path: same graph, three seeds, outputs and Stats
-// must match per-seed standalone runs.
+// program (and its bit twin on the word and bit planes) through the batch
+// path: same graph, three seeds, outputs and Stats must match per-seed
+// standalone runs.
 func TestBatchMatchesSequentialEchoHash(t *testing.T) {
 	t.Parallel()
 	g := graph.RandomGraph(120, 0.05, prob.NewSource(77).Rand())
 	topo := local.NewTopology(g)
 	n := g.N()
 	seeds := []uint64{1, 7, 42}
-	var trials []local.Trial
-	batchOut := make([][]uint64, len(seeds))
-	for i, seed := range seeds {
-		src := prob.NewSource(seed)
-		batchOut[i] = make([]uint64, n)
-		trials = append(trials, local.Trial{
-			Factory: echoFactory(4, batchOut[i]),
-			Opts:    local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))},
-		})
-	}
-	stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
-	for i, seed := range seeds {
-		if errs[i] != nil {
-			t.Fatalf("trial %d: %v", i, errs[i])
+	for _, p := range twins(echoFactory, bitEchoFactory) {
+		mk := func(seed uint64) func(out []uint64) local.Trial {
+			return func(out []uint64) local.Trial {
+				src := prob.NewSource(seed)
+				return local.Trial{
+					Factory: p.mk(4, out),
+					Opts:    local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), Plane: p.plane},
+				}
+			}
 		}
-		src := prob.NewSource(seed)
-		out := make([]uint64, n)
-		want, err := local.SequentialEngine{}.Run(topo, echoFactory(4, out),
-			local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))})
-		if err != nil {
-			t.Fatal(err)
+		var trials []local.Trial
+		batchOut := make([][]uint64, len(seeds))
+		for i, seed := range seeds {
+			batchOut[i] = make([]uint64, n)
+			trials = append(trials, mk(seed)(batchOut[i]))
 		}
-		if stats[i] != want {
-			t.Errorf("trial %d stats %+v != sequential %+v", i, stats[i], want)
-		}
-		for v := range out {
-			if batchOut[i][v] != out[v] {
-				t.Fatalf("trial %d output differs at node %d", i, v)
+		stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
+		for i, seed := range seeds {
+			if errs[i] != nil {
+				t.Fatalf("%s trial %d: %v", p.name, i, errs[i])
+			}
+			out, want := sequentialReference(t, topo, mk(seed))
+			if stats[i] != want {
+				t.Errorf("%s trial %d stats %+v != sequential %+v", p.name, i, stats[i], want)
+			}
+			for v := range out {
+				if batchOut[i][v] != out[v] {
+					t.Fatalf("%s trial %d output differs at node %d", p.name, i, v)
+				}
 			}
 		}
 	}
@@ -177,47 +244,50 @@ func TestBatchMatchesSequentialEchoHash(t *testing.T) {
 // TestBatchTrialErrorIsolation mixes a trial with invalid options, a trial
 // whose program violates the port contract, and two healthy trials: the
 // failures must land in their own error slots and the healthy trials must
-// still match their standalone runs.
+// still match their standalone runs, on every plane the healthy trials
+// take.
 func TestBatchTrialErrorIsolation(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(16)
 	topo := local.NewTopology(g)
 	n := g.N()
-	healthy := func(out []uint64) local.Trial {
-		src := prob.NewSource(8)
-		return local.Trial{Factory: chatterFactory(5, out), Opts: local.Options{Source: src}}
-	}
-	out0 := make([]uint64, n)
-	out3 := make([]uint64, n)
-	trials := []local.Trial{
-		healthy(out0),
-		{Factory: func(local.View) local.Node { return badSenderNode{} }, Opts: local.Options{}},
-		{Factory: func(local.View) local.Node { return badSenderNode{} }, Opts: local.Options{IDs: []int{1, 2}}},
-		healthy(out3),
-		{Opts: local.Options{}}, // nil factory
-	}
-	stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2})
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "ports") {
-		t.Errorf("port violation not reported: %v", errs[1])
-	}
-	if errs[2] == nil {
-		t.Error("short ID slice not reported")
-	}
-	if errs[4] == nil || !strings.Contains(errs[4].Error(), "nil Factory") {
-		t.Errorf("nil factory not reported: %v", errs[4])
-	}
-	wantOut, wantStats := sequentialReference(t, topo, healthy)
-	for _, i := range []int{0, 3} {
-		if errs[i] != nil {
-			t.Fatalf("healthy trial %d failed: %v", i, errs[i])
+	for _, p := range twins(chatterFactory, bitChatterFactory) {
+		healthy := func(out []uint64) local.Trial {
+			src := prob.NewSource(8)
+			return local.Trial{Factory: p.mk(5, out), Opts: local.Options{Source: src, Plane: p.plane}}
 		}
-		if stats[i] != wantStats {
-			t.Errorf("healthy trial %d stats %+v != sequential %+v", i, stats[i], wantStats)
+		out0 := make([]uint64, n)
+		out3 := make([]uint64, n)
+		trials := []local.Trial{
+			healthy(out0),
+			{Factory: func(local.View) local.Node { return badSenderNode{} }, Opts: local.Options{}},
+			{Factory: func(local.View) local.Node { return badSenderNode{} }, Opts: local.Options{IDs: []int{1, 2}}},
+			healthy(out3),
+			{Opts: local.Options{}}, // nil factory
 		}
-	}
-	for v := range wantOut {
-		if out0[v] != wantOut[v] || out3[v] != wantOut[v] {
-			t.Fatalf("healthy trial output differs at node %d", v)
+		stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2})
+		if errs[1] == nil || !strings.Contains(errs[1].Error(), "ports") {
+			t.Errorf("%s: port violation not reported: %v", p.name, errs[1])
+		}
+		if errs[2] == nil {
+			t.Errorf("%s: short ID slice not reported", p.name)
+		}
+		if errs[4] == nil || !strings.Contains(errs[4].Error(), "nil Factory") {
+			t.Errorf("%s: nil factory not reported: %v", p.name, errs[4])
+		}
+		wantOut, wantStats := sequentialReference(t, topo, healthy)
+		for _, i := range []int{0, 3} {
+			if errs[i] != nil {
+				t.Fatalf("%s: healthy trial %d failed: %v", p.name, i, errs[i])
+			}
+			if stats[i] != wantStats {
+				t.Errorf("%s: healthy trial %d stats %+v != sequential %+v", p.name, i, stats[i], wantStats)
+			}
+		}
+		for v := range wantOut {
+			if out0[v] != wantOut[v] || out3[v] != wantOut[v] {
+				t.Fatalf("%s: healthy trial output differs at node %d", p.name, v)
+			}
 		}
 	}
 }
@@ -232,40 +302,43 @@ func (badSenderNode) Round(int, []local.Message) ([]local.Message, bool) {
 
 // TestBatchPerTrialMaxRounds gives each trial its own cap around the exact
 // finishing round: the trial at the boundary succeeds, the one a round short
-// fails, and neither outcome leaks into the other trials.
+// fails, and neither outcome leaks into the other trials — on the boxed
+// trial's sequential loop and on the batched word and bit loops alike.
 func TestBatchPerTrialMaxRounds(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(20)
 	topo := local.NewTopology(g)
 	n := g.N()
-	// echoFactory(rounds, out) finishes in round rounds+1.
+	// echoFactory and bitEchoFactory (rounds, out) finish in round rounds+1.
 	const rounds = 6
-	mk := func(maxRounds int) local.Trial {
-		src := prob.NewSource(4)
-		return local.Trial{
-			Factory: echoFactory(rounds, make([]uint64, n)),
-			Opts:    local.Options{Source: src, MaxRounds: maxRounds},
+	for _, p := range twins(echoFactory, bitEchoFactory) {
+		mk := func(maxRounds int) local.Trial {
+			src := prob.NewSource(4)
+			return local.Trial{
+				Factory: p.mk(rounds, make([]uint64, n)),
+				Opts:    local.Options{Source: src, MaxRounds: maxRounds, Plane: p.plane},
+			}
 		}
-	}
-	trials := []local.Trial{mk(rounds + 1), mk(rounds), mk(0)}
-	stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
-	if errs[0] != nil {
-		t.Errorf("MaxRounds at the exact finishing round must succeed: %v", errs[0])
-	}
-	if stats[0].Rounds != rounds+1 {
-		t.Errorf("trial 0 ran %d rounds, want %d", stats[0].Rounds, rounds+1)
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "MaxRounds") {
-		t.Errorf("MaxRounds one short of the finishing round must fail: %v", errs[1])
-	}
-	if stats[1].Rounds != rounds {
-		t.Errorf("failed trial executed %d rounds, want %d", stats[1].Rounds, rounds)
-	}
-	if errs[2] != nil {
-		t.Errorf("defaulted MaxRounds trial failed: %v", errs[2])
-	}
-	if stats[2] != stats[0] {
-		t.Errorf("unbounded trial stats %+v != bounded twin %+v", stats[2], stats[0])
+		trials := []local.Trial{mk(rounds + 1), mk(rounds), mk(0)}
+		stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
+		if errs[0] != nil {
+			t.Errorf("%s: MaxRounds at the exact finishing round must succeed: %v", p.name, errs[0])
+		}
+		if stats[0].Rounds != rounds+1 {
+			t.Errorf("%s: trial 0 ran %d rounds, want %d", p.name, stats[0].Rounds, rounds+1)
+		}
+		if errs[1] == nil || !strings.Contains(errs[1].Error(), "MaxRounds") {
+			t.Errorf("%s: MaxRounds one short of the finishing round must fail: %v", p.name, errs[1])
+		}
+		if stats[1].Rounds != rounds {
+			t.Errorf("%s: failed trial executed %d rounds, want %d", p.name, stats[1].Rounds, rounds)
+		}
+		if errs[2] != nil {
+			t.Errorf("%s: defaulted MaxRounds trial failed: %v", p.name, errs[2])
+		}
+		if stats[2] != stats[0] {
+			t.Errorf("%s: unbounded trial stats %+v != bounded twin %+v", p.name, stats[2], stats[0])
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ package local
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -865,137 +864,4 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 // quarter of the graph's weight, per-row wins in long sparse tails.
 func clearWholesale(activeWeight int64, n, arcs int) bool {
 	return activeWeight*4 >= int64(n+arcs)
-}
-
-// runGoroutineBit is the goroutine engine's bit-plane fast path. Each node
-// goroutine owns a word-aligned persistent send scratch row (carved from a
-// flat backing, so no two nodes share a scratch word), runs RoundB against
-// its shared-plane inbox row and clears the consumed row (atomic on
-// boundary words — neighbors' goroutines clear concurrently); the
-// single-threaded coordinator scatters the scratch after the node's result
-// arrives, so deliveries need no atomics. The engine stays unfused and
-// untiled by design — it is the reference schedule the tuned engines are
-// checked against — but shares the scatter-prefetch window.
-func runGoroutineBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, error) {
-	pfw := tune.prefetchBit()
-	n := t.N()
-	arcs := len(t.adj)
-	inbox := newBitPlane(arcs, width)
-	next := newBitPlane(arcs, width)
-	scratch := make([]BitRow, n)
-	total := 0
-	for v := 0; v < n; v++ {
-		total += planeWords(t.Deg(v), width)
-	}
-	backing := make([]uint64, total)
-	off := 0
-	for v := 0; v < n; v++ {
-		d := t.Deg(v)
-		w := planeWords(d, width)
-		scratch[v] = BitRow{lanes: backing[off : off+w : off+w], n: uint32(d), width: uint32(width)}
-		off += w
-	}
-	start := make([]chan BitRow, n)
-	results := make(chan wordRoundResult, n)
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		start[v] = make(chan BitRow, 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			node := nodes[v]
-			send := scratch[v]
-			r := 0
-			//splitlint:zeroalloc
-			for recv := range start[v] {
-				r++
-				fin, rerr := safeRoundB(node, v, r, recv, send)
-				if rerr != nil {
-					results <- wordRoundResult{v: v, err: rerr}
-					return
-				}
-				// Clear the consumed row; after the swap the new next rows
-				// are then already all-clear.
-				recv.clear(true)
-				results <- wordRoundResult{v: v, done: fin}
-			}
-		}(v)
-	}
-	defer func() {
-		for v := 0; v < n; v++ {
-			if start[v] != nil {
-				close(start[v])
-			}
-		}
-		wg.Wait()
-	}()
-
-	active := make([]bool, n)
-	dead := deadDeliver{t: t}
-	var newlyDone []int32
-	remaining := n
-	for v := range active {
-		active[v] = true
-	}
-	var stats Stats
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, maxRoundsErr(maxRounds)
-		}
-		// Cancellation point: before round r launches, rounds 1..r-1 stand.
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, cerr
-		}
-		stats.Rounds = r
-		launched := 0
-		for v := 0; v < n; v++ {
-			if active[v] {
-				start[v] <- inbox.row(t.off[v], t.off[v+1])
-				launched++
-			}
-		}
-		newlyDone = newlyDone[:0]
-		deliver := dead.table()
-		for i := 0; i < launched; i++ {
-			res := <-results
-			if res.err != nil {
-				start[res.v] = nil // goroutine already exited
-				return stats, res.err
-			}
-			if res.done {
-				close(start[res.v])
-				start[res.v] = nil
-				active[res.v] = false
-				newlyDone = append(newlyDone, int32(res.v))
-				remaining--
-			}
-			// The channel receive orders the scratch row's writes before
-			// this scatter; the coordinator is the only deliverer.
-			if pfw > 0 {
-				prefetchBitTargets(deliver, next, t.off[res.v], t.off[res.v+1], pfw)
-			}
-			stats.Messages += scatterBitRow(deliver, next, t.off[res.v], scratch[res.v], false)
-		}
-		// Drop undeliverable messages to nodes that terminated this round.
-		for _, v := range newlyDone {
-			lo, hi := t.off[v], t.off[v+1]
-			stats.Messages -= next.countRow(lo, hi)
-			next.clearRow(lo, hi, false)
-			dead.kill(v)
-		}
-		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryBit(r, next, &stats) {
-				close(start[v])
-				start[v] = nil
-				active[v] = false
-				remaining--
-				dead.kill(v)
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, nil
 }

@@ -10,7 +10,7 @@ package local
 // boundaries, in the engines' single-threaded coordinator sections, before
 // round r executes: a run cancelled between rounds k and k+1 has executed
 // rounds 1..k bit-identically to an uncancelled run (the control suite pins
-// this across all four paths and all three planes), returns partial Stats
+// this across every path and all three planes), returns partial Stats
 // covering those rounds, and leaves the shared Topology untouched (engines
 // never write it, control or not).
 //
@@ -23,8 +23,8 @@ package local
 // Panic isolation converts a panic inside a node program (or its factory)
 // into a *PanicError carrying the (node, round) coordinates and the stack:
 // a per-trial error in BatchRun — sibling trials run to completion
-// bit-identically — and an engine-level error on the sequential, goroutine
-// and pool paths. Recovery happens on the cold exit path only; the
+// bit-identically — and an engine-level error on the sequential and pool
+// paths. Recovery happens on the cold exit path only; the
 // steady-state round loops pay at most one deferred guard per shard.
 
 import (
@@ -52,13 +52,22 @@ var ErrDeadline = errors.New("local: run deadline exceeded")
 type RunControl struct {
 	// Ctx is polled at round boundaries; its cancellation ends the run.
 	Ctx context.Context
+	// outer, when set, is polled before Ctx: a boxed BatchRun trial runs on
+	// the sequential loop under both the batch-level control and its own.
+	outer *RunControl
 }
 
 // Err returns nil while the run may continue, and the distinguished
 // ErrCancelled/ErrDeadline (wrapping the context error) once the control
 // context is done. Nil-safe: a nil control never fires.
 func (rc *RunControl) Err() error {
-	if rc == nil || rc.Ctx == nil {
+	if rc == nil {
+		return nil
+	}
+	if err := rc.outer.Err(); err != nil {
+		return err
+	}
+	if rc.Ctx == nil {
 		return nil
 	}
 	cerr := rc.Ctx.Err()
@@ -69,6 +78,19 @@ func (rc *RunControl) Err() error {
 		return fmt.Errorf("%w: %w", ErrDeadline, cerr)
 	}
 	return fmt.Errorf("%w: %w", ErrCancelled, cerr)
+}
+
+// under returns a control that fires when outer or rc does, outer first;
+// a nil outer returns rc unchanged.
+func (rc *RunControl) under(outer *RunControl) *RunControl {
+	if outer == nil {
+		return rc
+	}
+	c := &RunControl{outer: outer}
+	if rc != nil {
+		c.Ctx = rc.Ctx
+	}
+	return c
 }
 
 // ForceControl wraps an engine so every run is governed by the given
@@ -116,45 +138,10 @@ func newPanicError(node, round int, v any) *PanicError {
 	return &PanicError{Node: node, Round: round, Value: v, Stack: debug.Stack()}
 }
 
-// safeRound runs one boxed Round call under a panic guard — the goroutine
-// engine's per-node isolation (its unit of execution is one node's round).
-// The single defer is open-coded by the compiler, so the guard allocates
-// nothing on the non-panicking path.
-func safeRound(node Node, v, r int, recv []Message) (send []Message, done bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			send, done, err = nil, false, newPanicError(v, r, p)
-		}
-	}()
-	send, done = node.Round(r, recv)
-	return
-}
-
-// safeRoundW is safeRound for the word plane. A recovered panic may leave
-// the node's send row partially staged; the caller must not scatter it.
-func safeRoundW(node WordNode, v, r int, recv, send []Word) (done bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			done, err = false, newPanicError(v, r, p)
-		}
-	}()
-	return node.RoundW(r, recv, send), nil
-}
-
-// safeRoundB is safeRound for the bit plane.
-func safeRoundB(node BitNode, v, r int, recv, send BitRow) (done bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			done, err = false, newPanicError(v, r, p)
-		}
-	}()
-	return node.RoundB(r, recv, send), nil
-}
-
 // buildNodes instantiates the per-node programs, converting a factory panic
-// into an engine-level *PanicError (round 0). Shared by the sequential,
-// goroutine and pool engines; the batch runner guards its view-sharing
-// setup loop separately.
+// into an engine-level *PanicError (round 0). Shared by the sequential and
+// pool engines; the batch runner guards its view-sharing setup loop
+// separately.
 func buildNodes(f Factory, vs []View) (nodes []Node, err error) {
 	cur := -1
 	defer func() {

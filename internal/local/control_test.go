@@ -1,6 +1,6 @@
 // Run-control coverage: cancellation bit-identity (a run cancelled at round
-// k executed rounds 1..k byte-identically to an uncancelled run, across all
-// four execution paths and all three planes), distinguished
+// k executed rounds 1..k byte-identically to an uncancelled run, across
+// every execution path and all three planes), distinguished
 // ErrCancelled/ErrDeadline sentinels with partial Stats, per-trial and
 // batch-level control in BatchRun, and the ForceControl engine wrapper.
 package local_test
@@ -148,6 +148,10 @@ func ctlOpts(n int, plane local.Plane) local.Options {
 	}
 }
 
+// ctlEngines is the control and panic suites' engine table. NoFuse only
+// changes bit programs with a fused caster, which ctlNode is not, so the
+// seq-nofuse row reruns seq's loop here on every plane; it stays as the
+// table's unfused reference row.
 func ctlEngines() []struct {
 	name string
 	e    local.Engine
@@ -157,7 +161,7 @@ func ctlEngines() []struct {
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"goroutine", local.GoroutineEngine{}},
+		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
 		{"pool", local.WorkerPoolEngine{Workers: 3}},
 		{"batch", local.BatchEngine{Workers: 3}},
 	}
@@ -338,28 +342,41 @@ func TestBatchPerTrialControl(t *testing.T) {
 }
 
 // TestBatchLevelControl pins BatchOptions.Control: a pre-cancelled batch
-// control retires every trial with ErrCancelled and zero-round Stats.
+// control retires every trial with ErrCancelled and zero-round Stats — one
+// trial per plane, so the boxed trial (which runs on the sequential loop)
+// is governed by the batch-level control too. Under a live batch control a
+// pre-cancelled per-trial control still retires its trial: both levels
+// compose on every plane.
 func TestBatchLevelControl(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
 	n := g.N()
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	trials := make([]local.Trial, 3)
-	for i := range trials {
-		src := prob.NewSource(uint64(20 + i))
-		trials[i] = local.Trial{
-			Factory: ctlFactory(newCtlRecorder(n, ctlRounds)),
-			Opts:    local.Options{Source: src, MaxRounds: 64},
+	live := &local.RunControl{Ctx: context.Background()}
+	for _, tc := range []struct {
+		name         string
+		batch, trial *local.RunControl
+	}{
+		{"batch-cancelled", &local.RunControl{Ctx: cancelled}, nil},
+		{"trial-cancelled", live, &local.RunControl{Ctx: cancelled}},
+	} {
+		trials := make([]local.Trial, len(ctlPlanes))
+		for i, plane := range ctlPlanes {
+			src := prob.NewSource(uint64(20 + i))
+			trials[i] = local.Trial{
+				Factory: ctlFactory(newCtlRecorder(n, ctlRounds)),
+				Opts:    local.Options{Source: src, MaxRounds: 64, Plane: plane, Control: tc.trial},
+			}
 		}
-	}
-	stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2, Control: &local.RunControl{Ctx: ctx}})
-	for i := range trials {
-		if !errors.Is(errs[i], local.ErrCancelled) {
-			t.Fatalf("trial %d err = %v, want ErrCancelled", i, errs[i])
-		}
-		if stats[i].Rounds != 0 {
-			t.Fatalf("trial %d rounds = %d, want 0", i, stats[i].Rounds)
+		stats, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2, Control: tc.batch})
+		for i := range trials {
+			if !errors.Is(errs[i], local.ErrCancelled) {
+				t.Fatalf("%s: %s trial err = %v, want ErrCancelled", tc.name, ctlPlanes[i], errs[i])
+			}
+			if stats[i].Rounds != 0 {
+				t.Fatalf("%s: %s trial rounds = %d, want 0", tc.name, ctlPlanes[i], stats[i].Rounds)
+			}
 		}
 	}
 }

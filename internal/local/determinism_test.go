@@ -17,9 +17,13 @@ import (
 )
 
 // engines under test; every program below runs under all of them and every
-// pair of runs must agree exactly. The BatchEngine entries route the same
-// cases through single-trial BatchRun, so the batch path is covered on
-// every (graph, program, seed) combination of the suite.
+// pair of runs must agree exactly. The seq-nofuse row is the unfused
+// reference schedule the tuned throughput paths are checked against; NoFuse
+// only changes bit programs with a fused caster, so on every other program
+// the row reruns seq's loop. The
+// BatchEngine entries route the same cases through single-trial BatchRun,
+// so the batch path is covered on every (graph, program, seed) combination
+// of the suite.
 func allEngines() []struct {
 	name string
 	e    local.Engine
@@ -29,7 +33,7 @@ func allEngines() []struct {
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"goroutine", local.GoroutineEngine{}},
+		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
 		{"pool", local.WorkerPoolEngine{}},
 		{"pool-1", local.WorkerPoolEngine{Workers: 1}},
 		{"pool-3", local.WorkerPoolEngine{Workers: 3}},
@@ -108,9 +112,43 @@ func determinismGraphs(t *testing.T) []testGraph {
 	return gs
 }
 
+// crossEngineCheck runs one program variant under every engine and
+// compares each run with the sequential boxed oracle: same Stats, same
+// outputs. It returns the oracle's outputs and Stats.
+func crossEngineCheck(t *testing.T, topo *local.Topology, p planeProg, k int, mkOpts func() local.Options) ([]uint64, local.Stats) {
+	t.Helper()
+	n := topo.N()
+	refOut := make([]uint64, n)
+	refOpts := mkOpts()
+	refOpts.Plane = local.PlaneBoxed
+	refStats, err := local.SequentialEngine{}.Run(topo, p.mk(k, refOut), refOpts)
+	if err != nil {
+		t.Fatalf("%s/oracle: %v", p.name, err)
+	}
+	for _, eng := range allEngines() {
+		out := make([]uint64, n)
+		opts := mkOpts()
+		opts.Plane = p.plane
+		stats, err := eng.e.Run(topo, p.mk(k, out), opts)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p.name, eng.name, err)
+		}
+		if stats != refStats {
+			t.Errorf("%s/%s stats %+v != seq stats %+v", p.name, eng.name, stats, refStats)
+		}
+		for v := range out {
+			if out[v] != refOut[v] {
+				t.Fatalf("%s/%s disagrees with seq at node %d: %x vs %x", p.name, eng.name, v, out[v], refOut[v])
+			}
+		}
+	}
+	return refOut, refStats
+}
+
 // TestCrossEngineDeterminismEchoHash is the randomized property test: 7
-// generated graphs × 3 seeds = 21 (graph, seed) combos, each run under all 5
-// engine configurations of the message-exchange program.
+// generated graphs × 3 seeds = 21 (graph, seed) combos, each run under every
+// engine configuration of the message-exchange program — boxed, and its bit
+// twin on the word and bit planes.
 func TestCrossEngineDeterminismEchoHash(t *testing.T) {
 	for _, tg := range determinismGraphs(t) {
 		for _, seed := range []uint64{1, 7, 42} {
@@ -118,29 +156,12 @@ func TestCrossEngineDeterminismEchoHash(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", tg.name, seed), func(t *testing.T) {
 				t.Parallel()
 				topo := local.NewTopology(tg.g)
-				n := tg.g.N()
-				src := prob.NewSource(seed)
-				ids := local.PermutationIDs(n, src.Fork(1))
-				var refOut []uint64
-				var refStats local.Stats
-				for i, eng := range allEngines() {
-					out := make([]uint64, n)
-					stats, err := eng.e.Run(topo, echoFactory(4, out), local.Options{Source: src, IDs: ids})
-					if err != nil {
-						t.Fatalf("%s: %v", eng.name, err)
-					}
-					if i == 0 {
-						refOut, refStats = out, stats
-						continue
-					}
-					if stats != refStats {
-						t.Errorf("%s stats %+v != seq stats %+v", eng.name, stats, refStats)
-					}
-					for v := range out {
-						if out[v] != refOut[v] {
-							t.Fatalf("%s disagrees with seq at node %d: %x vs %x", eng.name, v, out[v], refOut[v])
-						}
-					}
+				mkOpts := func() local.Options {
+					src := prob.NewSource(seed)
+					return local.Options{Source: src, IDs: local.PermutationIDs(tg.g.N(), src.Fork(1))}
+				}
+				for _, p := range twins(echoFactory, bitEchoFactory) {
+					crossEngineCheck(t, topo, p, 4, mkOpts)
 				}
 			})
 		}
@@ -152,7 +173,7 @@ func TestCrossEngineDeterminismEchoHash(t *testing.T) {
 // up to and including their last, so many messages target already-terminated
 // neighbors. Stats must agree exactly — Messages counts only delivered
 // messages, a boundary every engine (and the batch runner) must draw at the
-// same place.
+// same place on every plane.
 func TestCrossEngineDeterminismChatterbox(t *testing.T) {
 	for _, tg := range determinismGraphs(t) {
 		for _, seed := range []uint64{5, 23} {
@@ -165,39 +186,23 @@ func TestCrossEngineDeterminismChatterbox(t *testing.T) {
 					src := prob.NewSource(seed)
 					return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))}
 				}
-				var refOut []uint64
-				var refStats local.Stats
-				for i, eng := range allEngines() {
+				for _, p := range twins(chatterFactory, bitChatterFactory) {
+					refOut, refStats := crossEngineCheck(t, topo, p, 7, mkOpts)
+					// The batch path must draw the same boundary.
 					out := make([]uint64, n)
-					stats, err := eng.e.Run(topo, chatterFactory(7, out), mkOpts())
-					if err != nil {
-						t.Fatalf("%s: %v", eng.name, err)
+					opts := mkOpts()
+					opts.Plane = p.plane
+					stats, errs := local.BatchRun(topo, []local.Trial{{Factory: p.mk(7, out), Opts: opts}}, local.BatchOptions{})
+					if errs[0] != nil {
+						t.Fatalf("%s/batch: %v", p.name, errs[0])
 					}
-					if i == 0 {
-						refOut, refStats = out, stats
-						continue
-					}
-					if stats != refStats {
-						t.Errorf("%s stats %+v != seq stats %+v", eng.name, stats, refStats)
+					if stats[0] != refStats {
+						t.Errorf("%s/batch stats %+v != seq stats %+v", p.name, stats[0], refStats)
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("%s disagrees with seq at node %d: %x vs %x", eng.name, v, out[v], refOut[v])
+							t.Fatalf("%s/batch disagrees with seq at node %d", p.name, v)
 						}
-					}
-				}
-				// The batch path must draw the same boundary.
-				out := make([]uint64, n)
-				stats, errs := local.BatchRun(topo, []local.Trial{{Factory: chatterFactory(7, out), Opts: mkOpts()}}, local.BatchOptions{})
-				if errs[0] != nil {
-					t.Fatalf("batch: %v", errs[0])
-				}
-				if stats[0] != refStats {
-					t.Errorf("batch stats %+v != seq stats %+v", stats[0], refStats)
-				}
-				for v := range out {
-					if out[v] != refOut[v] {
-						t.Fatalf("batch disagrees with seq at node %d", v)
 					}
 				}
 			})

@@ -5,8 +5,8 @@ package local
 // engine and every message plane.
 //
 // The design constraint is the repository's determinism discipline: a faulty
-// run must be bit-identical across the sequential, goroutine, pool and batch
-// execution paths, every plane, and every worker count. Two properties give
+// run must be bit-identical across the sequential, pool and batch execution
+// paths, every plane, and every worker count. Two properties give
 // that by construction:
 //
 //   - Every fault decision is a pure function of the fault seed, a stable
@@ -16,8 +16,7 @@ package local
 //     sequential stream state that scheduling could reorder.
 //   - Faults are applied only at round boundaries, in the engines'
 //     single-threaded coordinator sections, where the next plane is already
-//     bit-identical across engines. Workers and node goroutines never see
-//     the fault state.
+//     bit-identical across engines. Workers never see the fault state.
 //
 // Per boundary (after round r has executed and nodes that terminated in
 // round r have been retired) the pass runs in a fixed order:
@@ -220,11 +219,11 @@ func (fs *faultState) pickCrashes(round int) []int32 {
 	return crashed
 }
 
-// boundaryBoxed runs the fault pass over a boxed next plane (the trial's
-// region starts at base) after round r; see the file comment for the pass
-// order. It returns the nodes crashed for round r+1, which the engine must
-// retire exactly like same-round terminators.
-func (fs *faultState) boundaryBoxed(r int, next []Message, base int, stats *Stats) []int32 {
+// boundaryBoxed runs the fault pass over the sequential boxed loop's next
+// plane after round r; see the file comment for the pass order. It returns
+// the nodes crashed for round r+1, which the engine must retire exactly
+// like same-round terminators.
+func (fs *faultState) boundaryBoxed(r int, next []Message, stats *Stats) []int32 {
 	t := fs.t
 	if fs.dropT > 0 {
 		dropR := prob.KeyedAt(fs.dropK, uint64(r))
@@ -235,11 +234,11 @@ func (fs *faultState) boundaryBoxed(r int, next []Message, base int, stats *Stat
 				continue
 			}
 			for i := t.off[w]; i < t.off[w+1]; i++ {
-				m := next[base+int(i)]
+				m := next[i]
 				if m == nil || prob.KeyedAt(dropR, uint64(i)) >= fs.dropT {
 					continue
 				}
-				next[base+int(i)] = nil
+				next[i] = nil
 				stats.Messages--
 				if fs.buckets != nil {
 					d := 1 + int(prob.KeyedAt(delayR, uint64(i))%uint64(fs.delay))
@@ -255,11 +254,11 @@ func (fs *faultState) boundaryBoxed(r int, next []Message, base int, stats *Stat
 	if fs.buckets != nil {
 		b := r % (fs.delay + 1)
 		for _, h := range fs.buckets[b] {
-			if fs.down[h.recv] || next[base+int(h.arc)] != nil {
+			if fs.down[h.recv] || next[h.arc] != nil {
 				stats.Dropped++
 				continue
 			}
-			next[base+int(h.arc)] = h.msg
+			next[h.arc] = h.msg
 			stats.Messages++
 		}
 		fs.buckets[b] = fs.buckets[b][:0]
@@ -267,8 +266,8 @@ func (fs *faultState) boundaryBoxed(r int, next []Message, base int, stats *Stat
 	crashed := fs.pickCrashes(r + 1)
 	for _, v := range crashed {
 		for i := t.off[v]; i < t.off[v+1]; i++ {
-			if next[base+int(i)] != nil {
-				next[base+int(i)] = nil
+			if next[i] != nil {
+				next[i] = nil
 				stats.Messages--
 				stats.Dropped++
 			}
@@ -278,7 +277,8 @@ func (fs *faultState) boundaryBoxed(r int, next []Message, base int, stats *Stat
 	return crashed
 }
 
-// boundaryWord is boundaryBoxed over a word next plane.
+// boundaryWord is boundaryBoxed over a word next plane (the trial's region
+// starts at base).
 func (fs *faultState) boundaryWord(r int, next []Word, base int, stats *Stats) []int32 {
 	t := fs.t
 	if fs.dropT > 0 {

@@ -105,7 +105,9 @@ func TestFaultDeterminismAcrossEngines(t *testing.T) {
 // TestFaultDeterminismBoxedAccounting is the chatterbox accounting stress
 // under faults: staggered terminations mean many messages target terminated
 // or crashed receivers, and every engine (multi-trial batch included) must
-// draw drop, redelivery and crash boundaries at exactly the same place.
+// draw drop, redelivery and crash boundaries at exactly the same place. The
+// boxed chatterbox runs on the sequential loop under every engine, so its
+// bit twin repeats the check on the word and bit planes.
 func TestFaultDeterminismBoxedAccounting(t *testing.T) {
 	g := graph.RandomGraph(120, 0.06, prob.NewSource(78).Rand())
 	topo := local.NewTopology(g)
@@ -114,63 +116,47 @@ func TestFaultDeterminismBoxedAccounting(t *testing.T) {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
 			t.Parallel()
-			mkOpts := func() local.Options {
-				fp := fc.fp
-				src := prob.NewSource(9)
-				return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), Faults: &fp}
-			}
-			var refOut []uint64
-			var refStats local.Stats
-			for i, eng := range allEngines() {
-				out := make([]uint64, n)
-				stats, err := eng.e.Run(topo, chatterFactory(7, out), mkOpts())
+			for _, p := range twins(chatterFactory, bitChatterFactory) {
+				mkOpts := func() local.Options {
+					fp := fc.fp
+					src := prob.NewSource(9)
+					return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), Faults: &fp, Plane: p.plane}
+				}
+				refOut, refStats := crossEngineCheck(t, topo, p, 7, mkOpts)
+				// A multi-trial batch mixing faulty and clean trials must
+				// fault each trial independently: the faulty trial matches
+				// the faulty reference, the clean trial matches a clean
+				// sequential run.
+				cleanRef := make([]uint64, n)
+				cleanOpts := mkOpts()
+				cleanOpts.Faults = nil
+				cleanOpts.Plane = local.PlaneBoxed
+				cleanStats, err := (local.SequentialEngine{}).Run(topo, p.mk(7, cleanRef), cleanOpts)
 				if err != nil {
-					t.Fatalf("%s: %v", eng.name, err)
+					t.Fatal(err)
 				}
-				if i == 0 {
-					refOut, refStats = out, stats
-					continue
-				}
-				if stats != refStats {
-					t.Errorf("%s stats %+v != seq stats %+v", eng.name, stats, refStats)
-				}
-				for v := range out {
-					if out[v] != refOut[v] {
-						t.Fatalf("%s disagrees with seq at node %d", eng.name, v)
+				faultyOut := make([]uint64, n)
+				cleanOut := make([]uint64, n)
+				co := mkOpts()
+				co.Faults = nil
+				stats, errs := local.BatchRun(topo, []local.Trial{
+					{Factory: p.mk(7, faultyOut), Opts: mkOpts()},
+					{Factory: p.mk(7, cleanOut), Opts: co},
+				}, local.BatchOptions{Workers: 3})
+				for s, err := range errs {
+					if err != nil {
+						t.Fatalf("%s: batch trial %d: %v", p.name, s, err)
 					}
 				}
-			}
-			// A multi-trial batch mixing faulty and clean trials must fault
-			// each trial independently: the faulty trial matches the faulty
-			// reference, the clean trial matches a clean sequential run.
-			cleanRef := make([]uint64, n)
-			cleanOpts := mkOpts()
-			cleanOpts.Faults = nil
-			cleanStats, err := (local.SequentialEngine{}).Run(topo, chatterFactory(7, cleanRef), cleanOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			faultyOut := make([]uint64, n)
-			cleanOut := make([]uint64, n)
-			co := mkOpts()
-			co.Faults = nil
-			stats, errs := local.BatchRun(topo, []local.Trial{
-				{Factory: chatterFactory(7, faultyOut), Opts: mkOpts()},
-				{Factory: chatterFactory(7, cleanOut), Opts: co},
-			}, local.BatchOptions{Workers: 3})
-			for s, err := range errs {
-				if err != nil {
-					t.Fatalf("batch trial %d: %v", s, err)
+				if stats[0] != refStats {
+					t.Errorf("%s: batch faulty trial stats %+v != %+v", p.name, stats[0], refStats)
 				}
-			}
-			if stats[0] != refStats {
-				t.Errorf("batch faulty trial stats %+v != %+v", stats[0], refStats)
-			}
-			if stats[1] != cleanStats {
-				t.Errorf("batch clean trial stats %+v != %+v", stats[1], cleanStats)
-			}
-			if outHash(faultyOut) != outHash(refOut) || outHash(cleanOut) != outHash(cleanRef) {
-				t.Errorf("batch outputs diverge from their standalone references")
+				if stats[1] != cleanStats {
+					t.Errorf("%s: batch clean trial stats %+v != %+v", p.name, stats[1], cleanStats)
+				}
+				if outHash(faultyOut) != outHash(refOut) || outHash(cleanOut) != outHash(cleanRef) {
+					t.Errorf("%s: batch outputs diverge from their standalone references", p.name)
+				}
 			}
 		})
 	}

@@ -211,32 +211,48 @@ var goldenBatchSeeds = []uint64{
 // TestGoldenTracesBatch runs the multi-seed sweep through BatchRun: one
 // shared topology, one trial per seed, and every trial's folded trace hash
 // must equal both the checked-in golden value and a standalone
-// SequentialEngine run with the same seed.
+// SequentialEngine run with the same seed. The boxed trace program runs on
+// the sequential loop inside the batch; its bit twin, forced onto the word
+// and bit planes, drives the batched loops, and its seed-99 trial must hit
+// the bit-trace golden value.
 func TestGoldenTracesBatch(t *testing.T) {
 	t.Parallel()
 	g := graph.RandomSparseGraph(500, 1500, prob.NewSource(77).Rand())
 	topo := local.NewTopology(g)
-	trials := make([]local.Trial, len(goldenBatchSeeds))
-	outs := make([][]uint64, len(goldenBatchSeeds))
-	for k := range goldenBatchSeeds {
-		src := prob.NewSource(99 + uint64(k))
-		outs[k] = make([]uint64, g.N())
-		trials[k] = local.Trial{
-			Factory: traceFactory(5, outs[k]),
-			Opts:    local.Options{Source: src, IDs: local.PermutationIDs(g.N(), src.Fork(1))},
+	for _, p := range twins(traceFactory, bitTraceFactory) {
+		opts := func(k int) local.Options {
+			src := prob.NewSource(99 + uint64(k))
+			return local.Options{Source: src, IDs: local.PermutationIDs(g.N(), src.Fork(1)), Plane: p.plane}
 		}
-	}
-	stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
-	for k, want := range goldenBatchSeeds {
-		if errs[k] != nil {
-			t.Fatalf("trial %d: %v", k, errs[k])
+		trials := make([]local.Trial, len(goldenBatchSeeds))
+		outs := make([][]uint64, len(goldenBatchSeeds))
+		for k := range goldenBatchSeeds {
+			outs[k] = make([]uint64, g.N())
+			trials[k] = local.Trial{Factory: p.mk(5, outs[k]), Opts: opts(k)}
 		}
-		got := foldRun(outs[k], stats[k].Rounds, stats[k].Messages)
-		if got != want {
-			t.Errorf("batch trial %d (seed %d) trace hash %#016x, want golden %#016x", k, 99+k, got, want)
-		}
-		if standalone := traceHash(t, g, local.SequentialEngine{}, 99+uint64(k)); got != standalone {
-			t.Errorf("batch trial %d diverges from standalone sequential: %#016x vs %#016x", k, got, standalone)
+		stats, errs := local.BatchRun(topo, trials, local.BatchOptions{})
+		for k := range goldenBatchSeeds {
+			if errs[k] != nil {
+				t.Fatalf("%s trial %d: %v", p.name, k, errs[k])
+			}
+			got := foldRun(outs[k], stats[k].Rounds, stats[k].Messages)
+			want, pinned := goldenBatchSeeds[k], true
+			if p.plane != local.PlaneBoxed {
+				want, pinned = goldenTraces["sparse500/bit-trace"], k == 0
+			}
+			if pinned && got != want {
+				t.Errorf("%s batch trial %d (seed %d) trace hash %#016x, want golden %#016x", p.name, k, 99+k, got, want)
+			}
+			ref := make([]uint64, g.N())
+			refOpts := opts(k)
+			refOpts.Plane = local.PlaneBoxed
+			refStats, err := local.SequentialEngine{}.Run(topo, p.mk(5, ref), refOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if standalone := foldRun(ref, refStats.Rounds, refStats.Messages); got != standalone {
+				t.Errorf("%s batch trial %d diverges from standalone sequential: %#016x vs %#016x", p.name, k, got, standalone)
+			}
 		}
 	}
 }

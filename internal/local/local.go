@@ -5,23 +5,19 @@
 // resource; message size and local computation are unbounded.
 //
 // Algorithms are written as per-node state machines (the Node interface).
-// Three engines execute them:
+// Two execution paths run them:
 //
-//   - SequentialEngine iterates nodes in a single goroutine. Zero
-//     synchronization overhead; the baseline every other engine must match
-//     bit-for-bit, and the right choice for small instances and debugging.
-//   - GoroutineEngine runs one goroutine per node with a barrier per round —
-//     the natural Go embedding of synchronous rounds. It exists to
-//     demonstrate that the model maps onto real concurrency, but collapses
-//     under scheduler pressure at large n (two channel operations per node
-//     per round).
-//   - WorkerPoolEngine shards the active nodes over a fixed pool of
-//     GOMAXPROCS workers with double-buffered, reused message arrays. It is
-//     the throughput engine: pick it for large instances and batch
-//     experiments; it beats GoroutineEngine by orders of magnitude at
-//     100k+ nodes (see BenchmarkEngines).
+//   - SequentialEngine iterates nodes in a single goroutine, one loop per
+//     message plane and no tiling: the plain oracle every other path must
+//     match bit-for-bit. It is the right choice for small instances and
+//     debugging, and the only path for boxed programs.
+//   - WorkerPoolEngine (one run) and BatchRun (many trials over one
+//     topology) are the throughput paths: they shard the active nodes over
+//     a fixed pool of GOMAXPROCS workers with double-buffered, reused
+//     message planes. They exist for word and bit programs only; a run on
+//     the boxed plane is handed to the sequential boxed loop.
 //
-// All engines are observationally identical: per-node randomness is derived
+// All paths are observationally identical: per-node randomness is derived
 // from (seed, node ID) only, never from scheduling, so a program produces
 // bit-for-bit the same outputs under every engine (ablation E14 and the
 // cross-engine determinism suite in determinism_test.go enforce this).
@@ -42,7 +38,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -296,11 +291,11 @@ func planeNodes(nodes []Node, plane Plane) (bs []BitNode, bitWidth int, ws []Wor
 	return
 }
 
-// deliverBoxed scatters one node's boxed send row (first arc lo) into
-// next[base:] through the precomputed delivery table, dropping (and not
-// counting) messages to dead nodes; it returns the delivered count. Shared
-// by the sequential, goroutine, pool and batch boxed loops. The send slice
-// is program-owned and left untouched.
+// deliverBoxed scatters one node's boxed send row (first arc lo) into next
+// through the precomputed delivery table, dropping (and not counting)
+// messages to dead nodes; it returns the delivered count. Only the
+// sequential boxed loop uses it: boxed runs have no throughput path. The
+// send slice is program-owned and left untouched.
 //
 // pf is the scatter look-ahead window (see Tuning): the first pf target
 // slots are touched up front so their cache misses overlap instead of
@@ -310,13 +305,13 @@ func planeNodes(nodes []Node, plane Plane) (bs []BitNode, bitWidth int, ws []Wor
 // Tuning.prefetchScalar).
 //
 //splitlint:zeroalloc
-func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32, send []Message, pf int) int64 {
+func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Message, pf int) int64 {
 	if pf > len(send) {
 		pf = len(send)
 	}
 	var warm Message
 	for k := 0; k < pf; k++ {
-		if m := next[base+int(t.deliver[lo+int32(k)])]; m != nil {
+		if m := next[t.deliver[lo+int32(k)]]; m != nil {
 			warm = m
 		}
 	}
@@ -326,7 +321,7 @@ func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32,
 		if msg != nil {
 			arc := lo + int32(p)
 			if !dead[t.adj[arc]] {
-				next[base+int(t.deliver[arc])] = msg
+				next[t.deliver[arc]] = msg
 				msgs++
 			}
 		}
@@ -473,7 +468,6 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 	if err != nil {
 		return Stats{}, err
 	}
-	n := t.N()
 	nodes, err := buildNodes(f, vs)
 	if err != nil {
 		return Stats{}, err
@@ -497,7 +491,16 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 	if ws != nil {
 		return runSeqWord(t, ws, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
 	}
-	pfs := opts.Tune.prefetchScalar()
+	return runSeqBoxed(t, nodes, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
+}
+
+// runSeqBoxed is the sequential engine's boxed-plane loop, and the only
+// boxed loop there is: the worker pool and the batch runner hand boxed runs
+// and trials to it. Message = any planes allocate per send row, so a
+// throughput path would buy little; boxed programs are tests, benchmarks and
+// facade callers, never a shipped solver.
+func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *RunControl, pf int) (stats Stats, err error) {
+	n := t.N()
 	// Double-buffered flat message arrays sharing the topology's offsets:
 	// node v's inbox is inbox[off[v]:off[v+1]].
 	arcs := len(t.adj)
@@ -551,7 +554,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 			if len(send) != int(hi-lo) {
 				return stats, fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), hi-lo)
 			}
-			stats.Messages += t.deliverBoxed(next, dead, 0, lo, send, pfs)
+			stats.Messages += t.deliverBoxed(next, dead, lo, send, pf)
 		}
 		curV = -1
 		// Messages addressed to nodes that terminated this round will never
@@ -569,7 +572,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 			for _, v := range newlyDone {
 				fs.markDown(v)
 			}
-			for _, v := range fs.boundaryBoxed(r, next, 0, &stats) {
+			for _, v := range fs.boundaryBoxed(r, next, &stats) {
 				done[v] = true
 				dead[v] = true
 				remaining--
@@ -655,298 +658,6 @@ func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ct
 			}
 			for _, v := range fs.boundaryWord(r, next, 0, &stats) {
 				done[v] = true
-				dead[v] = true
-				remaining--
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, nil
-}
-
-// GoroutineEngine runs one goroutine per node, synchronized by a per-round
-// barrier. All goroutines are joined before Run returns.
-type GoroutineEngine struct{}
-
-var _ Engine = GoroutineEngine{}
-
-type roundResult struct {
-	v    int
-	send []Message
-	done bool
-	err  error
-}
-
-// Run implements Engine.
-func (GoroutineEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	vs, err := views(t, opts)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.N()
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-
-	// Create node programs in the coordinator so that factories may keep
-	// (unsynchronized) shared state, exactly as under SequentialEngine.
-	nodes, err := buildNodes(f, vs)
-	if err != nil {
-		return Stats{}, err
-	}
-	bs, bw, ws, err := planeNodes(nodes, opts.Plane)
-	if err != nil {
-		return Stats{}, err
-	}
-	fs, err := newFaultState(t, opts.Faults)
-	if err != nil {
-		return Stats{}, err
-	}
-	ctl := opts.Control
-	if bs != nil {
-		return runGoroutineBit(t, bs, bw, maxRounds, fs, ctl, opts.Tune)
-	}
-	if ws != nil {
-		return runGoroutineWord(t, ws, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
-	}
-	pfs := opts.Tune.prefetchScalar()
-	start := make([]chan []Message, n)
-	results := make(chan roundResult, n)
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		start[v] = make(chan []Message, 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			node := nodes[v]
-			deg := t.Deg(v)
-			r := 0
-			for recv := range start[v] {
-				r++
-				send, fin, rerr := safeRound(node, v, r, recv)
-				if rerr == nil && send != nil && len(send) != deg {
-					rerr = fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), deg)
-				}
-				if rerr != nil {
-					results <- roundResult{v: v, err: rerr}
-					return
-				}
-				results <- roundResult{v: v, send: send, done: fin}
-			}
-		}(v)
-	}
-	defer func() {
-		for v := 0; v < n; v++ {
-			if start[v] != nil {
-				close(start[v])
-			}
-		}
-		wg.Wait()
-	}()
-
-	// Double-buffered flat message arrays sharing the topology's offsets.
-	arcs := len(t.adj)
-	inbox := make([]Message, arcs)
-	next := make([]Message, arcs)
-	active := make([]bool, n)
-	// dead[v]: terminated in a strictly earlier round; deliveries to dead
-	// nodes are dropped and not counted (see SequentialEngine).
-	dead := make([]bool, n)
-	var newlyDone []int32
-	remaining := n
-	for v := range active {
-		active[v] = true
-	}
-	var stats Stats
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, fmt.Errorf("local: exceeded MaxRounds=%d", maxRounds)
-		}
-		// Cancellation point: before round r launches, rounds 1..r-1 stand.
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, cerr
-		}
-		stats.Rounds = r
-		launched := 0
-		for v := 0; v < n; v++ {
-			if active[v] {
-				lo, hi := t.off[v], t.off[v+1]
-				start[v] <- inbox[lo:hi:hi]
-				launched++
-			}
-		}
-		for i := range next {
-			next[i] = nil
-		}
-		newlyDone = newlyDone[:0]
-		for i := 0; i < launched; i++ {
-			res := <-results
-			if res.err != nil {
-				start[res.v] = nil // goroutine already exited
-				return stats, res.err
-			}
-			if res.done {
-				close(start[res.v])
-				start[res.v] = nil
-				active[res.v] = false
-				newlyDone = append(newlyDone, int32(res.v))
-				remaining--
-			}
-			if res.send == nil {
-				continue
-			}
-			stats.Messages += t.deliverBoxed(next, dead, 0, t.off[res.v], res.send, pfs)
-		}
-		// Drop undeliverable messages to nodes that terminated this round.
-		for _, v := range newlyDone {
-			for i := t.off[v]; i < t.off[v+1]; i++ {
-				if next[i] != nil {
-					next[i] = nil
-					stats.Messages--
-				}
-			}
-			dead[v] = true
-		}
-		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryBoxed(r, next, 0, &stats) {
-				close(start[v])
-				start[v] = nil
-				active[v] = false
-				dead[v] = true
-				remaining--
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, nil
-}
-
-// wordRoundResult is the per-round report of a word-path node goroutine;
-// its sends are read from the node's own row of the shared send plane. A
-// non-nil err (a recovered node-program panic) ends the run; the reporting
-// goroutine has already exited.
-type wordRoundResult struct {
-	v    int
-	done bool
-	err  error
-}
-
-// runGoroutineWord is the goroutine engine's word-plane fast path. Every
-// node goroutine owns one row of a flat send plane for the whole run — the
-// per-node send scratch is allocated once and reused across rounds, so
-// per-round allocations are zero regardless of n (the boxed path's send
-// slices are gone entirely). The coordinator hands each node its inbox row,
-// the node runs RoundW against its persistent send row and clears its
-// consumed inbox row, and the coordinator scatters the send row into the
-// next plane after the result arrives (the channel receive orders the
-// row's writes before the scatter).
-func runGoroutineWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl, pf int) (Stats, error) {
-	n := t.N()
-	arcs := len(t.adj)
-	inbox := make([]Word, arcs)
-	next := make([]Word, arcs)
-	sendPlane := make([]Word, arcs)
-	start := make([]chan []Word, n)
-	results := make(chan wordRoundResult, n)
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		start[v] = make(chan []Word, 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			node := nodes[v]
-			send := sendPlane[t.off[v]:t.off[v+1]:t.off[v+1]]
-			r := 0
-			//splitlint:zeroalloc
-			for recv := range start[v] {
-				r++
-				fin, rerr := safeRoundW(node, v, r, recv, send)
-				if rerr != nil {
-					results <- wordRoundResult{v: v, err: rerr}
-					return
-				}
-				// Clear the consumed row; after the swap the new next rows
-				// are then already all-NilWord.
-				for p := range recv {
-					recv[p] = NilWord
-				}
-				results <- wordRoundResult{v: v, done: fin}
-			}
-		}(v)
-	}
-	defer func() {
-		for v := 0; v < n; v++ {
-			if start[v] != nil {
-				close(start[v])
-			}
-		}
-		wg.Wait()
-	}()
-
-	active := make([]bool, n)
-	dead := make([]bool, n)
-	var newlyDone []int32
-	remaining := n
-	for v := range active {
-		active[v] = true
-	}
-	var stats Stats
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, fmt.Errorf("local: exceeded MaxRounds=%d", maxRounds)
-		}
-		// Cancellation point: before round r launches, rounds 1..r-1 stand.
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, cerr
-		}
-		stats.Rounds = r
-		launched := 0
-		for v := 0; v < n; v++ {
-			if active[v] {
-				lo, hi := t.off[v], t.off[v+1]
-				start[v] <- inbox[lo:hi:hi]
-				launched++
-			}
-		}
-		newlyDone = newlyDone[:0]
-		for i := 0; i < launched; i++ {
-			res := <-results
-			if res.err != nil {
-				start[res.v] = nil // goroutine already exited
-				return stats, res.err
-			}
-			if res.done {
-				close(start[res.v])
-				start[res.v] = nil
-				active[res.v] = false
-				newlyDone = append(newlyDone, int32(res.v))
-				remaining--
-			}
-			lo, hi := t.off[res.v], t.off[res.v+1]
-			stats.Messages += t.deliverWords(next, dead, 0, lo, sendPlane[lo:hi:hi], pf)
-		}
-		// Drop undeliverable messages to nodes that terminated this round.
-		for _, v := range newlyDone {
-			for i := t.off[v]; i < t.off[v+1]; i++ {
-				if next[i] != NilWord {
-					next[i] = NilWord
-					stats.Messages--
-				}
-			}
-			dead[v] = true
-		}
-		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryWord(r, next, 0, &stats) {
-				close(start[v])
-				start[v] = nil
-				active[v] = false
 				dead[v] = true
 				remaining--
 			}

@@ -46,40 +46,44 @@ func floodFactory(rounds int, out *[]int) Factory {
 	}
 }
 
-func runBoth(t *testing.T, g *graph.Graph, mk func(out *[]int) Factory, opts Options) (seq, gor []int, sStats, gStats Stats) {
+// runBoth runs a boxed program on the sequential engine and its word twin
+// on a 3-worker pool (a boxed program would be handed to the same
+// sequential loop); the two must agree exactly.
+func runBoth(t *testing.T, g *graph.Graph, mk, mkWord func(out *[]int) Factory, opts Options) (seq, pool []int, sStats, pStats Stats) {
 	t.Helper()
 	topo := NewTopology(g)
 	seq = make([]int, g.N())
-	gor = make([]int, g.N())
+	pool = make([]int, g.N())
 	var err error
 	sStats, err = SequentialEngine{}.Run(topo, mk(&seq), opts)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	gStats, err = GoroutineEngine{}.Run(topo, mk(&gor), opts)
+	pStats, err = WorkerPoolEngine{Workers: 3}.Run(topo, mkWord(&pool), opts)
 	if err != nil {
-		t.Fatalf("goroutine: %v", err)
+		t.Fatalf("pool: %v", err)
 	}
-	return seq, gor, sStats, gStats
+	return seq, pool, sStats, pStats
 }
 
 func TestFloodComputesMax(t *testing.T) {
 	g := graph.PathGraph(10)
 	mk := func(out *[]int) Factory { return floodFactory(10, out) }
-	seq, gor, sStats, gStats := runBoth(t, g, mk, Options{})
+	mkWord := func(out *[]int) Factory { return wordFloodFactory(10, out) }
+	seq, pool, sStats, pStats := runBoth(t, g, mk, mkWord, Options{})
 	for v := 0; v < g.N(); v++ {
 		if seq[v] != 9 {
 			t.Fatalf("sequential: node %d computed %d, want 9", v, seq[v])
 		}
-		if gor[v] != 9 {
-			t.Fatalf("goroutine: node %d computed %d, want 9", v, gor[v])
+		if pool[v] != 9 {
+			t.Fatalf("pool: node %d computed %d, want 9", v, pool[v])
 		}
 	}
-	if sStats.Rounds != 11 || gStats.Rounds != 11 {
-		t.Errorf("rounds: seq=%d gor=%d, want 11", sStats.Rounds, gStats.Rounds)
+	if sStats.Rounds != 11 || pStats.Rounds != 11 {
+		t.Errorf("rounds: seq=%d pool=%d, want 11", sStats.Rounds, pStats.Rounds)
 	}
-	if sStats.Messages != gStats.Messages {
-		t.Errorf("message counts differ: %d vs %d", sStats.Messages, gStats.Messages)
+	if sStats.Messages != pStats.Messages {
+		t.Errorf("message counts differ: %d vs %d", sStats.Messages, pStats.Messages)
 	}
 }
 
@@ -96,13 +100,21 @@ func TestEnginesAgreeOnRandomizedAlgorithm(t *testing.T) {
 			return n
 		}
 	}
+	mkWord := func(out *[]int) Factory {
+		idx := 0
+		return func(v View) Node {
+			n := &wordRandExchange{randExchange{v: v, out: out, idx: idx}}
+			idx++
+			return WordProgram(n)
+		}
+	}
 	src := prob.NewSource(99)
 	ids := PermutationIDs(g.N(), src.Fork(1))
 	opts := Options{Source: src, IDs: ids}
-	seq, gor, _, _ := runBoth(t, g, mk, opts)
+	seq, pool, _, _ := runBoth(t, g, mk, mkWord, opts)
 	for v := range seq {
-		if seq[v] != gor[v] {
-			t.Fatalf("engines disagree at node %d: %d vs %d", v, seq[v], gor[v])
+		if seq[v] != pool[v] {
+			t.Fatalf("engines disagree at node %d: %d vs %d", v, seq[v], pool[v])
 		}
 	}
 }
@@ -132,6 +144,23 @@ func (n *randExchange) Round(r int, recv []Message) ([]Message, bool) {
 	return send, false
 }
 
+// wordRandExchange is randExchange on the word plane.
+type wordRandExchange struct{ randExchange }
+
+func (n *wordRandExchange) RoundW(r int, recv, send []Word) bool {
+	for _, w := range recv {
+		if w != NilWord {
+			n.acc = n.acc*31 + w.Int()
+		}
+	}
+	if r > 3 {
+		(*n.out)[n.idx] = n.acc
+		return true
+	}
+	Broadcast(send, MakeIntWord(1, int(n.v.Rand.Uint64()%1000)))
+	return false
+}
+
 // zeroRound terminates immediately without sending.
 type zeroRound struct {
 	out *[]int
@@ -141,6 +170,14 @@ type zeroRound struct {
 func (z *zeroRound) Round(int, []Message) ([]Message, bool) {
 	(*z.out)[z.idx] = 1
 	return nil, true
+}
+
+// wordZeroRound is zeroRound on the word plane.
+type wordZeroRound struct{ zeroRound }
+
+func (z *wordZeroRound) RoundW(int, []Word, []Word) bool {
+	(*z.out)[z.idx] = 1
+	return true
 }
 
 func TestZeroCommunicationAlgorithm(t *testing.T) {
@@ -153,14 +190,22 @@ func TestZeroCommunicationAlgorithm(t *testing.T) {
 			return z
 		}
 	}
-	seq, gor, sStats, _ := runBoth(t, g, mk, Options{})
+	mkWord := func(out *[]int) Factory {
+		idx := 0
+		return func(View) Node {
+			z := &wordZeroRound{zeroRound{out: out, idx: idx}}
+			idx++
+			return WordProgram(z)
+		}
+	}
+	seq, pool, sStats, pStats := runBoth(t, g, mk, mkWord, Options{})
 	for v := range seq {
-		if seq[v] != 1 || gor[v] != 1 {
+		if seq[v] != 1 || pool[v] != 1 {
 			t.Fatal("outputs missing")
 		}
 	}
-	if sStats.Rounds != 1 || sStats.Messages != 0 {
-		t.Errorf("expected 1 round 0 messages, got %+v", sStats)
+	if sStats.Rounds != 1 || sStats.Messages != 0 || pStats != sStats {
+		t.Errorf("expected 1 round 0 messages, got seq %+v pool %+v", sStats, pStats)
 	}
 }
 
@@ -202,9 +247,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := (SequentialEngine{}).Run(topo, f, Options{Inputs: []any{nil}}); err == nil {
 		t.Error("short input slice should error")
 	}
-	if _, err := (GoroutineEngine{}).Run(topo, f, Options{IDs: []int{1, 2}}); err == nil {
-		t.Error("goroutine engine should validate too")
-	}
 }
 
 // nonTerminating never finishes; used to test MaxRounds.
@@ -221,8 +263,11 @@ func TestMaxRounds(t *testing.T) {
 	if _, err := (SequentialEngine{}).Run(topo, f, Options{MaxRounds: 10}); err == nil {
 		t.Error("sequential engine should abort at MaxRounds")
 	}
-	if _, err := (GoroutineEngine{}).Run(topo, f, Options{MaxRounds: 10}); err == nil {
-		t.Error("goroutine engine should abort at MaxRounds")
+	// A boxed program would run on the sequential loop; the word spinner
+	// drives the pool's own.
+	wf := func(View) Node { return WordProgram(wordSpinner{}) }
+	if _, err := (WorkerPoolEngine{}).Run(topo, wf, Options{MaxRounds: 10}); err == nil {
+		t.Error("pool engine should abort at MaxRounds")
 	}
 }
 
@@ -239,24 +284,31 @@ func TestMaxRoundsExactBoundary(t *testing.T) {
 		e    Engine
 	}{
 		{"seq", SequentialEngine{}},
-		{"goroutine", GoroutineEngine{}},
+		// NoFuse changes only the bit plane, so on these boxed and word
+		// floods seq-nofuse reruns seq's loop; it is the unfused reference
+		// row every engine table carries.
+		{"seq-nofuse", ForceTuning(SequentialEngine{}, Tuning{NoFuse: true})},
 		{"pool", WorkerPoolEngine{}},
 		{"pool-2", WorkerPoolEngine{Workers: 2}},
 	}
+	// The boxed program runs on the sequential loop under every engine; its
+	// word twin drives the pool's own loop.
 	for _, eng := range engines {
-		out := make([]int, g.N())
-		stats, err := eng.e.Run(topo, floodFactory(finish-1, &out), Options{MaxRounds: finish})
-		if err != nil {
-			t.Errorf("%s: MaxRounds=%d must allow a round-%d finish: %v", eng.name, finish, finish, err)
-		} else if stats.Rounds != finish {
-			t.Errorf("%s: ran %d rounds, want %d", eng.name, stats.Rounds, finish)
-		}
-		out2 := make([]int, g.N())
-		stats, err = eng.e.Run(topo, floodFactory(finish-1, &out2), Options{MaxRounds: finish - 1})
-		if err == nil {
-			t.Errorf("%s: MaxRounds=%d must abort a round-%d finish", eng.name, finish-1, finish)
-		} else if stats.Rounds != finish-1 {
-			t.Errorf("%s: aborted run executed %d rounds, want %d", eng.name, stats.Rounds, finish-1)
+		for _, flood := range []func(int, *[]int) Factory{floodFactory, wordFloodFactory} {
+			out := make([]int, g.N())
+			stats, err := eng.e.Run(topo, flood(finish-1, &out), Options{MaxRounds: finish})
+			if err != nil {
+				t.Errorf("%s: MaxRounds=%d must allow a round-%d finish: %v", eng.name, finish, finish, err)
+			} else if stats.Rounds != finish {
+				t.Errorf("%s: ran %d rounds, want %d", eng.name, stats.Rounds, finish)
+			}
+			out2 := make([]int, g.N())
+			stats, err = eng.e.Run(topo, flood(finish-1, &out2), Options{MaxRounds: finish - 1})
+			if err == nil {
+				t.Errorf("%s: MaxRounds=%d must abort a round-%d finish", eng.name, finish-1, finish)
+			} else if stats.Rounds != finish-1 {
+				t.Errorf("%s: aborted run executed %d rounds, want %d", eng.name, stats.Rounds, finish-1)
+			}
 		}
 	}
 }
@@ -274,9 +326,6 @@ func TestPortCountValidation(t *testing.T) {
 	f := func(View) Node { return badSender{} }
 	if _, err := (SequentialEngine{}).Run(topo, f, Options{MaxRounds: 5}); err == nil {
 		t.Error("sequential: wrong port count should error")
-	}
-	if _, err := (GoroutineEngine{}).Run(topo, f, Options{MaxRounds: 5}); err == nil {
-		t.Error("goroutine: wrong port count should error")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Panic isolation coverage: a node program that panics at a chosen
-// (node, round) yields an engine-level *PanicError on the sequential,
-// goroutine and pool paths and a per-trial error in BatchRun — with the
+// (node, round) yields an engine-level *PanicError on the sequential and
+// pool paths and a per-trial error in BatchRun — with the
 // sibling trials' golden hashes unchanged — and a panicking factory is
 // reported as a round-0 setup failure. The CI job runs this package under
 // -race, so the recovery paths are exercised with the detector on.
@@ -117,8 +117,8 @@ func TestPanicIsolationEngines(t *testing.T) {
 }
 
 // TestPanicNodeAttribution pins exact node attribution on the paths whose
-// execution unit is a single node (sequential and goroutine): the reported
-// Node is the topology index of the program that panicked.
+// execution unit is a single node (the sequential loops, fused or not): the
+// reported Node is the topology index of the program that panicked.
 func TestPanicNodeAttribution(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
@@ -128,7 +128,7 @@ func TestPanicNodeAttribution(t *testing.T) {
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"goroutine", local.GoroutineEngine{}},
+		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
 			rec := newCtlRecorder(n, ctlRounds)

@@ -6,17 +6,17 @@ import (
 	"sync"
 )
 
-// WorkerPoolEngine executes nodes on a fixed pool of worker goroutines, each
-// processing a contiguous shard of the active nodes per round. Unlike
-// GoroutineEngine there is no per-node goroutine and no per-round channel
-// churn: the workers persist for the whole run, message arrays are
+// WorkerPoolEngine executes word and bit programs on a fixed pool of worker
+// goroutines, each processing a contiguous shard of the active nodes per
+// round. The workers persist for the whole run, message planes are
 // double-buffered and reused across rounds, and an active-set makes
 // terminated nodes cost zero work. Writes are race-free by construction —
-// on the boxed and word planes each directed edge (v, port p) owns the
-// unique slot next[deliver[arc]] of the flat message array (where
-// arc = off[v]+p), on the bit planes shared boundary words go through
-// atomics (see bit.go), and every per-node field is touched only by the
-// worker that owns v's shard in that round.
+// on the word plane each directed edge (v, port p) owns the unique slot
+// next[deliver[arc]] of the flat message array (where arc = off[v]+p), on
+// the bit planes shared boundary words go through atomics (see bit.go), and
+// every per-node field is touched only by the worker that owns v's shard in
+// that round. Boxed runs have no throughput path: they run on the
+// sequential oracle's boxed loop.
 //
 // Shards are carved by arc weight, not node count: a node costs one Round
 // call plus one unit of work per incident arc, so equal-node shards of a
@@ -48,21 +48,22 @@ type poolWorker struct {
 }
 
 // ParseEngine resolves a command-line engine name: "seq" (or "sequential"),
-// "goroutine", "pool", or "batch" (the single-trial BatchEngine adapter).
-// poolWorkers sizes the worker pool when name is "pool" or "batch" (<= 0
-// means GOMAXPROCS) and is ignored otherwise.
+// "pool", or "batch" (the single-trial BatchEngine adapter). poolWorkers
+// sizes the worker pool when name is "pool" or "batch" (<= 0 means
+// GOMAXPROCS) and is ignored otherwise. The one-goroutine-per-node engine
+// was removed; asking for it by name fails with an error that says so.
 func ParseEngine(name string, poolWorkers int) (Engine, error) {
 	switch name {
 	case "seq", "sequential":
 		return SequentialEngine{}, nil
-	case "goroutine":
-		return GoroutineEngine{}, nil
 	case "pool":
 		return WorkerPoolEngine{Workers: poolWorkers}, nil
 	case "batch":
 		return BatchEngine{Workers: poolWorkers}, nil
+	case "goroutine":
+		return nil, fmt.Errorf("local: engine %q was removed: use seq for the reference run or pool for throughput (have seq, pool, batch)", name)
 	default:
-		return nil, fmt.Errorf("local: unknown engine %q (have seq, goroutine, pool, batch)", name)
+		return nil, fmt.Errorf("local: unknown engine %q (have seq, pool, batch)", name)
 	}
 }
 
@@ -120,12 +121,6 @@ func (t *Topology) carveByWeight(active []int32, remaining int, target int64, bo
 	return bounds
 }
 
-// Run implements Engine.
-func (e WorkerPoolEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	stats, _, _, err := e.run(t, f, opts)
-	return stats, err
-}
-
 // workerCount resolves the effective pool size for n nodes.
 func (e WorkerPoolEngine) workerCount(n int) int {
 	nw := e.Workers
@@ -141,231 +136,51 @@ func (e WorkerPoolEngine) workerCount(n int) int {
 	return nw
 }
 
-// run is Run with the double-buffered message arrays returned for
-// inspection: on a clean finish both are all-nil (every inbox row is cleared
-// by its owner right after Round consumes it, and rows of newly-terminated
-// nodes are cleared during compaction), which is the buffer-hygiene
-// invariant the white-box tests pin. Word- and bit-path runs report nil
-// boxed planes (their planes obey the same hygiene invariant, pinned via
-// runWord and runBit).
-func (e WorkerPoolEngine) run(t *Topology, f Factory, opts Options) (Stats, []Message, []Message, error) {
+// Run implements Engine. Word and bit runs take the pool's throughput
+// loops; any other run (boxed nodes, or a forced PlaneBoxed) is handed to
+// the sequential boxed loop, the only boxed loop there is.
+func (e WorkerPoolEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
 	vs, err := views(t, opts)
 	if err != nil {
-		return Stats{}, nil, nil, err
+		return Stats{}, err
 	}
-	n := t.N()
 	// Node programs are created in the coordinator, in node order, so that
 	// factories may keep (unsynchronized) shared state exactly as under the
 	// other engines.
 	nodes, err := buildNodes(f, vs)
 	if err != nil {
-		return Stats{}, nil, nil, err
+		return Stats{}, err
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
-	nw := e.workerCount(n)
 	bs, bw, ws, err := planeNodes(nodes, opts.Plane)
 	if err != nil {
-		return Stats{}, nil, nil, err
+		return Stats{}, err
 	}
 	fs, err := newFaultState(t, opts.Faults)
 	if err != nil {
-		return Stats{}, nil, nil, err
+		return Stats{}, err
 	}
 	ctl := opts.Control
+	nw := e.workerCount(t.N())
 	if bs != nil {
 		stats, _, _, err := e.runBit(t, bs, bw, maxRounds, nw, fs, ctl, opts.Tune)
-		return stats, nil, nil, err
+		return stats, err
 	}
 	if ws != nil {
 		stats, _, _, err := e.runWord(t, ws, maxRounds, nw, fs, ctl, opts.Tune)
-		return stats, nil, nil, err
+		return stats, err
 	}
-	return e.runBoxed(t, nodes, maxRounds, nw, fs, ctl, opts.Tune)
-}
-
-// runBoxed is the boxed-plane loop.
-func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, []Message, []Message, error) {
-	pfs := tune.prefetchScalar()
-	n := t.N()
-	// Double-buffered flat message arrays sharing the topology's offsets,
-	// allocated once. A node's inbox row is cleared by its owner right after
-	// Round(v) consumes it, so after the swap the new next rows are already
-	// all-nil; nothing is re-zeroed wholesale.
-	arcs := len(t.adj)
-	inbox := make([]Message, arcs)
-	next := make([]Message, arcs)
-	active := make([]int32, n)
-	for v := range active {
-		active[v] = int32(v)
-	}
-	done := make([]bool, n)
-	// dead[v]: terminated in a strictly earlier round. Workers drop (and do
-	// not count) deliveries to dead nodes — such messages would never be
-	// consumed, and writing them would leave stale Message pointers in rows
-	// the active set no longer visits. dead is written only by the
-	// coordinator between rounds, so reading it inside a round is race-free
-	// (done, by contrast, is written by workers mid-round).
-	dead := make([]bool, n)
-
-	workers := make([]poolWorker, nw)
-	work := make([]chan shard, nw)
-	round := 0
-	var barrier sync.WaitGroup
-	var lifetime sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		work[w] = make(chan shard, 1)
-		lifetime.Add(1)
-		go func(w int) {
-			defer lifetime.Done()
-			st := &workers[w]
-			// runShard executes one shard under a panic guard: a node-program
-			// panic becomes the worker's error — merged deterministically by
-			// the coordinator, like a port-count violation — and the caller
-			// still reaches barrier.Done, so the round completes.
-			curV := -1
-			runShard := func(sh shard) {
-				defer func() {
-					if p := recover(); p != nil {
-						st.err = newPanicError(curV, round, p)
-						st.errNode = curV
-					}
-				}()
-				r := round
-				msgs := int64(0)
-				for i := sh.lo; i < sh.hi; i++ {
-					v := int(active[i])
-					curV = v
-					lo, hi := t.off[v], t.off[v+1]
-					recv := inbox[lo:hi:hi]
-					send, fin := nodes[v].Round(r, recv)
-					if fin {
-						done[v] = true
-					}
-					if send != nil {
-						if len(send) != int(hi-lo) {
-							st.err = fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), hi-lo)
-							st.errNode = v
-							break
-						}
-						msgs += t.deliverBoxed(next, dead, 0, lo, send, pfs)
-					}
-					for p := range recv {
-						recv[p] = nil
-					}
-				}
-				st.msgs = msgs
-			}
-			for sh := range work[w] {
-				runShard(sh)
-				barrier.Done()
-			}
-		}(w)
-	}
-	defer func() {
-		for w := 0; w < nw; w++ {
-			close(work[w])
-		}
-		lifetime.Wait()
-	}()
-
-	remaining := n
-	weight := int64(n + arcs)
-	sp := newShardPlan(t, nw, !tune.NoSticky)
-	var stats Stats
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, inbox, next, maxRoundsErr(maxRounds)
-		}
-		// Cancellation point: before round r is dispatched, so rounds
-		// 1..r-1 stand and the planes are at a consistent boundary.
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, inbox, next, cerr
-		}
-		stats.Rounds = r
-		round = r
-		// Carve (or reuse, see shardPlan) the contiguous arc-balanced shards;
-		// clamped sticky bounds can yield empty shards, which are skipped
-		// without disturbing the shard↔worker index alignment.
-		bounds := sp.shards(active, remaining, weight)
-		launched := len(bounds) - 1
-		for w := 0; w < launched; w++ {
-			if bounds[w] == bounds[w+1] {
-				continue
-			}
-			barrier.Add(1)
-			work[w] <- shard{bounds[w], bounds[w+1]}
-		}
-		barrier.Wait()
-		var firstErr error
-		errNode := -1
-		for w := 0; w < launched; w++ {
-			stats.Messages += workers[w].msgs
-			workers[w].msgs = 0
-			if workers[w].err != nil && (errNode < 0 || workers[w].errNode < errNode) {
-				firstErr = workers[w].err
-				errNode = workers[w].errNode
-			}
-		}
-		if firstErr != nil {
-			return stats, inbox, next, firstErr
-		}
-		// Compact the active-set in place so terminated nodes are never
-		// visited again. A node that terminated this round may still have
-		// received messages (its neighbors could not know it was finishing):
-		// those are undeliverable, so uncount them and clear the row — after
-		// the swap the new next rows are again all-nil, and no stale Message
-		// pointers outlive the node.
-		keep := active[:0]
-		for _, v := range active[:remaining] {
-			if !done[v] {
-				keep = append(keep, v)
-				continue
-			}
-			lo, hi := t.off[v], t.off[v+1]
-			for i := lo; i < hi; i++ {
-				if next[i] != nil {
-					next[i] = nil
-					stats.Messages--
-				}
-			}
-			weight -= 1 + int64(hi-lo)
-			dead[v] = true
-			if fs != nil {
-				fs.markDown(v)
-			}
-		}
-		remaining = len(keep)
-		if fs != nil {
-			crashed := fs.boundaryBoxed(r, next, 0, &stats)
-			for _, v := range crashed {
-				done[v] = true
-				weight -= 1 + int64(t.off[v+1]-t.off[v])
-				dead[v] = true
-			}
-			if len(crashed) > 0 {
-				keep = active[:0]
-				for _, v := range active[:remaining] {
-					if !done[v] {
-						keep = append(keep, v)
-					}
-				}
-				remaining = len(keep)
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, inbox, next, nil
+	return runSeqBoxed(t, nodes, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
 }
 
 // runWord is the worker pool's word-plane fast path: the double-buffered
 // planes are pointer-free []Word arrays the GC never scans, and each worker
 // owns one maxDeg-sized send scratch row reused for every node of every
-// round — a steady-state round performs zero heap allocations. Ownership
-// and ordering are exactly those of the boxed loop: each directed edge owns
-// a unique slot of the next plane, recv rows are cleared by their owner
+// round — a steady-state round performs zero heap allocations. Each
+// directed edge owns a unique slot of the next plane, recv rows are cleared by their owner
 // right after RoundW consumes them, and rows of newly-terminated nodes are
 // cleared (and their messages uncounted) during compaction, so on a clean
 // finish both returned planes are all-NilWord.
@@ -380,8 +195,12 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 		active[v] = int32(v)
 	}
 	done := make([]bool, n)
-	// dead[v]: terminated in a strictly earlier round; written only by the
-	// coordinator between rounds (see runBoxed).
+	// dead[v]: terminated in a strictly earlier round. Workers drop (and do
+	// not count) deliveries to dead nodes — such messages would never be
+	// consumed, and writing them would leave stale words in rows the active
+	// set no longer visits. dead is written only by the coordinator between
+	// rounds, so reading it inside a round is race-free (done, by contrast,
+	// is written by workers mid-round).
 	dead := make([]bool, n)
 
 	workers := make([]poolWorker, nw)
@@ -396,7 +215,7 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 			defer lifetime.Done()
 			st := &workers[w]
 			send := make([]Word, t.maxDeg)
-			// runShard executes one shard under a panic guard (see runBoxed);
+			// runShard executes one shard under a panic guard (see runWord);
 			// the guard's defer sits outside the marked region below, so the
 			// steady state still allocates nothing.
 			curV := -1
@@ -447,7 +266,7 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 		if r > maxRounds {
 			return stats, inbox, next, maxRoundsErr(maxRounds)
 		}
-		// Cancellation point: see runBoxed.
+		// Cancellation point: see runWord.
 		if cerr := ctl.Err(); cerr != nil {
 			return stats, inbox, next, cerr
 		}
@@ -476,7 +295,11 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 		if firstErr != nil {
 			return stats, inbox, next, firstErr
 		}
-		// Compact the active-set; see runBoxed for the invariant.
+		// Compact the active-set in place so terminated nodes are never
+		// visited again. A node that terminated this round may still have
+		// received messages (its neighbors could not know it was finishing):
+		// those are undeliverable, so uncount them and clear the row — after
+		// the swap the new next rows are again all-NilWord.
 		keep := active[:0]
 		for _, v := range active[:remaining] {
 			if !done[v] {
@@ -523,8 +346,8 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 // planes are packed bit arrays (1–3 bits per arc, LLC-resident at
 // million-node scale), each worker owns one maxDeg-sized packed send
 // scratch row, and a steady-state round performs zero heap allocations.
-// Ownership follows the boxed loop, with the bit plane's concurrency
-// discipline on top (bit.go): deliveries use atomic OR (workers of
+// Ownership follows runWord, with the bit plane's concurrency discipline on
+// top (bit.go): deliveries use atomic OR (workers of
 // different shards can land in the same plane word), consumed rows are
 // cleared with atomic AND-NOT on their boundary words, and reads go through
 // atomic loads. Rows of newly-terminated nodes are popcounted (to uncount
@@ -542,7 +365,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 	done := make([]bool, n)
 	// dead: arcs toward nodes terminated in a strictly earlier round,
 	// marked in the run's delivery-table view; written only by the
-	// coordinator between rounds (see runBoxed), read by workers via the
+	// coordinator between rounds (see runWord), read by workers via the
 	// deliver variable set before each dispatch.
 	dead := deadDeliver{t: t}
 	deliver := t.deliver
@@ -592,7 +415,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 			defer lifetime.Done()
 			st := &workers[w]
 			send := newBitScratch(t.maxDeg, width)
-			// runShard executes one shard under a panic guard (see runBoxed);
+			// runShard executes one shard under a panic guard (see runWord);
 			// the guard's defer sits outside the marked region below, so the
 			// steady state still allocates nothing.
 			curV := -1
@@ -665,7 +488,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 		if r > maxRounds {
 			return stats, inbox, next, maxRoundsErr(maxRounds)
 		}
-		// Cancellation point: see runBoxed.
+		// Cancellation point: see runWord.
 		if cerr := ctl.Err(); cerr != nil {
 			return stats, inbox, next, cerr
 		}
@@ -768,7 +591,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 		if firstErr != nil {
 			return stats, inbox, next, firstErr
 		}
-		// Compact the active-set; see runBoxed for the invariant.
+		// Compact the active-set; see runWord for the invariant.
 		keep := active[:0]
 		for _, v := range active[:remaining] {
 			if !done[v] {

@@ -9,12 +9,52 @@ import (
 	"repro/internal/prob"
 )
 
+// The pool tests below run word programs: a boxed run is handed to the
+// sequential loop, so only word and bit programs drive the pool's workers.
+
+// wordFlood is maxFlood on the word plane.
+type wordFlood struct {
+	best, rounds, idx int
+	out               *[]int
+}
+
+func (m *wordFlood) RoundW(r int, recv, send []Word) bool {
+	for _, w := range recv {
+		if w != NilWord && w.Int() > m.best {
+			m.best = w.Int()
+		}
+	}
+	if r > m.rounds {
+		(*m.out)[m.idx] = m.best
+		return true
+	}
+	Broadcast(send, MakeIntWord(1, m.best))
+	return false
+}
+
+func wordFloodFactory(rounds int, out *[]int) Factory {
+	idx := 0
+	return func(v View) Node {
+		n := WordProgram(&wordFlood{best: v.ID, rounds: rounds, out: out, idx: idx})
+		idx++
+		return n
+	}
+}
+
+// wordSpinner never finishes; exercises MaxRounds on the pool's word loop.
+type wordSpinner struct{}
+
+func (wordSpinner) RoundW(r int, recv, send []Word) bool {
+	Broadcast(send, MakeWord(1, uint64(r)))
+	return false
+}
+
 func TestWorkerPoolFloodComputesMax(t *testing.T) {
 	g := graph.PathGraph(10)
 	topo := NewTopology(g)
 	for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
 		out := make([]int, g.N())
-		stats, err := WorkerPoolEngine{Workers: workers}.Run(topo, floodFactory(10, &out), Options{})
+		stats, err := WorkerPoolEngine{Workers: workers}.Run(topo, wordFloodFactory(10, &out), Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -29,17 +69,18 @@ func TestWorkerPoolFloodComputesMax(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolMatchesSequentialStats checks the pool's word loop against
+// the sequential boxed loop running the boxed flood.
 func TestWorkerPoolMatchesSequentialStats(t *testing.T) {
 	g := graph.RandomGraph(80, 0.1, prob.NewSource(11).Rand())
 	topo := NewTopology(g)
-	mk := func(out *[]int) Factory { return floodFactory(6, out) }
 	seqOut := make([]int, g.N())
 	poolOut := make([]int, g.N())
-	seqStats, err := SequentialEngine{}.Run(topo, mk(&seqOut), Options{})
+	seqStats, err := SequentialEngine{}.Run(topo, floodFactory(6, &seqOut), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolStats, err := WorkerPoolEngine{}.Run(topo, mk(&poolOut), Options{})
+	poolStats, err := WorkerPoolEngine{}.Run(topo, wordFloodFactory(6, &poolOut), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,17 +97,17 @@ func TestWorkerPoolMatchesSequentialStats(t *testing.T) {
 // staggered terminates node v after v+1 rounds, exercising the active-set
 // compaction: the set shrinks by a few nodes every round.
 type staggered struct {
-	v   View
 	out *[]int
 	idx int
 }
 
-func (s *staggered) Round(r int, recv []Message) ([]Message, bool) {
+func (s *staggered) RoundW(r int, recv, send []Word) bool {
+	Broadcast(send, MakeWord(1, uint64(r)))
 	if r > s.idx {
 		(*s.out)[s.idx] = r
-		return make([]Message, s.v.Deg), true
+		return true
 	}
-	return make([]Message, s.v.Deg), false
+	return false
 }
 
 func TestWorkerPoolStaggeredTermination(t *testing.T) {
@@ -74,8 +115,8 @@ func TestWorkerPoolStaggeredTermination(t *testing.T) {
 	topo := NewTopology(g)
 	out := make([]int, g.N())
 	idx := 0
-	f := func(v View) Node {
-		s := &staggered{v: v, out: &out, idx: idx}
+	f := func(View) Node {
+		s := WordProgram(&staggered{out: &out, idx: idx})
 		idx++
 		return s
 	}
@@ -93,77 +134,13 @@ func TestWorkerPoolStaggeredTermination(t *testing.T) {
 	}
 }
 
-// noisyHalt sends a non-nil message on every port each round (including its
-// final one) and terminates at a fixed per-node round, so long-lived
-// neighbors keep delivering into rows of long-dead nodes.
-type noisyHalt struct {
-	deg  int
-	stop int
-}
-
-func (h *noisyHalt) Round(r int, recv []Message) ([]Message, bool) {
-	send := make([]Message, h.deg)
-	for p := range send {
-		send[p] = r
-	}
-	return send, r >= h.stop
-}
-
-// noisyHaltFactory halts most nodes within the first few rounds while every
-// 40th node runs for `long` rounds.
-func noisyHaltFactory(long int) Factory {
-	idx := 0
-	return func(v View) Node {
-		stop := 1 + idx%4
-		if idx%40 == 0 {
-			stop = long
-		}
-		idx++
-		return &noisyHalt{deg: v.Deg, stop: stop}
-	}
-}
-
-// TestWorkerPoolClearsTerminatedRows is the stale-inbox regression test: in
-// a long-lived run where most nodes halt early, messages delivered to a
-// node's next row after it terminated used to be retained (never cleared,
-// never consumed) for the rest of the run. Both buffers must come back
-// all-nil — rows are cleared on consumption and at termination — and the
-// stats must still match SequentialEngine exactly.
-func TestWorkerPoolClearsTerminatedRows(t *testing.T) {
-	g := graph.RandomGraph(200, 0.06, prob.NewSource(21).Rand())
-	topo := NewTopology(g)
-	const long = 60
-	stats, inbox, next, err := WorkerPoolEngine{Workers: 3}.run(topo, noisyHaltFactory(long), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != long {
-		t.Errorf("rounds=%d, want %d", stats.Rounds, long)
-	}
-	for i := range inbox {
-		if inbox[i] != nil {
-			t.Fatalf("stale message retained in inbox slot %d: %v", i, inbox[i])
-		}
-		if next[i] != nil {
-			t.Fatalf("stale message retained in next slot %d: %v", i, next[i])
-		}
-	}
-	seqStats, err := SequentialEngine{}.Run(topo, noisyHaltFactory(long), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != seqStats {
-		t.Errorf("stats differ: pool=%+v seq=%+v", stats, seqStats)
-	}
-}
-
 // TestWorkerPoolGoroutineCleanupOnError pins that the worker goroutines are
 // joined before Run returns on the error path: repeated failing runs must
 // not accumulate goroutines.
 func TestWorkerPoolGoroutineCleanupOnError(t *testing.T) {
 	g := graph.Cycle(32)
 	topo := NewTopology(g)
-	f := func(v View) Node { return &nonTerminating{deg: v.Deg} }
+	f := func(View) Node { return WordProgram(wordSpinner{}) }
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		if _, err := (WorkerPoolEngine{Workers: 4}).Run(topo, f, Options{MaxRounds: 3}); err == nil {
@@ -197,9 +174,12 @@ func TestWorkerPoolValidation(t *testing.T) {
 func TestWorkerPoolMaxRounds(t *testing.T) {
 	g := graph.Cycle(4)
 	topo := NewTopology(g)
-	f := func(v View) Node { return &nonTerminating{deg: v.Deg} }
-	if _, err := (WorkerPoolEngine{}).Run(topo, f, Options{MaxRounds: 10}); err == nil {
+	f := func(View) Node { return WordProgram(wordSpinner{}) }
+	stats, err := (WorkerPoolEngine{}).Run(topo, f, Options{MaxRounds: 10})
+	if err == nil {
 		t.Error("worker pool engine should abort at MaxRounds")
+	} else if stats.Rounds != 10 {
+		t.Errorf("aborted run executed %d rounds, want 10", stats.Rounds)
 	}
 }
 

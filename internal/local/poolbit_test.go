@@ -7,7 +7,7 @@ import (
 	"repro/internal/prob"
 )
 
-// bitNoisyHalt is noisyHalt on the bit plane: it sends a trit on every port
+// bitNoisyHalt is wordNoisyHalt on the bit plane: it sends a trit on every port
 // each round (including its final one) and terminates at a fixed per-node
 // round, so long-lived neighbors keep delivering into rows of long-dead
 // nodes — the buffer-hygiene stress shape.

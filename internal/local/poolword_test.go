@@ -7,9 +7,9 @@ import (
 	"repro/internal/prob"
 )
 
-// wordNoisyHalt is noisyHalt on the word plane: it sends on every port each
-// round (including its final one) and terminates at a fixed per-node round,
-// so long-lived neighbors keep delivering into rows of long-dead nodes.
+// wordNoisyHalt sends on every port each round (including its final one) and
+// terminates at a fixed per-node round, so long-lived neighbors keep
+// delivering into rows of long-dead nodes.
 type wordNoisyHalt struct{ stop int }
 
 func (h *wordNoisyHalt) RoundW(r int, recv, send []Word) bool {
@@ -17,7 +17,8 @@ func (h *wordNoisyHalt) RoundW(r int, recv, send []Word) bool {
 	return r >= h.stop
 }
 
-// wordNoisyStop mirrors noisyHaltFactory's schedule for node index v.
+// wordNoisyStop is the termination schedule for node index v: most nodes halt
+// within the first few rounds while every 40th node runs for `long` rounds.
 func wordNoisyStop(v, long int) int {
 	stop := 1 + v%4
 	if v%40 == 0 {
@@ -26,9 +27,11 @@ func wordNoisyStop(v, long int) int {
 	return stop
 }
 
-// TestWorkerPoolWordClearsTerminatedRows is the word-plane sibling of
-// TestWorkerPoolClearsTerminatedRows: on a clean finish both word planes
-// must come back all-NilWord (rows are cleared on consumption and at
+// TestWorkerPoolWordClearsTerminatedRows is the stale-inbox regression test:
+// in a long-lived run where most nodes halt early, messages delivered to a
+// node's next row after it terminated used to be retained (never cleared,
+// never consumed) for the rest of the run. On a clean finish both word
+// planes must come back all-NilWord (rows are cleared on consumption and at
 // termination), and Stats must match the sequential engine exactly.
 func TestWorkerPoolWordClearsTerminatedRows(t *testing.T) {
 	g := graph.RandomGraph(200, 0.06, prob.NewSource(21).Rand())

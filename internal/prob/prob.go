@@ -5,8 +5,9 @@
 // All randomized algorithms in this repository draw from a Source created
 // from an explicit seed, so every run is reproducible. Per-node streams are
 // derived with a SplitMix64 hash of (seed, node id), which keeps the
-// goroutine engine and the sequential engine bit-for-bit identical: a node's
-// random bits depend only on the seed and its identity, never on scheduling.
+// worker-pool engine and the sequential engine bit-for-bit identical: a
+// node's random bits depend only on the seed and its identity, never on
+// scheduling.
 package prob
 
 import (

@@ -106,6 +106,9 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 		{Gen: "leftregular", NU: MaxNodes + 1, NV: 4, D: 2, Algos: []string{"det"}},
 		{Gen: "star", D: 8, Algos: []string{"trivial"}, Trials: MaxTrials + 1},
 		{Gen: "star", D: 8, Algos: []string{"trivial"}, TrialTimeoutMS: -1},
+		{Gen: "star", D: 8, Algos: []string{"trivial"}, Retries: -1},
+		{Gen: "star", D: 8, Algos: []string{"trivial"}, TrialTimeoutMS: 1, Retries: MaxRetries + 1},
+		{Gen: "star", D: 8, Algos: []string{"trivial"}, TrialTimeoutMS: 1, Retries: 2147483647},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("spec %+v was accepted", spec)

@@ -24,7 +24,11 @@ import (
 const (
 	MaxNodes  = 1 << 21 // per side
 	MaxTrials = 1 << 12
-	MaxAlgos  = 16
+	// MaxRetries caps the extra attempts per trial: with a tight
+	// TrialTimeoutMS every attempt of a slow trial fails, so an uncapped
+	// count would hold a worker for Retries × timeout per seed.
+	MaxRetries = 16
+	MaxAlgos   = 16
 )
 
 // SweepSpec is one job's request: build instances from the named generator
@@ -81,8 +85,8 @@ func (s *SweepSpec) Validate() error {
 	if s.TrialTimeoutMS < 0 {
 		return fmt.Errorf("service: negative trial timeout %dms", s.TrialTimeoutMS)
 	}
-	if s.Retries < 0 {
-		return fmt.Errorf("service: negative retry count %d", s.Retries)
+	if s.Retries < 0 || s.Retries > MaxRetries {
+		return fmt.Errorf("service: retry count %d outside [0, %d]", s.Retries, MaxRetries)
 	}
 	return nil
 }

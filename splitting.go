@@ -49,8 +49,8 @@ type (
 	// Source is the reproducible randomness used by all randomized
 	// algorithms.
 	Source = prob.Source
-	// Engine executes LOCAL node programs (sequential, goroutine-based, or
-	// worker-pool sharded).
+	// Engine executes LOCAL node programs (sequential or worker-pool
+	// sharded).
 	Engine = local.Engine
 	// Topology is a port-numbered network over a graph's CSR layout.
 	Topology = local.Topology
@@ -175,13 +175,10 @@ func NewSource(seed uint64) *Source { return prob.NewSource(seed) }
 // Sequential returns the single-goroutine LOCAL engine.
 func Sequential() Engine { return local.SequentialEngine{} }
 
-// Goroutines returns the one-goroutine-per-node LOCAL engine; it produces
-// bit-for-bit the same outputs as Sequential.
-func Goroutines() Engine { return local.GoroutineEngine{} }
-
 // WorkerPool returns the sharded worker-pool LOCAL engine — the fastest
 // choice on large instances. workers <= 0 means GOMAXPROCS. Like every
-// engine it produces bit-for-bit the same outputs as Sequential.
+// engine it produces bit-for-bit the same outputs as Sequential; boxed
+// programs have no throughput path and run on the sequential loop.
 func WorkerPool(workers int) Engine { return local.WorkerPoolEngine{Workers: workers} }
 
 // NewTopology builds the port-numbered topology of a graph once, so that a

@@ -149,7 +149,7 @@ func TestFacadeColoringAndMIS(t *testing.T) {
 }
 
 func TestFacadeEngines(t *testing.T) {
-	if splitting.Sequential() == nil || splitting.Goroutines() == nil {
+	if splitting.Sequential() == nil || splitting.WorkerPool(0) == nil {
 		t.Fatal("engines missing")
 	}
 }
