@@ -1,6 +1,7 @@
 // Allocation-regression pins for the word-plane fast path: a steady-state
 // round must perform zero heap allocations on every execution path
-// (sequential, unfused sequential, worker pool, batch). The measurement is
+// (sequential, worker pool, batch, plus the unfused sequential loop on the
+// bit plane). The measurement is
 // marginal — the same run at two round budgets, so one-time setup (views,
 // nodes, planes, worker spawn) cancels out and only the per-round cost
 // remains; this is the engine-level sibling of the CSR builder's
@@ -59,14 +60,6 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// NoFuse changes only the bit plane: on word programs this row
-		// reruns seq's loop and stays as the table's unfused reference row.
-		{"seq-nofuse", func(rounds int) {
-			out := make([]uint64, n)
-			if _, err := local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true}).Run(topo, wordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"pool", func(rounds int) {
 			out := make([]uint64, n)
 			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, wordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
@@ -101,7 +94,10 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 
 // TestBitPathZeroAllocsPerRound is TestWordPathZeroAllocsPerRound for the
 // packed bit planes: a steady-state round must allocate nothing on any of
-// the execution paths — the planes, the per-worker packed scratch rows, and the delivery table are all set up once.
+// the execution paths — the planes, the per-worker packed scratch rows, the
+// cast slots and gather blocks, and the delivery table are all set up once.
+// The pool-cast row and the batch's third trial run a fused caster, so
+// their dense rounds pull (see castSlots) beside pushing trials.
 func TestBitPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -133,12 +129,20 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"pool-cast", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"batch", func(rounds int) {
 			out1 := make([]uint64, n)
 			out2 := make([]uint64, n)
+			out3 := make([]uint64, n)
 			_, errs := local.BatchRun(topo, []local.Trial{
 				{Factory: bitEchoFactory(rounds, out1), Opts: local.Options{Source: prob.NewSource(4)}},
 				{Factory: bit2EchoFactory(rounds, out2), Opts: local.Options{Source: prob.NewSource(5)}},
+				{Factory: castEchoFactory(rounds, out3), Opts: local.Options{Source: prob.NewSource(6)}},
 			}, local.BatchOptions{Workers: 3})
 			for _, err := range errs {
 				if err != nil {
@@ -160,10 +164,9 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 }
 
 // castEchoFactory is castTail with a uniform stop round: every node runs
-// the full budget, so the marginal-allocation measurement below sees a
-// steady state that rides the fused CastB scatter (and, on the pool
-// engine, tiled blocks — the 300-node fixture's weight fits the default
-// tile budget, so the whole graph executes as one tile).
+// the full budget, so the active weight never falls, every round is dense
+// and the throughput paths deliver every round by pull (see castSlots)
+// while the sequential path rides the fused CastB scatter.
 func castEchoFactory(rounds int, out []uint64) local.Factory {
 	idx := 0
 	return func(v local.View) local.Node {
@@ -176,7 +179,11 @@ func castEchoFactory(rounds int, out []uint64) local.Factory {
 // TestFusedTiledZeroAllocsPerRound extends the bit-plane pin to the new
 // fast paths: a BitBroadcaster program with prefetch, fusion and tiling
 // active (the defaults) must still allocate nothing per steady-state round
-// on the sequential, pool and batch paths. The tiled pool path's only
+// on the sequential, pool and batch paths. castEchoFactory's rounds are all
+// pull rounds on pool and batch; the pool-tail row runs castTail, whose
+// dense pull rounds give way to a sparse tail — one gathering round, then
+// tiled blocks (the 300-node fixture's residue fits the default tile
+// budget). The tiled pool path's only
 // allocations — the tiler's scratch and the per-worker retirement buffer —
 // are one-time and cancel in the marginal measurement by design; a
 // per-block or per-tile allocation would show up as ≥ 1 alloc per 4 rounds
@@ -203,6 +210,12 @@ func TestFusedTiledZeroAllocsPerRound(t *testing.T) {
 		{"pool", func(rounds int) {
 			out := make([]uint64, n)
 			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pool-tail", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castTailFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},

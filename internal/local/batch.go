@@ -98,18 +98,20 @@ type batchTrial struct {
 	// in either direction, the previous bounds are reused as-is.
 	carvedRemaining int
 	carvedUnit      int64
-	pf              int              // scatter look-ahead window (see Tuning)
-	wholesale       bool             // bit trial: coordinator memclrs the consumed region this round
-	bdead           deadDeliver      // bit trial: delivery-table view with dead arcs marked
-	bdeliver        []int32          // bit trial: bdead.table(), refreshed between rounds
-	bcasters        []BitBroadcaster // bit trial: per-node fused broadcast paths (nil when unfused)
-	faults          *faultState      // nil when the trial injects no faults
-	ctl             *RunControl      // nil when the trial is uncontrolled
+	pf              int         // word trial: scatter look-ahead window (see Tuning)
+	faults          *faultState // nil when the trial injects no faults
+	ctl             *RunControl // nil when the trial is uncontrolled
 	maxRounds       int
 	base            int // plane offset of this trial in the word planes: idx × arcs
 	stats           Stats
 	errNode         int // node index of the first per-round error, -1 if none
 	err             error
+	// Bit trials run their units through pass (see bitPass), driven by the
+	// coordinator exactly as WorkerPoolEngine.runBit drives its own.
+	pass      bitPass
+	bdead     deadDeliver // bit trial: delivery-table view with dead arcs marked
+	roundMsgs int64       // bit trial: this round's delivered count, summed over units
+	finished  int         // bit trial: nodes that finished this round, summed over units
 }
 
 // batchPlanes bundles the double-buffered plane pairs of one batch run, one
@@ -147,6 +149,7 @@ type batchUnit struct {
 	lo, hi  int
 	r       int
 	msgs    int64
+	retired int // nodes of the unit that finished this round
 	err     error
 	errNode int
 }
@@ -169,6 +172,13 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	}
 	n := t.N()
 	arcs := len(t.adj)
+	nw := bopts.Workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	if nw < 1 {
+		nw = 1
+	}
 
 	// Per-trial setup. Node programs are created in the coordinator, in node
 	// order within each trial, so factories may keep (unsynchronized)
@@ -219,7 +229,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			continue
 		}
 		var bw int
-		tr.bnodes, bw, tr.wnodes, err = planeNodes(nodes, opts.Plane)
+		tr.bnodes, bw, tr.wnodes, err = planeNodes(nodes, opts.Plane, arcs)
 		if err != nil {
 			errsOut[s] = err
 			continue
@@ -243,14 +253,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		if bw > bitWidth {
 			bitWidth = bw
 		}
-		if tr.bnodes != nil {
-			tr.bdead = deadDeliver{t: t}
-			tr.bdeliver = t.deliver
-			if !opts.Tune.NoFuse {
-				tr.bcasters = asBitCasters(tr.bnodes)
-			}
-			tr.pf = opts.Tune.prefetchBit()
-		} else {
+		if tr.bnodes == nil {
 			tr.pf = opts.Tune.prefetchScalar()
 		}
 		tr.carvedRemaining = -1
@@ -261,6 +264,11 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 		tr.done = make([]bool, n)
 		tr.dead = make([]bool, n)
+		if tr.bnodes != nil {
+			tr.bdead = deadDeliver{t: t}
+			// A single inline worker owns every plane word (see runRound).
+			tr.pass = newBitPass(t, tr.bnodes, tr.done, opts.Tune, tr.faults != nil, nw > 1)
+		}
 		tr.remaining = n
 		tr.weight = int64(n + arcs)
 		if tr.remaining > 0 {
@@ -291,13 +299,6 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 	}
 
-	nw := bopts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw < 1 {
-		nw = 1
-	}
 	// Workers claim (trial, shard) units off the round's unit list with an
 	// atomic cursor: one wakeup per worker per global round, not one channel
 	// operation per unit. Merging S trials into one round barrier is the
@@ -324,13 +325,13 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				defer lifetime.Done()
 				// Per-worker send scratch, reused for every node of every
 				// unit the worker ever runs.
-				var wsend []Word
-				var bsend BitRow
+				var sc unitScratch
 				if hasWord {
-					wsend = make([]Word, t.maxDeg)
+					sc.wsend = make([]Word, t.maxDeg)
 				}
 				if hasBit {
-					bsend = newBitScratch(t.maxDeg, bitWidth)
+					sc.bsend = newBitScratch(t.maxDeg, bitWidth)
+					sc.gbuf = make([]uint64, gatherWords(t.maxDeg, bitWidth))
 				}
 				for range start[w] {
 					for {
@@ -338,7 +339,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 						if i >= len(unitBuf) {
 							break
 						}
-						runBatchUnit(t, &pl, wsend, bsend, &unitBuf[i], true)
+						runBatchUnit(t, &pl, &sc, &unitBuf[i])
 					}
 					barrier.Done()
 				}
@@ -351,14 +352,14 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			lifetime.Wait()
 		}()
 	}
-	var inlineSend []Word
-	var inlineBSend BitRow
+	var inline unitScratch
 	if nw == 1 {
-		if pl.winbox != nil {
-			inlineSend = make([]Word, t.maxDeg)
+		if hasWord {
+			inline.wsend = make([]Word, t.maxDeg)
 		}
-		if pl.binbox.lanes != nil {
-			inlineBSend = newBitScratch(t.maxDeg, bitWidth)
+		if hasBit {
+			inline.bsend = newBitScratch(t.maxDeg, bitWidth)
+			inline.gbuf = make([]uint64, gatherWords(t.maxDeg, bitWidth))
 		}
 	}
 	runRound := func() {
@@ -366,7 +367,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			// A single inline worker owns every plane word mid-round, so the
 			// bit path skips its atomics (see WorkerPoolEngine.runBit).
 			for i := range unitBuf {
-				runBatchUnit(t, &pl, inlineSend, inlineBSend, &unitBuf[i], false)
+				runBatchUnit(t, &pl, &inline, &unitBuf[i])
 			}
 			return
 		}
@@ -453,8 +454,9 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		maxUnits := 0
 		for _, tr := range live {
 			if tr.bnodes != nil {
-				tr.wholesale = clearWholesale(tr.weight, n, arcs)
-				tr.bdeliver = tr.bdead.table()
+				bi, bn := pl.bitTrial(tr.idx)
+				tr.pass.begin(r, bi, bn, &tr.bdead, tr.weight)
+				tr.roundMsgs, tr.finished = 0, 0
 			}
 			// Sticky unit carve: reuse the previous bounds while the trial's
 			// active prefix is unchanged and the batch-wide unit target has
@@ -482,9 +484,8 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		// Wholesale-clearing bit trials get their consumed region memclr'd
 		// here, between the barrier and the swap (see runSeqBit).
 		for _, tr := range live {
-			if tr.bnodes != nil && tr.wholesale {
-				bi, _ := pl.bitTrial(tr.idx)
-				bi.clearAll()
+			if tr.bnodes != nil {
+				tr.pass.clearConsumed()
 			}
 		}
 
@@ -495,6 +496,8 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			u := &unitBuf[i]
 			tr := u.trial
 			tr.stats.Messages += u.msgs
+			tr.roundMsgs += u.msgs
+			tr.finished += u.retired
 			if u.err != nil && (tr.errNode < 0 || u.errNode < tr.errNode) {
 				tr.err = u.err
 				tr.errNode = u.errNode
@@ -513,6 +516,17 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				clearTrial(tr)
 				continue
 			}
+			if tr.bnodes != nil && tr.faults == nil && tr.finished == tr.remaining {
+				// The whole active set stopped: O(1) retirement, as in
+				// WorkerPoolEngine.runBit.
+				tr.stats.Messages -= tr.roundMsgs
+				tr.pass.next.clearAll()
+				statsOut[s] = tr.stats
+				continue
+			}
+			if tr.bnodes != nil {
+				tr.pass.startCompaction()
+			}
 			keep := tr.active[:0]
 			for _, v := range tr.active[:tr.remaining] {
 				if !tr.done[v] {
@@ -521,9 +535,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				}
 				lo, hi := t.off[v], t.off[v+1]
 				if tr.bnodes != nil {
-					_, bn := pl.bitTrial(tr.idx)
-					tr.stats.Messages -= bn.countRow(lo, hi)
-					bn.clearRow(lo, hi, false)
+					tr.stats.Messages -= tr.pass.retire(v)
 					tr.bdead.kill(v)
 				} else {
 					row := pl.wnext[tr.base+int(lo) : tr.base+int(hi)]
@@ -544,8 +556,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			if tr.faults != nil {
 				var crashed []int32
 				if tr.bnodes != nil {
-					_, bn := pl.bitTrial(tr.idx)
-					crashed = tr.faults.boundaryBit(r, bn, &tr.stats)
+					crashed = tr.faults.boundaryBit(r, tr.pass.next, &tr.stats)
 				} else {
 					crashed = tr.faults.boundaryWord(r, pl.wnext, tr.base, &tr.stats)
 				}
@@ -571,6 +582,9 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				statsOut[s] = tr.stats
 				continue
 			}
+			if tr.bnodes != nil {
+				tr.pass.end()
+			}
 			keepLive = append(keepLive, tr)
 		}
 		live = keepLive
@@ -579,20 +593,27 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	return statsOut, errsOut
 }
 
+// unitScratch is one worker's reused scratch, shared by every unit it
+// runs: the send row for word trials, and the send row and gather block
+// for bit trials (nil when no trial of that kind exists).
+type unitScratch struct {
+	wsend []Word
+	bsend BitRow
+	gbuf  []uint64
+}
+
 // runBatchUnit executes one (trial, shard) unit: it runs every node of the
 // shard against the trial's inbox plane, delivers sends into the trial's
 // next plane (dropping messages to dead nodes, which are never consumed),
 // and clears each consumed inbox row. All mutated state is owned by this
 // unit for the duration of the round, except the bit planes' shared
-// boundary words, which the bit path handles atomically. wsend/bsend are
-// the calling worker's reused send scratch (zero when no trial of that kind
-// exists in the batch).
-func runBatchUnit(t *Topology, pl *batchPlanes, wsend []Word, bsend BitRow, u *batchUnit, par bool) {
+// boundary words, which the bit path handles atomically.
+func runBatchUnit(t *Topology, pl *batchPlanes, sc *unitScratch, u *batchUnit) {
 	if u.trial.bnodes != nil {
-		runBatchUnitBit(t, pl, bsend, u, par)
+		runBatchUnitBit(sc, u)
 		return
 	}
-	runBatchUnitWord(t, pl.winbox, pl.wnext, wsend, u)
+	runBatchUnitWord(t, pl.winbox, pl.wnext, sc.wsend, u)
 }
 
 // runBatchUnitWord is runBatchUnit for a word trial, over the pointer-free
@@ -631,51 +652,21 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 	u.msgs = msgs
 }
 
-// runBatchUnitBit is runBatchUnitWord for a bit trial: the trial's packed
-// plane regions behave exactly like a standalone engine's planes
-// (within-trial arc indexing, atomic discipline for shared boundary words),
-// and the worker's packed send scratch is reused for every node.
-func runBatchUnitBit(t *Topology, pl *batchPlanes, bsend BitRow, u *batchUnit, par bool) {
-	tr := u.trial
-	inbox, next := pl.bitTrial(tr.idx)
-	rowClear := !tr.wholesale
-	msgs := int64(0)
-	curV := -1
+// runBatchUnitBit is runBatchUnitWord for a bit trial: the trial's bitPass
+// runs the shard over the trial's packed plane regions, which behave
+// exactly like a standalone engine's planes (within-trial arc indexing,
+// atomic discipline for shared boundary words), with the worker's scratch.
+func runBatchUnitBit(sc *unitScratch, u *batchUnit) {
+	c := bitCursor{v: -1}
 	defer func() {
 		if p := recover(); p != nil {
-			u.err = newPanicError(curV, u.r, p)
-			u.errNode = curV
-			u.msgs = msgs
+			u.err = newPanicError(c.v, u.r, p)
+			u.errNode = c.v
+			u.msgs = c.msgs
 		}
 	}()
-	//splitlint:zeroalloc
-	for i := u.lo; i < u.hi; i++ {
-		v := int(tr.active[i])
-		curV = v
-		lo, hi := t.off[v], t.off[v+1]
-		if tr.pf > 0 {
-			prefetchBitTargets(tr.bdeliver, next, lo, hi, tr.pf)
-		}
-		var fin bool
-		if c := caster(tr.bcasters, v); c != nil {
-			val, cast, cfin := c.CastB(u.r, inbox.row(lo, hi))
-			if cast {
-				msgs += castBitRow(tr.bdeliver, next, lo, hi, val, par)
-			}
-			fin = cfin
-		} else {
-			row := bsend.ports(int(hi - lo))
-			fin = tr.bnodes[v].RoundB(u.r, inbox.row(lo, hi), row)
-			msgs += scatterBitRow(tr.bdeliver, next, lo, row, par)
-		}
-		if fin {
-			tr.done[v] = true
-		}
-		if rowClear {
-			inbox.clearRow(lo, hi, par)
-		}
-	}
-	u.msgs = msgs
+	u.trial.pass.run(u.trial.active, u.lo, u.hi, sc.bsend, sc.gbuf, &c)
+	u.msgs, u.retired = c.msgs, c.retired
 }
 
 // buildTrialNodes instantiates one trial's node programs, attaching the

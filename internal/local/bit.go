@@ -35,6 +35,16 @@ package local
 //     with neighboring rows;
 //   - send scratch rows are word-aligned and private to one worker or node,
 //     so programs write them with plain stores.
+//
+// That is push delivery, and the sequential oracle pushes in every round.
+// In dense fault-free rounds the pool and batch loops deliver fused
+// broadcasts (BitBroadcaster) by pull instead: a caster stores its lane in
+// its own byte of castSlots with a plain store, and next round's receivers
+// gather their rows from their neighbors' slots into private, word-aligned
+// scratch — no atomic OR, and no plane line written by two cores. Nodes
+// without CastB keep pushing, and gathers OR their pushes in. Slots are
+// written only by their node's owner and read only in the following
+// round, so the round barrier orders every access.
 
 import (
 	"math/bits"
@@ -399,11 +409,12 @@ func asBitNodes(nodes []Node) ([]BitNode, int) {
 //	return done
 //
 // — same state transitions, same done result, for every round. Engines
-// that detect the interface skip the send scratch row entirely and fuse
+// that detect the interface skip the send scratch row entirely: they fuse
 // the Broadcast with the scatter into one pass over the node's arc range
-// (see castBitRow); engines that don't (or runs tuned with NoFuse) keep
-// calling RoundB. A program implementing CastB should make RoundB delegate
-// to it so the two paths cannot drift.
+// (push, see castBitRow) or, in the throughput loops' dense rounds, store
+// the value once for the receivers to gather (pull, see castSlots). Runs
+// tuned with NoFuse keep calling RoundB. A program implementing CastB
+// should make RoundB delegate to it so the two paths cannot drift.
 type BitBroadcaster interface {
 	BitNode
 	CastB(r int, recv BitRow) (v uint64, cast, done bool)
@@ -861,7 +872,319 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 
 // clearWholesale decides between one wholesale memclr of a packed plane and
 // masked per-row clears: wholesale wins while the active set still covers a
-// quarter of the graph's weight, per-row wins in long sparse tails.
+// quarter of the graph's weight, per-row wins in long sparse tails. The
+// throughput loops also use it to pick pull delivery (see castSlots): a
+// dense round is one that clears wholesale.
 func clearWholesale(activeWeight int64, n, arcs int) bool {
 	return activeWeight*4 >= int64(n+arcs)
+}
+
+// --- pull delivery for fused broadcasts -------------------------------------
+
+// Gather block bounds: a pull round's receivers gather the inbox rows of up
+// to gatherNodes nodes and gatherArcs arcs (or one larger row) before running
+// any of them, so the block's slot loads are all in flight at once instead of
+// one row's worth between program calls.
+const (
+	gatherArcs  = 2048
+	gatherNodes = 256
+)
+
+// castSlots is the pull side of fused broadcast delivery. A BitBroadcaster
+// sends one value on every port, so in a dense round the throughput loops
+// let it write that value once — into its own one-byte slot, no scatter and
+// no atomic — and the receivers of the next round gather their inbox rows
+// from their neighbors' slots (slot[adj[arc]]) instead of finding them
+// pushed into the plane. This is the push→pull switch of direction-
+// optimizing BFS; the sequential oracle always pushes.
+//
+// A run (or batch trial) pulls in exactly the rounds that clear the plane
+// wholesale, when it has casters and no faults (fault injection acts on the
+// plane). Since the active weight only falls, those rounds are a prefix of
+// the run. cur holds the casts of the previous round, which this round's
+// receivers gather; next takes this round's casts; swap flips them at the
+// round boundary. A slot holds the lane — presence bit plus value bits —
+// or 0 for silence, non-casters and retired nodes.
+type castSlots struct {
+	cur, next []uint8
+}
+
+// newCastSlots allocates all-clear slots for n nodes: 2 bytes per node.
+func newCastSlots(n int) castSlots {
+	return castSlots{cur: make([]uint8, n), next: make([]uint8, n)}
+}
+
+// swap flips the buffers at a round boundary.
+func (s *castSlots) swap() { s.cur, s.next = s.next, s.cur }
+
+// put records node v's cast of this round in its slot: the lane of val at
+// the given value width, or 0 when v stays silent.
+func (s castSlots) put(v int32, val uint64, cast bool, width uint32) {
+	lane := uint8(0)
+	if cast {
+		lane = uint8(1 | val&(1<<width-1)<<1)
+	}
+	s.next[v] = lane
+}
+
+// uncount returns how many of this round's casts reached v, a node retiring
+// this round: the present slots among its neighbors. It is the pull
+// counterpart of popcounting v's row of the next plane at compaction.
+func (s castSlots) uncount(t *Topology, v int32) int64 {
+	c := int64(0)
+	for _, u := range t.adj[t.off[v]:t.off[v+1]] {
+		c += int64(s.next[u] & 1)
+	}
+	return c
+}
+
+// retire clears v's slot in cur. A node retiring at round r is retired at
+// r's compaction (cur then holds its cast of round r-1, which it will not
+// overwrite) and again at r+1's (cur then holds its final cast, which the
+// receivers of r+1 have read). Only pull rounds need either clear: after
+// the last pull round no receiver gathers again.
+func (s castSlots) retire(v int32) { s.cur[v] = 0 }
+
+// gatherBlock gathers the inbox rows of active[i:j] into buf, word-aligned
+// and back to back, and returns j: as many nodes from i as fit the block
+// bounds (at least one, at most end). Row lanes come from the neighbors'
+// slots in cur; with orPlane, pushes that landed in the inbox plane — from
+// non-casters, which always push — are OR-ed in. The slot loads form one
+// tight loop with no dependent work between them, which is what lets the
+// memory system overlap their misses.
+func (s castSlots) gatherBlock(t *Topology, active []int32, i, end int, inbox bitPlane, orPlane bool, buf []uint64) int {
+	sh := inbox.width
+	lpw := int32(64) >> sh // lanes per word
+	cur, adj := s.cur, t.adj
+	o := 0
+	arcs := int32(0)
+	j := i
+	for ; j < end && j-i < gatherNodes; j++ {
+		v := active[j]
+		lo, hi := t.off[v], t.off[v+1]
+		if arcs += hi - lo; arcs > gatherArcs && j > i {
+			break
+		}
+		for a := lo; a < hi; a += lpw {
+			e := min(a+lpw, hi)
+			var w uint64
+			for k, u := range adj[a:e] {
+				w |= uint64(cur[u]) << (uint(k) << sh)
+			}
+			if orPlane {
+				w |= bitsAt(inbox.lanes, uint64(a)<<sh, uint(e-a)<<sh)
+			}
+			buf[o] = w
+			o++
+		}
+	}
+	return j
+}
+
+// gatherWords sizes a worker's gather scratch for a topology of maximum
+// degree maxDeg: the block's lanes plus one word of row padding per node.
+func gatherWords(maxDeg, width int) int {
+	return planeWords(max(gatherArcs, maxDeg), width) + gatherNodes
+}
+
+// bitsAt returns the n (1..64) bits of ws starting at bit b, through atomic
+// loads (a neighbor row's owner may be clearing a shared word).
+func bitsAt(ws []uint64, b uint64, n uint) uint64 {
+	i, s := b>>6, uint(b&63)
+	x := atomic.LoadUint64(&ws[i]) >> s
+	if s+n > 64 {
+		x |= atomic.LoadUint64(&ws[i+1]) << (64 - s)
+	}
+	if n < 64 {
+		x &= 1<<n - 1
+	}
+	return x
+}
+
+// bitPass is a throughput bit loop's run state as its shards and its
+// coordinator see it. The pool's workers and the batch runner's bit units
+// run their nodes through bitPass.run, and both coordinators drive the
+// round through begin, clearConsumed, retire and end, so push, pull,
+// gather and the pull-side accounting live in one place. The coordinator
+// sets the per-round fields between rounds; the wakeup publishes them.
+type bitPass struct {
+	t       *Topology
+	nodes   []BitNode
+	casters []BitBroadcaster // nil when the run has no fused casters
+	done    []bool
+	pf      int  // scatter prefetch window
+	par     bool // other workers share plane words: atomic scatter and edge clears
+	// pulls: the run has casters and no faults, so its dense rounds pull;
+	// mixed: some nodes lack CastB and push even in pull rounds.
+	pulls, mixed bool
+	slots        castSlots // allocated when pulls
+	retired      []int32   // the last pull round's retirees (see castSlots.retire)
+
+	// Per round, set by begin.
+	r           int
+	inbox, next bitPlane
+	deliver     []int32
+	wholesale   bool // the coordinator memclrs the consumed plane (clearWholesale)
+	pull        bool // casters write slots instead of scattering
+	gather      bool // last round pulled: receivers gather from slots.cur
+	rowClear    bool // consumers clear their own inbox rows
+	allLive     bool // no node has died, so a cast reaches every arc
+}
+
+// newBitPass sets up a run's pass; faulty runs never pull.
+func newBitPass(t *Topology, nodes []BitNode, done []bool, tune Tuning, faulty, par bool) bitPass {
+	p := bitPass{t: t, nodes: nodes, done: done, pf: tune.prefetchBit(), par: par}
+	if !tune.NoFuse {
+		p.casters = asBitCasters(nodes)
+	}
+	if p.casters != nil && !faulty {
+		p.pulls = true
+		p.slots = newCastSlots(t.N())
+		for _, c := range p.casters {
+			p.mixed = p.mixed || c == nil
+		}
+	}
+	return p
+}
+
+// begin sets the pass up for round r over the given planes. weight is the
+// active set's weight: dense rounds clear wholesale and, when the run
+// pulls, pull; the round after the last pull round still gathers.
+func (p *bitPass) begin(r int, inbox, next bitPlane, dead *deadDeliver, weight int64) {
+	p.r = r
+	p.inbox, p.next = inbox, next
+	p.deliver = dead.table()
+	p.allLive = dead.dlv == nil
+	p.wholesale = clearWholesale(weight, p.t.N(), len(p.t.adj))
+	p.gather = p.pull
+	p.pull = p.pulls && p.wholesale
+	p.rowClear = !p.wholesale && p.planeIn()
+}
+
+// planeIn reports whether pushes may have landed in this round's inbox
+// plane: always, unless the last round pulled and every node casts.
+func (p *bitPass) planeIn() bool { return !p.gather || p.mixed }
+
+// clearConsumed memclrs the consumed inbox plane after a wholesale round's
+// barrier, when it can hold anything.
+func (p *bitPass) clearConsumed() {
+	if p.wholesale && p.planeIn() {
+		p.inbox.clearAll()
+	}
+}
+
+// startCompaction gives the last pull round's retirees their second slot
+// clear; the coordinator calls it before retiring this round's nodes.
+func (p *bitPass) startCompaction() {
+	if !p.pull {
+		return
+	}
+	for _, v := range p.retired {
+		p.slots.retire(v)
+	}
+	p.retired = p.retired[:0]
+}
+
+// retire drops the messages this round delivered to v, a node finishing
+// this round, and returns their count for the coordinator to uncount: its
+// row of the next plane when pushes may have landed there, and in a pull
+// round the casts its neighbors' slots hold for it. The caller kills v's
+// arcs.
+func (p *bitPass) retire(v int32) int64 {
+	lo, hi := p.t.off[v], p.t.off[v+1]
+	drop := int64(0)
+	if !p.pull || p.mixed {
+		drop = p.next.countRow(lo, hi)
+		p.next.clearRow(lo, hi, false)
+	}
+	if p.pull {
+		drop += p.slots.uncount(p.t, v)
+		p.slots.retire(v)
+		p.retired = append(p.retired, v)
+	}
+	return drop
+}
+
+// end closes the round: the slot buffers swap with the planes.
+func (p *bitPass) end() { p.slots.swap() }
+
+// liveArcs counts the arcs of [lo, hi) whose receiver is alive — what
+// castBitRow delivers and counts for a cast on them: all of them while no
+// node has died, else the non-negative delivery slots.
+func (p *bitPass) liveArcs(lo, hi int32) int64 {
+	if p.allLive {
+		return int64(hi - lo)
+	}
+	n := int64(0)
+	for _, d := range p.deliver[lo:hi] {
+		if d >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// bitCursor is a shard's progress: the node in flight (for panic
+// attribution), the messages delivered so far and the nodes that finished.
+type bitCursor struct {
+	v       int
+	msgs    int64
+	retired int
+}
+
+// run executes round p.r for the nodes active[i:end], accumulating into c.
+//
+//splitlint:zeroalloc
+func (p *bitPass) run(active []int32, i, end int, send BitRow, gbuf []uint64, c *bitCursor) {
+	t := p.t
+	sh := p.inbox.width
+	for i < end {
+		j := end
+		if p.gather {
+			j = p.slots.gatherBlock(t, active, i, end, p.inbox, p.mixed, gbuf)
+		}
+		o := 0
+		for ; i < j; i++ {
+			v := active[i]
+			c.v = int(v)
+			lo, hi := t.off[v], t.off[v+1]
+			var recv BitRow
+			if p.gather {
+				recv = BitRow{lanes: gbuf, lo: uint32(o) << 6 >> sh, n: uint32(hi - lo), width: sh}
+				o += wordsFor(int(hi-lo) << sh)
+			} else {
+				recv = p.inbox.row(lo, hi)
+			}
+			cs := caster(p.casters, int(v))
+			if p.pf > 0 && (cs == nil || !p.pull) {
+				prefetchBitTargets(p.deliver, p.next, lo, hi, p.pf)
+			}
+			var fin bool
+			if cs != nil {
+				val, cast, cfin := cs.CastB(p.r, recv)
+				switch {
+				case p.pull:
+					p.slots.put(v, val, cast, sh)
+					if cast {
+						c.msgs += p.liveArcs(lo, hi)
+					}
+				case cast:
+					c.msgs += castBitRow(p.deliver, p.next, lo, hi, val, p.par)
+				}
+				fin = cfin
+			} else {
+				row := send.ports(int(hi - lo))
+				fin = p.nodes[v].RoundB(p.r, recv, row)
+				c.msgs += scatterBitRow(p.deliver, p.next, lo, row, p.par)
+			}
+			if fin {
+				p.done[v] = true
+				c.retired++
+			}
+			if p.rowClear {
+				p.inbox.clearRow(lo, hi, p.par)
+			}
+		}
+	}
+	c.v = -1
 }

@@ -148,23 +148,28 @@ func ctlOpts(n int, plane local.Plane) local.Options {
 	}
 }
 
-// ctlEngines is the control and panic suites' engine table. NoFuse only
-// changes bit programs with a fused caster, which ctlNode is not, so the
-// seq-nofuse row reruns seq's loop here on every plane; it stays as the
-// table's unfused reference row.
-func ctlEngines() []struct {
+// ctlEngines is the control and panic suites' engine table for runs on
+// the given plane. NoFuse only changes the bit plane, so the unfused
+// seq-nofuse reference row is on the bit plane's table alone.
+func ctlEngines(plane local.Plane) []struct {
 	name string
 	e    local.Engine
 } {
-	return []struct {
+	engines := []struct {
 		name string
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
 		{"pool", local.WorkerPoolEngine{Workers: 3}},
 		{"batch", local.BatchEngine{Workers: 3}},
 	}
+	if plane == local.PlaneBit {
+		engines = append(engines, struct {
+			name string
+			e    local.Engine
+		}{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})})
+	}
+	return engines
 }
 
 var ctlPlanes = []local.Plane{local.PlaneBoxed, local.PlaneWord, local.PlaneBit}
@@ -193,7 +198,7 @@ func TestCancellationBitIdentity(t *testing.T) {
 				t.Fatalf("reference run took %d rounds, want %d", refStats.Rounds, ctlRounds)
 			}
 
-			for _, eng := range ctlEngines() {
+			for _, eng := range ctlEngines(plane) {
 				eng := eng
 				t.Run(eng.name, func(t *testing.T) {
 					// Uncancelled run on this engine: full bit-identity.
@@ -253,7 +258,7 @@ func TestDeadlineControl(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
 	n := g.N()
-	for _, eng := range ctlEngines() {
+	for _, eng := range ctlEngines(local.PlaneWord) {
 		t.Run(eng.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), -1)
 			defer cancel()

@@ -264,21 +264,42 @@ func (pe planeEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
 	return pe.e.Run(t, f, opts)
 }
 
-// planeNodes resolves the plane ladder for a run's nodes under the
-// requested plane: bit (bs non-nil, with the lane width), word (ws
-// non-nil), or boxed (both nil). Requesting a plane the nodes cannot take
-// is a loud error, never a silent fallback; every engine and the batch
-// runner route their detection through this one helper.
-func planeNodes(nodes []Node, plane Plane) (bs []BitNode, bitWidth int, ws []WordNode, err error) {
+// maxBitPlaneBits caps a packed plane's size in bits: BitRow and the
+// scatter loops index lanes with uint32 bit offsets, so a plane of more
+// than 2^32 bits — past 2^30 arcs at 4-bit lanes, below the 2^31-arc
+// topology limit — would wrap. A var so the overflow test can lower it.
+var maxBitPlaneBits = uint64(1) << 32
+
+// bitPlaneFits reports whether a packed plane over arcs arcs at the given
+// value width stays within maxBitPlaneBits (lanes are 1<<width bits).
+func bitPlaneFits(arcs, width int) bool {
+	return uint64(arcs)<<width <= maxBitPlaneBits
+}
+
+// planeNodes resolves the plane ladder for a run's nodes over a topology of
+// arcs arcs under the requested plane: bit (bs non-nil, with the lane
+// width), word (ws non-nil), or boxed (both nil). Requesting a plane the
+// nodes cannot take is a loud error, never a silent fallback; every engine
+// and the batch runner route their detection through this one helper. A
+// bit run too large for the packed plane's lane indices takes the word
+// plane on PlaneAuto and fails on a forced PlaneBit.
+func planeNodes(nodes []Node, plane Plane, arcs int) (bs []BitNode, bitWidth int, ws []WordNode, err error) {
 	switch plane {
 	case PlaneAuto:
 		if bs, bitWidth = asBitNodes(nodes); bs != nil {
-			return
+			if bitPlaneFits(arcs, bitWidth) {
+				return
+			}
+			bs, bitWidth = nil, 0
 		}
 		ws = asWordNodes(nodes)
 	case PlaneBit:
 		if bs, bitWidth = asBitNodes(nodes); bs == nil {
 			err = fmt.Errorf("local: plane bit forced, but not every node implements BitNode")
+		} else if !bitPlaneFits(arcs, bitWidth) {
+			err = fmt.Errorf("local: plane bit forced, but %d arcs at %d-bit lanes need %d plane bits, past the packed plane's %d-bit lane-index limit",
+				arcs, 1<<bitWidth, uint64(arcs)<<bitWidth, maxBitPlaneBits)
+			bs, bitWidth = nil, 0
 		}
 	case PlaneWord:
 		if ws = asWordNodes(nodes); ws == nil {
@@ -476,7 +497,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
-	bs, bw, ws, err := planeNodes(nodes, opts.Plane)
+	bs, bw, ws, err := planeNodes(nodes, opts.Plane, len(t.adj))
 	if err != nil {
 		return Stats{}, err
 	}

@@ -75,7 +75,7 @@ func TestPanicIsolationEngines(t *testing.T) {
 	for _, plane := range ctlPlanes {
 		plane := plane
 		t.Run(plane.String(), func(t *testing.T) {
-			for _, eng := range ctlEngines() {
+			for _, eng := range ctlEngines(plane) {
 				eng := eng
 				t.Run(eng.name, func(t *testing.T) {
 					rec := newCtlRecorder(n, ctlRounds)
@@ -116,34 +116,26 @@ func TestPanicIsolationEngines(t *testing.T) {
 	}
 }
 
-// TestPanicNodeAttribution pins exact node attribution on the paths whose
-// execution unit is a single node (the sequential loops, fused or not): the
-// reported Node is the topology index of the program that panicked.
+// TestPanicNodeAttribution pins exact node attribution on the path whose
+// execution unit is a single node (the sequential loop): the reported Node
+// is the topology index of the program that panicked.
 func TestPanicNodeAttribution(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
 	n := g.N()
-	for _, eng := range []struct {
-		name string
-		e    local.Engine
-	}{
-		{"seq", local.SequentialEngine{}},
-		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			rec := newCtlRecorder(n, ctlRounds)
-			_, err := eng.e.Run(topo, bombFactory(rec, bombIdx, bombRound), ctlOpts(n, local.PlaneWord))
-			var pe *local.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("err = %v, want *PanicError", err)
-			}
-			// Factories run in topology order on these paths, so creation
-			// index == topology index.
-			if pe.Node != bombIdx {
-				t.Fatalf("panic node = %d, want %d", pe.Node, bombIdx)
-			}
-		})
-	}
+	t.Run("seq", func(t *testing.T) {
+		rec := newCtlRecorder(n, ctlRounds)
+		_, err := local.SequentialEngine{}.Run(topo, bombFactory(rec, bombIdx, bombRound), ctlOpts(n, local.PlaneWord))
+		var pe *local.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *PanicError", err)
+		}
+		// Factories run in topology order on this path, so creation
+		// index == topology index.
+		if pe.Node != bombIdx {
+			t.Fatalf("panic node = %d, want %d", pe.Node, bombIdx)
+		}
+	})
 }
 
 // TestPanicIsolationBatch pins per-trial isolation: a panicking trial fails
@@ -222,7 +214,7 @@ func TestPanicInFactory(t *testing.T) {
 			return inner(v)
 		}
 	}
-	for _, eng := range ctlEngines() {
+	for _, eng := range ctlEngines(local.PlaneWord) {
 		t.Run(eng.name, func(t *testing.T) {
 			if _, ok := eng.e.(local.BatchEngine); ok {
 				trials := []local.Trial{{Factory: mk(newCtlRecorder(n, ctlRounds)), Opts: ctlOpts(n, local.PlaneWord)}}

@@ -39,6 +39,7 @@ type shard struct{ lo, hi int }
 // counts locally and publish once per round to avoid cross-core traffic.
 type poolWorker struct {
 	msgs    int64
+	retired int // nodes of the shard that finished this round
 	err     error
 	errNode int
 	// tileExec is the largest local round count any tile this worker ran
@@ -155,7 +156,7 @@ func (e WorkerPoolEngine) Run(t *Topology, f Factory, opts Options) (Stats, erro
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
-	bs, bw, ws, err := planeNodes(nodes, opts.Plane)
+	bs, bw, ws, err := planeNodes(nodes, opts.Plane, len(t.adj))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -350,9 +351,10 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 // top (bit.go): deliveries use atomic OR (workers of
 // different shards can land in the same plane word), consumed rows are
 // cleared with atomic AND-NOT on their boundary words, and reads go through
-// atomic loads. Rows of newly-terminated nodes are popcounted (to uncount
-// their undeliverable messages) and cleared during compaction, so on a
-// clean finish both returned planes are all-zero.
+// atomic loads. Dense fault-free rounds deliver fused broadcasts by pull
+// instead (see castSlots). Rows of newly-terminated nodes are popcounted (to
+// uncount their undeliverable messages) and cleared during compaction, so
+// on a clean finish both returned planes are all-zero.
 func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds, nw int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, bitPlane, bitPlane, error) {
 	n := t.N()
 	arcs := len(t.adj)
@@ -365,15 +367,14 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 	done := make([]bool, n)
 	// dead: arcs toward nodes terminated in a strictly earlier round,
 	// marked in the run's delivery-table view; written only by the
-	// coordinator between rounds (see runWord), read by workers via the
-	// deliver variable set before each dispatch.
+	// coordinator between rounds (see runWord), read by workers through
+	// pass.deliver, set before each dispatch.
 	dead := deadDeliver{t: t}
-	deliver := t.deliver
-	pfw := tune.prefetchBit()
-	var casters []BitBroadcaster
-	if !tune.NoFuse {
-		casters = asBitCasters(nodes)
-	}
+	// With a single worker no plane word is ever shared mid-round (par is
+	// false), so the scatter and the row clears skip the LOCK-prefixed
+	// atomics entirely — on a one-core pool the bit path then matches the
+	// sequential engine's instruction mix.
+	pass := newBitPass(t, nodes, done, tune, fs != nil, nw > 1)
 	// Tiled execution (see tile.go) is planned lazily per block; the planner
 	// and tile state are allocated up front so steady-state rounds stay
 	// zero-alloc even when the residue first shatters mid-run. Faults and
@@ -395,17 +396,6 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 
 	workers := make([]poolWorker, nw)
 	work := make([]chan shard, nw)
-	round := 0
-	// wholesale: the coordinator memclrs the whole consumed plane between
-	// rounds instead of the workers masking out one row per node (and
-	// paying boundary atomics); set per round, read by workers after their
-	// wakeup — see clearWholesale.
-	wholesale := false
-	// With a single worker no plane word is ever shared mid-round, so the
-	// scatter and the row clears can skip the LOCK-prefixed atomics
-	// entirely — on a one-core pool the bit path then matches the
-	// sequential engine's instruction mix.
-	par := nw > 1
 	var barrier sync.WaitGroup
 	var lifetime sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -415,48 +405,21 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 			defer lifetime.Done()
 			st := &workers[w]
 			send := newBitScratch(t.maxDeg, width)
+			gbuf := make([]uint64, gatherWords(t.maxDeg, width))
 			// runShard executes one shard under a panic guard (see runWord);
-			// the guard's defer sits outside the marked region below, so the
-			// steady state still allocates nothing.
-			curV := -1
+			// the guard's defer sits outside bitPass.run's marked region, so
+			// the steady state still allocates nothing.
+			c := bitCursor{v: -1}
 			runShard := func(sh shard) {
 				defer func() {
 					if p := recover(); p != nil {
-						st.err = newPanicError(curV, round, p)
-						st.errNode = curV
+						st.err = newPanicError(c.v, pass.r, p)
+						st.errNode = c.v
 					}
 				}()
-				r := round
-				rowClear := !wholesale
-				msgs := int64(0)
-				//splitlint:zeroalloc
-				for i := sh.lo; i < sh.hi; i++ {
-					v := int(active[i])
-					curV = v
-					lo, hi := t.off[v], t.off[v+1]
-					if pfw > 0 {
-						prefetchBitTargets(deliver, next, lo, hi, pfw)
-					}
-					var fin bool
-					if c := caster(casters, v); c != nil {
-						val, cast, cfin := c.CastB(r, inbox.row(lo, hi))
-						if cast {
-							msgs += castBitRow(deliver, next, lo, hi, val, par)
-						}
-						fin = cfin
-					} else {
-						row := send.ports(int(hi - lo))
-						fin = nodes[v].RoundB(r, inbox.row(lo, hi), row)
-						msgs += scatterBitRow(deliver, next, lo, row, par)
-					}
-					if fin {
-						done[v] = true
-					}
-					if rowClear {
-						inbox.clearRow(lo, hi, par)
-					}
-				}
-				st.msgs = msgs
+				c = bitCursor{v: -1}
+				pass.run(active, sh.lo, sh.hi, send, gbuf, &c)
+				st.msgs, st.retired = c.msgs, c.retired
 			}
 			// The sentinel shard{lo: -1} switches the worker into tiled mode
 			// for one block: it claims tiles from the shared cursor and runs
@@ -493,13 +456,15 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 			return stats, inbox, next, cerr
 		}
 		stats.Rounds = r
-		round = r
-		wholesale = clearWholesale(weight, n, arcs)
-		deliver = dead.table()
+		// Dense rounds clear the consumed plane wholesale instead of the
+		// workers masking out one row per node (and paying boundary
+		// atomics), and pull; see bitPass.begin.
+		pass.begin(r, inbox, next, &dead, weight)
 		// Tiled block: once the residue is sparse (per-row clearing already
 		// wins) and splits into cache-budget components, run up to tileR
-		// rounds tile-by-tile with no global barrier between them.
-		if tileR >= 2 && !wholesale {
+		// rounds tile-by-tile with no global barrier between them. Tiles read
+		// the plane, so a round that gathers cannot start one.
+		if tileR >= 2 && !pass.wholesale && !pass.gather {
 			blockR := tileR
 			if m := maxRounds - r + 1; blockR > m {
 				blockR = m
@@ -508,8 +473,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 				// Force the delivery-table copy now so concurrent in-tile
 				// kills are race-free (see deadDeliver.materialize).
 				dead.materialize()
-				deliver = dead.table()
-				ts.reset(t, nodes, casters, active, done, &dead, inbox, next, tiler, r, blockR, par, pfw, ndCap)
+				ts.reset(t, nodes, pass.casters, active, done, &dead, inbox, next, tiler, r, blockR, pass.par, pass.pf, ndCap)
 				wake := nw
 				if wake > len(tiler.tiles) {
 					wake = len(tiler.tiles)
@@ -575,33 +539,45 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 			work[w] <- shard{bounds[w], bounds[w+1]}
 		}
 		barrier.Wait()
-		if wholesale {
-			inbox.clearAll()
-		}
+		pass.clearConsumed()
 		var firstErr error
 		errNode := -1
+		roundMsgs := int64(0)
+		finished := 0
 		for w := 0; w < launched; w++ {
-			stats.Messages += workers[w].msgs
-			workers[w].msgs = 0
+			roundMsgs += workers[w].msgs
+			finished += workers[w].retired
+			workers[w].msgs, workers[w].retired = 0, 0
 			if workers[w].err != nil && (errNode < 0 || workers[w].errNode < errNode) {
 				firstErr = workers[w].err
 				errNode = workers[w].errNode
 			}
 		}
+		stats.Messages += roundMsgs
 		if firstErr != nil {
 			return stats, inbox, next, firstErr
 		}
-		// Compact the active-set; see runWord for the invariant.
+		if finished == remaining && fs == nil {
+			// The whole active set stopped: every message of this round went
+			// to a node that is now retiring, so uncount them all and drop
+			// them wholesale — no per-row count, clear or kill.
+			stats.Messages -= roundMsgs
+			next.clearAll()
+			remaining = 0
+			inbox, next = next, inbox
+			continue
+		}
+		// Compact the active-set; see runWord for the invariant and
+		// bitPass.retire for the pull round's share.
+		pass.startCompaction()
 		keep := active[:0]
 		for _, v := range active[:remaining] {
 			if !done[v] {
 				keep = append(keep, v)
 				continue
 			}
-			lo, hi := t.off[v], t.off[v+1]
-			stats.Messages -= next.countRow(lo, hi)
-			next.clearRow(lo, hi, false)
-			weight -= 1 + int64(hi-lo)
+			stats.Messages -= pass.retire(v)
+			weight -= 1 + int64(t.off[v+1]-t.off[v])
 			dead.kill(v)
 			if fs != nil {
 				fs.markDown(v)
@@ -626,6 +602,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 			}
 		}
 		inbox, next = next, inbox
+		pass.end()
 	}
 	return stats, inbox, next, nil
 }

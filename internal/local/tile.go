@@ -32,13 +32,13 @@ type bitTile struct {
 // bitTiler plans tiles for a block of rounds. All scratch is retained
 // across plans so steady-state planning allocates nothing.
 type bitTiler struct {
-	t       *Topology
-	budget  int64
-	visited []int32 // epoch marks, indexed by node
-	epoch   int32
-	queue   []int32
-	order   []int32 // component-ordered rewrite of the active prefix
-	tiles   []bitTile
+	t            *Topology
+	budget       int64
+	visited      []int32 // epoch marks, indexed by node
+	epoch        int32
+	queue        []int32
+	order        []int32 // component-ordered rewrite of the active prefix
+	tiles        []bitTile
 	maxTileNodes int
 	// lastRemaining/lastOK memoize the previous plan: while no node
 	// terminates, the component structure cannot change, so neither can

@@ -22,6 +22,10 @@ import (
 //     target plane lines before the store loop so the misses overlap.
 //   - fused broadcast scatter: programs whose sends are whole-row
 //     broadcasts skip the send scratch row entirely; see BitBroadcaster.
+//     The pool and batch bit loops deliver such casts by pull in dense
+//     fault-free rounds (see castSlots) and by push otherwise; which one
+//     runs follows from the round's density, not from a knob, and NoFuse
+//     turns off both.
 //   - tiled rounds: when the active residue shatters into components small
 //     enough to stay cache-resident, a worker runs several rounds of one
 //     tile back-to-back instead of streaming the whole plane per round;
@@ -47,8 +51,8 @@ type Tuning struct {
 	// NoSticky re-carves pool shards every round (the pre-affinity
 	// behavior), for ablations.
 	NoSticky bool
-	// NoFuse disables the fused broadcast scatter fast path, forcing every
-	// program through the send scratch row.
+	// NoFuse disables the fused broadcast fast paths, push and pull alike,
+	// forcing every program through the send scratch row.
 	NoFuse bool
 	// TileRounds is the number of rounds a tiled block executes
 	// back-to-back per tile: 0 means the default, 1 or < 0 disables tiling.
