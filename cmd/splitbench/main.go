@@ -26,13 +26,12 @@
 // with `go tool pprof` without writing a throwaway harness. -blockprofile
 // and -mutexprofile additionally record goroutine blocking and mutex
 // contention at full sampling rate — the pool engine's round barrier and
-// shard handoff show up here, which is how scheduling stalls (as opposed to
+// unit handoff show up here, which is how scheduling stalls (as opposed to
 // CPU burn) are attributed.
 //
 // -tune sets the cache-tuning knobs of every engine-routed LOCAL run:
-// a comma-separated list of "noprefetch", "prefetch=N", "nosticky",
-// "nofuse", "notile", "tile=R" and "tilebudget=W" (empty means every
-// mechanism at its default). Knobs change wall-clock time only — outputs
+// a comma-separated list of "noprefetch", "prefetch=N" and "nofuse"
+// (empty means every mechanism at its default). Knobs change wall-clock time only — outputs
 // are bit-identical — so this is the ablation companion to -engine and
 // -plane. The batched-trial ablations of -batch run with default knobs.
 //
@@ -48,15 +47,16 @@
 // own (seed, experiment) pair — so they fan out across a bounded worker
 // pool. -workers sets the experiment pool size only (0, the default, means
 // GOMAXPROCS; 1 recovers the serial behavior); with -engine=pool the
-// engine's own worker pool is always GOMAXPROCS. Results are printed in
+// engine's own worker pool is sized by GOMAXPROCS, capped by the
+// instance's size. Results are printed in
 // experiment order no matter how the pool schedules them, and every table
 // is bit-identical to a serial run.
 //
 // -engine selects the LOCAL simulation engine used inside the experiments:
-// "seq" iterates nodes in one goroutine, "pool" shards nodes over a fixed
-// worker pool (the fastest choice on large instances), and "batch" routes
-// single runs through the batched trial runner. Pool and batch are
-// throughput paths for word and bit programs; boxed programs run on the
+// "seq" iterates nodes in one goroutine, and "pool" (or its synonym
+// "batch") runs each simulation as a one-trial batch, sharding nodes over
+// a worker pool (the fastest choice on large instances). The pool is the
+// throughput path for word and bit programs; boxed programs run on the
 // sequential loop under every engine. Engines are observationally
 // identical, so this flag changes wall-clock time only.
 //
@@ -110,7 +110,7 @@ func run() int {
 		seed    = flag.Uint64("seed", 1, "randomness seed")
 		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable programs)")
-		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nosticky|nofuse|notile|tile=R|tilebudget=W, comma-separated (default: all mechanisms on)")
+		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nofuse, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "experiment pool size (0 = GOMAXPROCS, 1 = serial)")
 		format  = flag.String("format", "text", "output format: text|csv|json")
 		batch   = flag.Bool("batch", false, "add the batched-trial ablations of batch-capable experiments (E14)")

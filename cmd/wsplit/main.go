@@ -21,9 +21,10 @@
 // the file fixes the instance, so those generator knobs would be silently
 // ignored.
 //
-// -engine selects the LOCAL simulation engine (seq|pool|batch);
-// engines are observationally identical, so it only changes wall-clock time.
-// With -engine=pool or -engine=batch, -workers also sizes the engine's
+// -engine selects the LOCAL simulation engine (seq|pool; batch is a
+// synonym for pool); engines are observationally identical, so it only
+// changes wall-clock time. With -engine=pool or -engine=batch, -workers
+// also sizes the engine's
 // worker pool; passing -workers with any other engine outside a sweep is an
 // error rather than silently ignored.
 //
@@ -34,12 +35,11 @@
 // with -batch is rejected (the batched solvers do not route through the
 // plane-forced engine).
 //
-// -tune sets the engines' cache-tuning knobs — sticky shard affinity,
-// scatter prefetch, fused broadcast scatter, tiled rounds — as a
-// comma-separated list of "noprefetch", "prefetch=N", "nosticky",
-// "nofuse", "notile", "tile=R" and "tilebudget=W" tokens. Knobs change
-// wall-clock time only; results are bit-identical. The batched solvers of
-// -batch run with default knobs.
+// -tune sets the engines' cache-tuning knobs — scatter prefetch and fused
+// broadcast scatter — as a comma-separated list of "noprefetch",
+// "prefetch=N" and "nofuse" tokens. Knobs change wall-clock time only;
+// results are bit-identical. The batched solvers of -batch run with
+// default knobs.
 //
 // With -trials N > 1 (or several comma-separated algorithms), wsplit fans
 // the (algorithm, seed) grid over a bounded worker pool — seeds seed,
@@ -97,7 +97,7 @@ func run() int {
 		seed    = flag.Uint64("seed", 1, "randomness seed (first seed of a -trials sweep)")
 		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable algorithms)")
-		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nosticky|nofuse|notile|tile=R|tilebudget=W, comma-separated (default: all mechanisms on)")
+		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nofuse, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "trial/engine pool size (0 = GOMAXPROCS)")
 		trials  = flag.Int("trials", 1, "number of seeds to sweep (seed..seed+N-1)")
 		format  = flag.String("format", "text", "trial report format: text|csv|json")

@@ -123,7 +123,7 @@ func TestSolveEngineIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []local.Engine{local.WorkerPoolEngine{Workers: 3}, local.BatchEngine{Workers: 2}} {
+	for _, eng := range []local.Engine{local.WorkerPoolEngine{Workers: 3}} {
 		res, err := solve("det", b, src.Fork(1), eng)
 		if err != nil {
 			t.Fatalf("%T: %v", eng, err)

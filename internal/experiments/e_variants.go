@@ -343,12 +343,6 @@ func E14(cfg Config) (*Table, error) {
 		{"sequential", local.SequentialEngine{}},
 		{"pool", local.WorkerPoolEngine{}},
 	}
-	if cfg.Batch {
-		engines = append(engines, struct {
-			name string
-			e    local.Engine
-		}{"batch", local.BatchEngine{}})
-	}
 	var colorsByEngine [][]int
 	for _, eng := range engines {
 		start := time.Now()

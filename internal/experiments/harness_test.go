@@ -159,8 +159,7 @@ func TestGridBatchMatchesUnbatched(t *testing.T) {
 }
 
 // TestE14BatchAblation runs the engine ablation with Config.Batch: the
-// batch engine row and the batched-sweep agreement row must appear, and
-// agreement must hold.
+// batched-sweep agreement row must appear, and agreement must hold.
 func TestE14BatchAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E14's splitter ablation dominates; the batch path is covered by TestGridBatchMatchesUnbatched in short mode")
@@ -170,11 +169,8 @@ func TestE14BatchAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batchEngineRow, agreeRow bool
+	var agreeRow bool
 	for _, row := range tab.Rows {
-		if row[0] == "engine" && row[1] == "batch" {
-			batchEngineRow = true
-		}
 		if row[0] == "batch-sweep" && row[1] == "agreement" {
 			agreeRow = true
 			if row[2] != "yes" {
@@ -182,11 +178,11 @@ func TestE14BatchAblation(t *testing.T) {
 			}
 		}
 		if row[0] == "engine" && row[1] == "agreement" && row[2] != "yes" {
-			t.Errorf("engine ablation disagreed with batch engine included: %v", row)
+			t.Errorf("engine ablation disagreed: %v", row)
 		}
 	}
-	if !batchEngineRow || !agreeRow {
-		t.Errorf("batch ablation rows missing (engine=%t, sweep=%t):\n%s", batchEngineRow, agreeRow, tab.Format())
+	if !agreeRow {
+		t.Errorf("batch-sweep agreement row missing:\n%s", tab.Format())
 	}
 	if experiments := BatchCapable("E14"); !experiments {
 		t.Error("E14 must register as batch-capable")

@@ -176,19 +176,14 @@ func castEchoFactory(rounds int, out []uint64) local.Factory {
 	}
 }
 
-// TestFusedTiledZeroAllocsPerRound extends the bit-plane pin to the new
-// fast paths: a BitBroadcaster program with prefetch, fusion and tiling
-// active (the defaults) must still allocate nothing per steady-state round
-// on the sequential, pool and batch paths. castEchoFactory's rounds are all
-// pull rounds on pool and batch; the pool-tail row runs castTail, whose
-// dense pull rounds give way to a sparse tail — one gathering round, then
-// tiled blocks (the 300-node fixture's residue fits the default tile
-// budget). The tiled pool path's only
-// allocations — the tiler's scratch and the per-worker retirement buffer —
-// are one-time and cancel in the marginal measurement by design; a
-// per-block or per-tile allocation would show up as ≥ 1 alloc per 4 rounds
-// and trip the slack immediately.
-func TestFusedTiledZeroAllocsPerRound(t *testing.T) {
+// TestFusedZeroAllocsPerRound extends the bit-plane pin to the fused fast
+// paths: a BitBroadcaster program with prefetch and fusion active (the
+// defaults) must still allocate nothing per steady-state round on the
+// sequential, pool and batch paths. castEchoFactory's rounds are all pull
+// rounds on pool and batch; the pool-tail row runs castTail, whose dense
+// pull rounds give way to a sparse tail — one gathering round, then push
+// rounds with per-row clears over a shrinking active set.
+func TestFusedZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
@@ -216,15 +211,6 @@ func TestFusedTiledZeroAllocsPerRound(t *testing.T) {
 		{"pool-tail", func(rounds int) {
 			out := make([]uint64, n)
 			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castTailFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"pool-tiny-tiles", func(rounds int) {
-			// Tiny budget: many tiles (or the R=1 fallback) per block, so a
-			// hidden per-tile allocation cannot hide behind one big tile.
-			e := local.ForceTuning(local.WorkerPoolEngine{Workers: 3}, local.Tuning{TileRounds: 2, TileBudget: 64})
-			out := make([]uint64, n)
-			if _, err := e.Run(topo, castEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -2,17 +2,17 @@ package local
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the batched multi-seed trial runner. Every experiment
-// sweep in the evaluation reruns the same topology under many seeds; running
-// the trials one engine invocation at a time pays engine setup, per-round
-// scheduling, and cache-cold topology traversal once per trial. BatchRun
-// executes all trials over one shared Topology in a single pass instead:
+// This file implements the throughput coordinator: BatchRun executes
+// independent trials of LOCAL node programs over one shared Topology in a
+// single pass, and WorkerPoolEngine is its one-trial case. Every experiment
+// sweep reruns the same topology under many seeds; running the trials one
+// engine invocation at a time would pay engine setup, per-round scheduling
+// and cache-cold topology traversal once per trial.
 //
 //   - Message planes are laid out per representation: word trials share
 //     double-buffered [S × arcs]Word planes, and bit trials share packed bit
@@ -37,7 +37,7 @@ import (
 // Trials are observationally independent: per-node randomness is keyed by
 // (seed, ID) only, so every trial's message trace, outputs and Stats are
 // bit-identical to a standalone SequentialEngine run with the same Options
-// (the batch determinism and golden-trace suites pin this).
+// (the determinism, batch and golden-trace suites pin this).
 
 // Trial is one independent run of a batch: a node-program factory plus its
 // per-trial options (randomness source, ID assignment, inputs, round cap,
@@ -49,7 +49,8 @@ type Trial struct {
 
 // BatchOptions configure BatchRun.
 type BatchOptions struct {
-	// Workers sizes the shared worker pool; <= 0 means GOMAXPROCS.
+	// Workers sizes the shared worker pool; <= 0 means GOMAXPROCS. The
+	// pool is capped at the most units a round can carve (see batchRun).
 	Workers int
 	// Control cancels the whole batch: at every round boundary each still-
 	// live trial is retired with ErrCancelled/ErrDeadline and its partial
@@ -58,28 +59,31 @@ type BatchOptions struct {
 	Control *RunControl
 }
 
-// BatchEngine adapts BatchRun to the Engine interface: Run executes a
-// single-trial batch. It exists so engine consumers (ablations, ParseEngine,
-// the CLI) can route through the batch path without restructuring;
-// multi-trial amortization needs BatchRun (or the harness/facade wrappers)
-// directly. Like every engine it is bit-identical to SequentialEngine.
-type BatchEngine struct {
-	// Workers sizes the worker pool; <= 0 means GOMAXPROCS.
-	Workers int
-}
-
-var _ Engine = BatchEngine{}
-
-// Run implements Engine.
-func (e BatchEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	stats, errs := BatchRun(t, []Trial{{Factory: f, Opts: opts}}, BatchOptions{Workers: e.Workers})
-	return stats[0], errs[0]
-}
-
 // batchMinShard is the smallest (trial, shard) unit weight — in the 1+deg
 // units of carveByWeight — the scheduler hands to a worker; below this the
-// wakeup costs more than the work.
-const batchMinShard = 1024
+// wakeup costs more than the work. A variable only so that tests can lower
+// it: their fixtures weigh less than one unit.
+var batchMinShard int64 = 1024
+
+// carveByWeight splits active[:remaining] into contiguous chunks each
+// weighing at least target (a node weighs 1 + deg: one Round call plus one
+// delivery per arc) and returns the chunk boundaries reusing bounds; the
+// final chunk may be lighter. Balancing arcs rather than nodes keeps a
+// skewed-degree graph's hubs from piling onto one worker.
+func (t *Topology) carveByWeight(active []int32, remaining int, target int64, bounds []int32) []int32 {
+	bounds = append(bounds[:0], 0)
+	acc := int64(0)
+	for i := 0; i < remaining; i++ {
+		v := active[i]
+		acc += 1 + int64(t.off[v+1]-t.off[v])
+		if acc >= target && i+1 < remaining {
+			bounds = append(bounds, int32(i+1))
+			acc = 0
+		}
+	}
+	bounds = append(bounds, int32(remaining))
+	return bounds
+}
 
 // batchTrial is the per-trial state of a batch run.
 type batchTrial struct {
@@ -106,8 +110,8 @@ type batchTrial struct {
 	stats           Stats
 	errNode         int // node index of the first per-round error, -1 if none
 	err             error
-	// Bit trials run their units through pass (see bitPass), driven by the
-	// coordinator exactly as WorkerPoolEngine.runBit drives its own.
+	// Bit trials run their units through pass (see bitPass), which the
+	// coordinator drives round by round.
 	pass      bitPass
 	bdead     deadDeliver // bit trial: delivery-table view with dead arcs marked
 	roundMsgs int64       // bit trial: this round's delivered count, summed over units
@@ -164,17 +168,29 @@ type batchUnit struct {
 // Each trial is bit-identical to SequentialEngine{}.Run(t, trials[i].Factory,
 // trials[i].Opts); batching changes wall-clock time only.
 func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error) {
+	stats, errs, _, _ := batchRun(t, trials, bopts)
+	return stats, errs
+}
+
+// batchRun is BatchRun that also returns the run's planes and per-trial
+// state, for the in-package plane-hygiene and carve tests.
+func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error, *batchPlanes, []batchTrial) {
 	nTrials := len(trials)
 	statsOut := make([]Stats, nTrials)
 	errsOut := make([]error, nTrials)
-	if nTrials == 0 {
-		return statsOut, errsOut
-	}
+	var pl batchPlanes
 	n := t.N()
 	arcs := len(t.adj)
+	// Size the pool to the work: a round carves a trial into at most
+	// ceil(weight/batchMinShard) units and active weights only fall, so
+	// workers past that bound would never run a unit. A pool capped to one
+	// worker runs inline, with no goroutines and no atomics.
 	nw := bopts.Workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
+	}
+	if most := int64(nTrials) * ((int64(n+arcs) + batchMinShard - 1) / batchMinShard); int64(nw) > most {
+		nw = int(most)
 	}
 	if nw < 1 {
 		nw = 1
@@ -197,7 +213,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		tr.idx = s
 		tr.base = s * arcs
 		if trials[s].Factory == nil {
-			errsOut[s] = fmt.Errorf("local: batch trial %d has a nil Factory", s)
+			errsOut[s] = fmt.Errorf("local: trial %d has a nil Factory", s)
 			continue
 		}
 		opts := trials[s].Opts
@@ -219,11 +235,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				continue
 			}
 		}
-		var rngs []*rand.Rand
-		if opts.Source != nil {
-			rngs = opts.Source.NodeStreams(ids)
-		}
-		nodes, err := buildTrialNodes(trials[s].Factory, vs, rngs)
+		nodes, err := buildNodes(trials[s].Factory, vs, opts.Source, ids)
 		if err != nil {
 			errsOut[s] = err
 			continue
@@ -276,7 +288,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 	}
 	if len(live) == 0 {
-		return statsOut, errsOut
+		return statsOut, errsOut, &pl, all
 	}
 
 	// One flat plane pair per message representation actually present,
@@ -286,7 +298,6 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	// share pointer-free [S×arcs]Word planes the GC never scans. Rows are
 	// cleared by their owners right after consumption and at termination, so
 	// nothing is re-zeroed wholesale.
-	var pl batchPlanes
 	for _, tr := range live {
 		switch {
 		case tr.bnodes != nil && pl.binbox.lanes == nil:
@@ -365,7 +376,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	runRound := func() {
 		if nw == 1 {
 			// A single inline worker owns every plane word mid-round, so the
-			// bit path skips its atomics (see WorkerPoolEngine.runBit).
+			// bit path skips its atomics (see bitPass.par).
 			for i := range unitBuf {
 				runBatchUnit(t, &pl, &inline, &unitBuf[i])
 			}
@@ -458,7 +469,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				tr.pass.begin(r, bi, bn, &tr.bdead, tr.weight)
 				tr.roundMsgs, tr.finished = 0, 0
 			}
-			// Sticky unit carve: reuse the previous bounds while the trial's
+			// Memoized unit carve: reuse the previous bounds while the trial's
 			// active prefix is unchanged and the batch-wide unit target has
 			// not drifted 2× (trials retiring shifts totalWeight, which would
 			// otherwise skew unit granularity without bound).
@@ -491,7 +502,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 
 		// Merge unit results deterministically: message counts sum (order
 		// cannot matter) and the reported error is the one at the smallest
-		// node index, matching WorkerPoolEngine.
+		// node index, whatever the schedule.
 		for i := range unitBuf {
 			u := &unitBuf[i]
 			tr := u.trial
@@ -517,8 +528,10 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				continue
 			}
 			if tr.bnodes != nil && tr.faults == nil && tr.finished == tr.remaining {
-				// The whole active set stopped: O(1) retirement, as in
-				// WorkerPoolEngine.runBit.
+				// The whole active set stopped: every message of this
+				// round went to a node that is now retiring, so uncount
+				// them all and drop them wholesale — no per-row count,
+				// clear or kill.
 				tr.stats.Messages -= tr.roundMsgs
 				tr.pass.next.clearAll()
 				statsOut[s] = tr.stats
@@ -590,7 +603,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		live = keepLive
 		pl.swap()
 	}
-	return statsOut, errsOut
+	return statsOut, errsOut, &pl, all
 }
 
 // unitScratch is one worker's reused scratch, shared by every unit it
@@ -667,26 +680,4 @@ func runBatchUnitBit(sc *unitScratch, u *batchUnit) {
 	}()
 	u.trial.pass.run(u.trial.active, u.lo, u.hi, sc.bsend, sc.gbuf, &c)
 	u.msgs, u.retired = c.msgs, c.retired
-}
-
-// buildTrialNodes instantiates one trial's node programs, attaching the
-// trial's random streams to the (possibly shared) base views, and converts
-// a factory panic into that trial's error — sibling trials are untouched.
-func buildTrialNodes(f Factory, vs []View, rngs []*rand.Rand) (nodes []Node, err error) {
-	cur := -1
-	defer func() {
-		if p := recover(); p != nil {
-			nodes, err = nil, newPanicError(cur, 0, p)
-		}
-	}()
-	nodes = make([]Node, len(vs))
-	for v := range vs {
-		cur = v
-		view := vs[v]
-		if rngs != nil {
-			view.Rand = rngs[v]
-		}
-		nodes[v] = f(view)
-	}
-	return nodes, nil
 }

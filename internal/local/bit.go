@@ -37,7 +37,7 @@ package local
 //     so programs write them with plain stores.
 //
 // That is push delivery, and the sequential oracle pushes in every round.
-// In dense fault-free rounds the pool and batch loops deliver fused
+// In dense fault-free rounds the throughput bit loop delivers fused
 // broadcasts (BitBroadcaster) by pull instead: a caster stores its lane in
 // its own byte of castSlots with a plain store, and next round's receivers
 // gather their rows from their neighbors' slots into private, word-aligned
@@ -519,14 +519,6 @@ func (pl bitPlane) countRow(lo, hi int32) int64 {
 	return countPatternRange(pl.lanes, int(uint32(lo)*lb), int(uint32(hi)*lb), laneMultiplier(lb))
 }
 
-// countRowAtomic is countRow through atomic loads, for counts taken while
-// another worker may still be delivering into a word shared with the range
-// (the tiled path's in-tile retirement).
-func (pl bitPlane) countRowAtomic(lo, hi int32) int64 {
-	lb := 2 * pl.width
-	return countPatternRangeAtomic(pl.lanes, int(uint32(lo)*lb), int(uint32(hi)*lb), laneMultiplier(lb))
-}
-
 // clearAll zeroes the whole plane (trial retirement in the batch runner).
 func (pl bitPlane) clearAll() { clear(pl.lanes) }
 
@@ -547,16 +539,6 @@ func (d *deadDeliver) table() []int32 {
 		return d.dlv
 	}
 	return d.t.deliver
-}
-
-// materialize forces the copy-on-write now. The tiled path calls it before
-// dispatching tiles so concurrent in-tile kills never race on the first
-// copy; after it, kill writes from different tiles touch disjoint slots
-// (a node's inbox slots are written only from inside its own closed tile).
-func (d *deadDeliver) materialize() {
-	if d.dlv == nil {
-		d.dlv = append([]int32(nil), d.t.deliver...)
-	}
 }
 
 // kill marks every arc pointing at v dead. Called by coordinators between
@@ -734,26 +716,6 @@ func countPatternRange(ws []uint64, lo, hi int, pat uint64) int64 {
 	c := bits.OnesCount64(ws[loW]&head) + bits.OnesCount64(ws[hiW]&tail)
 	for w := loW + 1; w < hiW; w++ {
 		c += bits.OnesCount64(ws[w] & pat)
-	}
-	return int64(c)
-}
-
-// countPatternRangeAtomic is countPatternRange with atomic loads; see
-// bitPlane.countRowAtomic.
-func countPatternRangeAtomic(ws []uint64, lo, hi int, pat uint64) int64 {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	head := ^uint64(0) << (lo & 63) & pat
-	tail := ^uint64(0) >> (63 - (hi-1)&63) & pat
-	if loW == hiW {
-		return int64(bits.OnesCount64(atomic.LoadUint64(&ws[loW]) & head & tail))
-	}
-	c := bits.OnesCount64(atomic.LoadUint64(&ws[loW])&head) +
-		bits.OnesCount64(atomic.LoadUint64(&ws[hiW])&tail)
-	for w := loW + 1; w < hiW; w++ {
-		c += bits.OnesCount64(atomic.LoadUint64(&ws[w]) & pat)
 	}
 	return int64(c)
 }
@@ -1001,12 +963,12 @@ func bitsAt(ws []uint64, b uint64, n uint) uint64 {
 	return x
 }
 
-// bitPass is a throughput bit loop's run state as its shards and its
-// coordinator see it. The pool's workers and the batch runner's bit units
-// run their nodes through bitPass.run, and both coordinators drive the
-// round through begin, clearConsumed, retire and end, so push, pull,
-// gather and the pull-side accounting live in one place. The coordinator
-// sets the per-round fields between rounds; the wakeup publishes them.
+// bitPass is a bit trial's run state in the throughput loop, as its units
+// and its coordinator see it. BatchRun's bit units run their nodes through
+// bitPass.run, and its coordinator drives the round through begin,
+// clearConsumed, retire and end, so push, pull, gather and the pull-side
+// accounting live in one place. The coordinator sets the per-round fields
+// between rounds; the wakeup publishes them.
 type bitPass struct {
 	t       *Topology
 	nodes   []BitNode

@@ -23,15 +23,19 @@ package local
 // Panic isolation converts a panic inside a node program (or its factory)
 // into a *PanicError carrying the (node, round) coordinates and the stack:
 // a per-trial error in BatchRun — sibling trials run to completion
-// bit-identically — and an engine-level error on the sequential and pool
-// paths. Recovery happens on the cold exit path only; the
-// steady-state round loops pay at most one deferred guard per shard.
+// bit-identically — which the pool returns as its run's error, and an
+// engine-level error on the sequential engine. Recovery happens on the
+// cold exit path only; the steady-state round loops pay at most one
+// deferred guard per unit.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime/debug"
+
+	"repro/internal/prob"
 )
 
 // ErrCancelled is returned (wrapped) by a run whose RunControl context was
@@ -138,11 +142,16 @@ func newPanicError(node, round int, v any) *PanicError {
 	return &PanicError{Node: node, Round: round, Value: v, Stack: debug.Stack()}
 }
 
-// buildNodes instantiates the per-node programs, converting a factory panic
-// into an engine-level *PanicError (round 0). Shared by the sequential and
-// pool engines; the batch runner guards its view-sharing setup loop
-// separately.
-func buildNodes(f Factory, vs []View) (nodes []Node, err error) {
+// buildNodes instantiates the per-node programs on the (possibly shared)
+// base views, attaching each node's random stream from src (none when src
+// is nil), and converts a factory panic into a *PanicError (round 0): an
+// engine-level error on the sequential engine, a per-trial error in
+// BatchRun, where sibling trials are untouched.
+func buildNodes(f Factory, vs []View, src *prob.Source, ids []int) (nodes []Node, err error) {
+	var rngs []*rand.Rand
+	if src != nil {
+		rngs = src.NodeStreams(ids)
+	}
 	cur := -1
 	defer func() {
 		if p := recover(); p != nil {
@@ -152,7 +161,11 @@ func buildNodes(f Factory, vs []View) (nodes []Node, err error) {
 	nodes = make([]Node, len(vs))
 	for v := range vs {
 		cur = v
-		nodes[v] = f(vs[v])
+		view := vs[v]
+		if rngs != nil {
+			view.Rand = rngs[v]
+		}
+		nodes[v] = f(view)
 	}
 	return nodes, nil
 }

@@ -149,8 +149,9 @@ func ctlOpts(n int, plane local.Plane) local.Options {
 }
 
 // ctlEngines is the control and panic suites' engine table for runs on
-// the given plane. NoFuse only changes the bit plane, so the unfused
-// seq-nofuse reference row is on the bit plane's table alone.
+// the given plane: the pool at three workers and at one, whose units run
+// inline. NoFuse only changes the bit plane, so the unfused seq-nofuse
+// reference row is on the bit plane's table alone.
 func ctlEngines(plane local.Plane) []struct {
 	name string
 	e    local.Engine
@@ -161,7 +162,7 @@ func ctlEngines(plane local.Plane) []struct {
 	}{
 		{"seq", local.SequentialEngine{}},
 		{"pool", local.WorkerPoolEngine{Workers: 3}},
-		{"batch", local.BatchEngine{Workers: 3}},
+		{"pool-1", local.WorkerPoolEngine{Workers: 1}},
 	}
 	if plane == local.PlaneBit {
 		engines = append(engines, struct {

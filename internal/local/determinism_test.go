@@ -1,8 +1,9 @@
 // Cross-engine determinism suite: every engine must produce bit-identical
 // outputs and identical round counts on every program, because per-node
 // randomness is keyed by (seed, ID) and never by scheduling. This is the
-// correctness harness for WorkerPoolEngine — a scheduling leak anywhere in
-// the sharding shows up here as an engine disagreement.
+// correctness harness for the throughput loop (WorkerPoolEngine, the
+// one-trial BatchRun) — a scheduling leak anywhere in the unit carve shows
+// up here as an engine disagreement.
 package local_test
 
 import (
@@ -20,10 +21,10 @@ import (
 // pair of runs must agree exactly. The seq-nofuse row is the unfused
 // reference schedule the tuned throughput paths are checked against; NoFuse
 // only changes bit programs with a fused caster, so on every other program
-// the row reruns seq's loop. The
-// BatchEngine entries route the same cases through single-trial BatchRun,
-// so the batch path is covered on every (graph, program, seed) combination
-// of the suite.
+// the row reruns seq's loop. The pool rows are the one-trial BatchRun: at
+// one worker its units run inline, at three they run concurrently (the
+// package's tests lower the unit minimum so these small fixtures carve
+// several units).
 func allEngines() []struct {
 	name string
 	e    local.Engine
@@ -37,8 +38,6 @@ func allEngines() []struct {
 		{"pool", local.WorkerPoolEngine{}},
 		{"pool-1", local.WorkerPoolEngine{Workers: 1}},
 		{"pool-3", local.WorkerPoolEngine{Workers: 3}},
-		{"batch-1", local.BatchEngine{Workers: 1}},
-		{"batch", local.BatchEngine{}},
 	}
 }
 

@@ -5,7 +5,7 @@ package local
 // engine and every message plane.
 //
 // The design constraint is the repository's determinism discipline: a faulty
-// run must be bit-identical across the sequential, pool and batch execution
+// run must be bit-identical across the sequential and throughput execution
 // paths, every plane, and every worker count. Two properties give
 // that by construction:
 //

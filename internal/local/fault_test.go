@@ -250,8 +250,9 @@ func TestFaultsOffZeroAllocs(t *testing.T) {
 		}},
 		{"batch-bit", func(rounds int) {
 			out := make([]uint64, n)
-			if _, err := (local.BatchEngine{Workers: 3}).Run(topo, bitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3), Faults: inactive}); err != nil {
-				t.Fatal(err)
+			trial := local.Trial{Factory: bitEchoFactory(rounds, out), Opts: local.Options{Source: prob.NewSource(3), Faults: inactive}}
+			if _, errs := local.BatchRun(topo, []local.Trial{trial}, local.BatchOptions{Workers: 3}); errs[0] != nil {
+				t.Fatal(errs[0])
 			}
 		}},
 	}

@@ -8,14 +8,15 @@
 // Two execution paths run them:
 //
 //   - SequentialEngine iterates nodes in a single goroutine, one loop per
-//     message plane and no tiling: the plain oracle every other path must
-//     match bit-for-bit. It is the right choice for small instances and
+//     message plane: the plain oracle every other path must match
+//     bit-for-bit. It is the right choice for small instances and
 //     debugging, and the only path for boxed programs.
-//   - WorkerPoolEngine (one run) and BatchRun (many trials over one
-//     topology) are the throughput paths: they shard the active nodes over
-//     a fixed pool of GOMAXPROCS workers with double-buffered, reused
-//     message planes. They exist for word and bit programs only; a run on
-//     the boxed plane is handed to the sequential boxed loop.
+//   - BatchRun (many trials over one topology) is the throughput path, and
+//     WorkerPoolEngine is its one-trial case: it shards the active nodes
+//     of every trial over one pool of up to GOMAXPROCS workers with
+//     double-buffered, reused message planes. It exists for word and bit
+//     programs only; a run on the boxed plane is handed to the sequential
+//     boxed loop.
 //
 // All paths are observationally identical: per-node randomness is derived
 // from (seed, node ID) only, never from scheduling, so a program produces
@@ -408,25 +409,10 @@ type Engine interface {
 	Run(t *Topology, f Factory, opts Options) (Stats, error)
 }
 
-// views prepares the per-node Views and validates options.
-func views(t *Topology, opts Options) ([]View, error) {
-	vs, ids, err := baseViews(t, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Source != nil {
-		rngs := opts.Source.NodeStreams(ids)
-		for v := range vs {
-			vs[v].Rand = rngs[v]
-		}
-	}
-	return vs, nil
-}
-
 // baseViews prepares the per-node Views minus their random streams, and
-// returns the effective ID assignment. The split exists for the batch
-// runner: trials with identity IDs and no inputs share one base view set
-// and differ only in the streams attached per trial.
+// returns the effective ID assignment: buildNodes attaches the streams.
+// The split exists for the batch runner: trials with identity IDs and no
+// inputs share one base view set and differ only in their streams.
 func baseViews(t *Topology, opts Options) ([]View, []int, error) {
 	n := t.N()
 	ids := opts.IDs
@@ -485,11 +471,11 @@ var _ Engine = SequentialEngine{}
 
 // Run implements Engine.
 func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, err error) {
-	vs, err := views(t, opts)
+	vs, ids, err := baseViews(t, opts)
 	if err != nil {
 		return Stats{}, err
 	}
-	nodes, err := buildNodes(f, vs)
+	nodes, err := buildNodes(f, vs, opts.Source, ids)
 	if err != nil {
 		return Stats{}, err
 	}

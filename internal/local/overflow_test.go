@@ -86,7 +86,7 @@ func TestBitPlaneLaneIndexOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBitPlaneBits = uint64(len(big.adj))<<2 - 1
-	for _, e := range []Engine{SequentialEngine{}, WorkerPoolEngine{Workers: 2}, BatchEngine{Workers: 2}} {
+	for _, e := range []Engine{SequentialEngine{}, WorkerPoolEngine{Workers: 2}} {
 		if _, _, err := run(e, PlaneBit); err == nil || !strings.Contains(err.Error(), "lane-index limit") {
 			t.Errorf("%T: forced PlaneBit past the limit: err %v", e, err)
 		}

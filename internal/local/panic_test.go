@@ -196,8 +196,8 @@ func TestPanicIsolationBatch(t *testing.T) {
 }
 
 // TestPanicInFactory pins setup-time conversion: a factory that panics on
-// node j is reported as PanicError{Node: j, Round: 0} on every engine, and
-// as that trial's error in a batch.
+// node j is reported as PanicError{Node: j, Round: 0} on every engine; the
+// pool rows take BatchRun's per-trial path for it.
 func TestPanicInFactory(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
@@ -216,18 +216,6 @@ func TestPanicInFactory(t *testing.T) {
 	}
 	for _, eng := range ctlEngines(local.PlaneWord) {
 		t.Run(eng.name, func(t *testing.T) {
-			if _, ok := eng.e.(local.BatchEngine); ok {
-				trials := []local.Trial{{Factory: mk(newCtlRecorder(n, ctlRounds)), Opts: ctlOpts(n, local.PlaneWord)}}
-				_, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2})
-				var pe *local.PanicError
-				if !errors.As(errs[0], &pe) {
-					t.Fatalf("trial err = %v, want *PanicError", errs[0])
-				}
-				if pe.Round != 0 || pe.Node != failAt {
-					t.Fatalf("panic at (node %d, round %d), want (%d, 0)", pe.Node, pe.Round, failAt)
-				}
-				return
-			}
 			_, err := eng.e.Run(topo, mk(newCtlRecorder(n, ctlRounds)), ctlOpts(n, local.PlaneWord))
 			var pe *local.PanicError
 			if !errors.As(err, &pe) {

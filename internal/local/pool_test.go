@@ -203,3 +203,60 @@ func TestWorkerPoolEmptyTopology(t *testing.T) {
 		t.Errorf("empty run should be free, got %+v", stats)
 	}
 }
+
+// TestWorkerPoolSizedToWork pins the worker cap: a run starts no more
+// workers than a round can carve units, and a run capped to one worker
+// starts none — its units run inline. Node 0 reads runtime.NumGoroutine in
+// round 1, after the pool started, for 64 requested workers.
+func TestWorkerPoolSizedToWork(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		workers int // goroutines the run may start
+	}{
+		// Weights against testMinShard (32): 4+6 is one unit, run inline;
+		// 30+60 is three units.
+		{"path4", graph.PathGraph(4), 0},
+		{"cycle30", graph.Cycle(30), 3},
+	} {
+		topo := NewTopology(tc.g)
+		seen := 0
+		idx := 0
+		f := func(View) Node {
+			first := idx == 0
+			idx++
+			return WordProgram(WordFunc(func(int, []Word, []Word) bool {
+				if first {
+					seen = runtime.NumGoroutine()
+				}
+				return true
+			}))
+		}
+		before := runtime.NumGoroutine()
+		if _, err := (WorkerPoolEngine{Workers: 64}).Run(topo, f, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != before+tc.workers {
+			t.Errorf("%s: %d goroutines inside the run, %d before; want %d workers", tc.name, seen, before, tc.workers)
+		}
+	}
+}
+
+// TestPoolCarvesSmallFixture pins the multi-worker coverage of the small
+// test fixtures: under testMinShard, a 3-worker run of the determinism
+// suite's random-sparse graph carves at least 3 units in round 1, so its
+// units really run on several workers.
+func TestPoolCarvesSmallFixture(t *testing.T) {
+	g := graph.RandomGraph(120, 0.04, prob.NewSource(901).Rand())
+	topo := NewTopology(g)
+	f := func(View) Node {
+		return WordProgram(WordFunc(func(int, []Word, []Word) bool { return true }))
+	}
+	_, errs, _, all := batchRun(topo, []Trial{{Factory: f}}, BatchOptions{Workers: 3})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if units := len(all[0].bounds) - 1; units < 3 {
+		t.Errorf("round 1 carved %d units, want at least 3", units)
+	}
+}

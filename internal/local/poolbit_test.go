@@ -21,51 +21,12 @@ func (h *bitNoisyHalt) RoundB(r int, recv, send BitRow) bool {
 func (*bitNoisyHalt) Bit2() {}
 
 // TestWorkerPoolBitClearsTerminatedRows is the bit-plane sibling of
-// TestWorkerPoolWordClearsTerminatedRows: on a clean finish both packed
-// planes must come back all-zero — presence and value sub-planes alike —
-// because rows are cleared on consumption and terminated-node rows are
-// cleared (and popcount-uncounted) at compaction. Stats must match the
-// sequential engine exactly.
+// TestWorkerPoolWordClearsTerminatedRows: both packed planes must come back
+// all-zero — presence and value sub-planes alike — because rows are cleared
+// on consumption and terminated-node rows are cleared (and
+// popcount-uncounted) at compaction; see checkNoisyPlanes.
 func TestWorkerPoolBitClearsTerminatedRows(t *testing.T) {
-	g := graph.RandomGraph(200, 0.06, prob.NewSource(21).Rand())
-	topo := NewTopology(g)
-	const long = 60
-	n := topo.N()
-	nodes := make([]BitNode, n)
-	for v := range nodes {
-		nodes[v] = &bitNoisyHalt{stop: wordNoisyStop(v, long)}
-	}
-	e := WorkerPoolEngine{Workers: 3}
-	stats, inbox, next, err := e.runBit(topo, nodes, 2, defaultMaxRounds, e.workerCount(n), nil, nil, Tuning{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != long {
-		t.Errorf("rounds=%d, want %d", stats.Rounds, long)
-	}
-	for _, pl := range []struct {
-		name string
-		p    bitPlane
-	}{{"inbox", inbox}, {"next", next}} {
-		for i, w := range pl.p.lanes {
-			if w != 0 {
-				t.Fatalf("stale lane bits retained in %s word %d: %#x", pl.name, i, w)
-			}
-		}
-	}
-	idx := 0
-	factory := func(View) Node {
-		node := BitProgram(&bitNoisyHalt{stop: wordNoisyStop(idx, long)})
-		idx++
-		return node
-	}
-	seqStats, err := SequentialEngine{}.Run(topo, factory, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != seqStats {
-		t.Errorf("stats differ: pool=%+v seq=%+v", stats, seqStats)
-	}
+	checkNoisyPlanes(t, true)
 }
 
 // TestBitRangeHelpers pins the masked word arithmetic of the packed-plane
@@ -190,11 +151,11 @@ func TestBitRowAggregates(t *testing.T) {
 	}
 }
 
-// TestCarveShardsArcBalance pins the arc-balanced sharding invariants: the
-// shards tile the active set, there are at most nw of them, and on a
-// skewed-degree graph no shard exceeds roughly twice the ideal arc weight
-// unless a single hub forces it.
-func TestCarveShardsArcBalance(t *testing.T) {
+// TestCarveByWeightArcBalance pins the arc-balanced unit carve on a
+// skewed-degree graph: the units tile the active set, every unit but the
+// last weighs at least the target, and none overshoots it by a node's
+// weight or more — a unit stops growing once it crosses the target.
+func TestCarveByWeightArcBalance(t *testing.T) {
 	t.Parallel()
 	g := graph.RandomPowerLawGraph(4000, 2.1, 600, prob.NewSource(7).Rand())
 	topo := NewTopology(g)
@@ -205,38 +166,33 @@ func TestCarveShardsArcBalance(t *testing.T) {
 		active[v] = int32(v)
 		weight += 1 + int64(topo.Deg(v))
 	}
-	for _, nw := range []int{1, 2, 3, 8, 64} {
-		bounds := topo.carveShards(active, n, weight, nw, nil)
-		if bounds[0] != 0 || bounds[len(bounds)-1] != n {
-			t.Fatalf("nw=%d: bounds %v do not tile [0, %d)", nw, bounds, n)
+	maxNode := int64(1 + topo.MaxDeg())
+	for _, target := range []int64{1, 64, 1024, weight / 64, weight / 3, weight, 2 * weight} {
+		bounds := topo.carveByWeight(active, n, target, nil)
+		if bounds[0] != 0 || int(bounds[len(bounds)-1]) != n {
+			t.Fatalf("target=%d: bounds do not tile [0, %d)", target, n)
 		}
-		if len(bounds)-1 > nw {
-			t.Fatalf("nw=%d: %d shards", nw, len(bounds)-1)
-		}
-		maxNode := int64(1 + topo.MaxDeg())
-		target := (weight + int64(nw) - 1) / int64(nw)
 		for i := 0; i+1 < len(bounds); i++ {
 			if bounds[i] >= bounds[i+1] {
-				t.Fatalf("nw=%d: empty shard %v", nw, bounds)
+				t.Fatalf("target=%d: empty unit %d", target, i)
 			}
 			w := int64(0)
 			for _, v := range active[bounds[i]:bounds[i+1]] {
 				w += 1 + int64(topo.Deg(int(v)))
 			}
-			// A shard stops growing once it crosses the target, so it can
-			// overshoot by at most one node's weight.
-			if i+1 < len(bounds)-1 && w > target+maxNode {
-				t.Errorf("nw=%d: shard %d weighs %d, target %d (+hub %d)", nw, i, w, target, maxNode)
+			if i+2 < len(bounds) && w < target {
+				t.Errorf("target=%d: unit %d weighs %d, under the target", target, i, w)
+			}
+			if w >= target+maxNode {
+				t.Errorf("target=%d: unit %d weighs %d, past the target by a node (+%d)", target, i, w, maxNode)
 			}
 		}
 	}
-	// Degenerate cases: fewer nodes than workers, single node.
-	b := topo.carveShards(active, 3, 7, 8, nil)
-	if len(b)-1 > 3 {
-		t.Errorf("3 active nodes carved into %d shards", len(b)-1)
+	// Degenerate cases: a unit per node, and an empty active set.
+	if b := topo.carveByWeight(active, 5, 1, nil); len(b) != 6 || b[5] != 5 {
+		t.Errorf("carveByWeight(5 nodes, target 1) = %v, want one unit per node", b)
 	}
-	bw := topo.carveByWeight(active, 5, 1, nil)
-	if bw[0] != 0 || bw[len(bw)-1] != 5 {
-		t.Errorf("carveByWeight bounds %v do not tile [0, 5)", bw)
+	if b := topo.carveByWeight(active, 0, 1, nil); len(b) != 2 || b[1] != 0 {
+		t.Errorf("carveByWeight(0 nodes) = %v, want [0 0]", b)
 	}
 }

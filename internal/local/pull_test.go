@@ -97,8 +97,8 @@ type pullCase struct {
 }
 
 // pullStop staggers the stops: most nodes retire in rounds 2–5, while the
-// graph is still dense enough to pull, and the rest run into a sparse tail
-// long enough for tiled blocks.
+// graph is still dense enough to pull, and the rest run into a long sparse
+// tail of push rounds.
 func pullStop(idx int) int {
 	switch {
 	case idx%10 < 8:
@@ -135,11 +135,11 @@ func (pc pullCase) factory(out []uint64, gathered *atomic.Bool, plane, cancelAt 
 }
 
 // TestPullDeliveryMatchesOracle pins the pull path of the throughput bit
-// loops against the sequential push oracle: on pools of 1, 2 and 3
+// loop against the sequential push oracle: on pools of 1, 2 and 3
 // workers and in a 2-trial batch whose second trial injects faults (so one
 // trial pulls while the other pushes in the same rounds), every program
 // shape — casters only, casters mixed with pushers, width-2 lanes, silent
-// casts, retirements during dense rounds, a dense→sparse→tiled tail and a
+// casts, retirements during dense rounds, a dense→sparse tail and a
 // whole active set stopping at once — must produce exactly the oracle's
 // outputs and Stats, on a clean finish and when MaxRounds or a
 // cancellation ends the run right after a pull round.

@@ -1,11 +1,12 @@
-// Tuning-knob tests: the cache mechanisms (sticky shard affinity, scatter
-// prefetch, fused broadcast scatter, tiled rounds) must be observationally
+// Tuning-knob tests: the cache mechanisms (scatter prefetch, fused broadcast
+// scatter) must be observationally
 // invisible — every knob combination reproduces the checked-in golden
 // traces bit-identically on every engine — and the spec parser must accept
 // exactly the documented tokens.
 package local_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -14,11 +15,8 @@ import (
 )
 
 // tuningCombos is the ablation grid: each mechanism forced off alone, all
-// off together, and aggressive non-default settings that push the tiling
-// and prefetch paths into their edge regimes (tiny tiles force many blocks
-// and the R=1 fallback; deep tiles maximize rounds-per-block skew between
-// workers). The zero value — all defaults — is what the rest of the suite
-// already runs.
+// off together, and non-default prefetch windows at both edges. The zero
+// value — all defaults — is what the rest of the suite already runs.
 func tuningCombos() []struct {
 	name string
 	tn   local.Tuning
@@ -27,14 +25,10 @@ func tuningCombos() []struct {
 		name string
 		tn   local.Tuning
 	}{
-		{"all-off", local.Tuning{Prefetch: -1, NoSticky: true, NoFuse: true, TileRounds: -1}},
-		{"nosticky", local.Tuning{NoSticky: true}},
+		{"all-off", local.Tuning{Prefetch: -1, NoFuse: true}},
 		{"nofuse", local.Tuning{NoFuse: true}},
-		{"notile", local.Tuning{TileRounds: -1}},
 		{"prefetch-1", local.Tuning{Prefetch: 1}},
 		{"prefetch-64", local.Tuning{Prefetch: 64}},
-		{"tiny-tiles", local.Tuning{TileRounds: 2, TileBudget: 64}},
-		{"deep-tiles", local.Tuning{TileRounds: 16, TileBudget: 1 << 20}},
 	}
 }
 
@@ -76,8 +70,8 @@ func TestTuningAblationGoldenTraces(t *testing.T) {
 // castTail is the fused-path stress program: a BitBroadcaster with the
 // shattering-shaped round structure — most nodes terminate within three
 // rounds, a sparse residual keeps broadcasting for a long tail — so runs
-// exercise the fused scatter, the sticky clamp under attrition, tiled
-// blocks over the shattered residue, and in-tile retirement, all at once.
+// exercise the dense pull rounds, the switch back to push, and retirement
+// under attrition, all at once.
 type castTail struct {
 	v    local.View
 	acc  uint64
@@ -120,8 +114,8 @@ func castTailFactory(tail int, out []uint64) local.Factory {
 
 // TestFusedCasterEquivalence runs the fused-path stress program under every
 // engine × knob combination and compares outputs and Stats against a
-// sequential reference with every mechanism disabled: the fused CastB path,
-// the tiled blocks and the prefetched scatters must be indistinguishable
+// sequential reference with every mechanism disabled: the fused CastB path
+// (push and pull) and the prefetched scatters must be indistinguishable
 // from the plain scratch-row schedule.
 func TestFusedCasterEquivalence(t *testing.T) {
 	t.Parallel()
@@ -130,7 +124,7 @@ func TestFusedCasterEquivalence(t *testing.T) {
 	n := g.N()
 	const tail = 50
 	ref := make([]uint64, n)
-	off := local.Tuning{Prefetch: -1, NoSticky: true, NoFuse: true, TileRounds: -1}
+	off := local.Tuning{Prefetch: -1, NoFuse: true}
 	refStats, err := local.ForceTuning(local.SequentialEngine{}, off).Run(
 		topo, castTailFactory(tail, ref), local.Options{Source: prob.NewSource(8)})
 	if err != nil {
@@ -176,10 +170,8 @@ func TestParseTuning(t *testing.T) {
 		want local.Tuning
 	}{
 		{"", local.Tuning{}},
-		{"noprefetch,nosticky", local.Tuning{Prefetch: -1, NoSticky: true}},
+		{"noprefetch", local.Tuning{Prefetch: -1}},
 		{"prefetch=3, nofuse", local.Tuning{Prefetch: 3, NoFuse: true}},
-		{"tile=2,tilebudget=512", local.Tuning{TileRounds: 2, TileBudget: 512}},
-		{"notile", local.Tuning{TileRounds: -1}},
 	}
 	for _, tc := range good {
 		got, err := local.ParseTuning(tc.spec)
@@ -189,9 +181,17 @@ func TestParseTuning(t *testing.T) {
 			t.Errorf("ParseTuning(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
 	}
-	for _, spec := range []string{"bogus", "prefetch=0", "prefetch=x", "tile=1", "tilebudget=", "tile"} {
+	for _, spec := range []string{"bogus", "prefetch=0", "prefetch=x", "prefetch"} {
 		if _, err := local.ParseTuning(spec); err == nil {
 			t.Errorf("ParseTuning(%q) accepted", spec)
+		}
+	}
+	// The sticky-shard and tiling knobs were removed: their tokens fail
+	// loudly, naming the knobs that remain.
+	for _, spec := range []string{"nosticky", "notile", "tile=2", "tilebudget=512", "nofuse,notile"} {
+		_, err := local.ParseTuning(spec)
+		if err == nil || !strings.Contains(err.Error(), "was removed") || !strings.Contains(err.Error(), "noprefetch, prefetch=N, nofuse") {
+			t.Errorf("ParseTuning(%q): err %v, want a removed-knob error", spec, err)
 		}
 	}
 }
