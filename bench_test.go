@@ -182,7 +182,7 @@ type benchExchangeB struct {
 // CastB implements local.BitBroadcaster — every send is a full-row
 // broadcast, so the engines' fused scatter+aggregate fast path applies.
 // RoundB below must stay observationally identical (it is the path the
-// NoFuse ablation still takes).
+// word and boxed planes take).
 func (n *benchExchangeB) CastB(r int, recv local.BitRow) (uint64, bool, bool) {
 	n.acc += uint64(recv.CountValue(1))
 	if r > n.rounds {

@@ -6,7 +6,7 @@
 //
 //	splitbench [-experiment E1,E7,...] [-quick] [-seed N] [-batch]
 //	           [-engine seq|pool|batch] [-plane auto|boxed|word|bit]
-//	           [-tune SPEC] [-workers N] [-format text|csv|json] [-graph FILE]
+//	           [-workers N] [-format text|csv|json] [-graph FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-blockprofile FILE] [-mutexprofile FILE]
 //
@@ -28,12 +28,6 @@
 // contention at full sampling rate — the pool engine's round barrier and
 // unit handoff show up here, which is how scheduling stalls (as opposed to
 // CPU burn) are attributed.
-//
-// -tune sets the cache-tuning knobs of every engine-routed LOCAL run:
-// a comma-separated list of "noprefetch", "prefetch=N" and "nofuse"
-// (empty means every mechanism at its default). Knobs change wall-clock time only — outputs
-// are bit-identical — so this is the ablation companion to -engine and
-// -plane. The batched-trial ablations of -batch run with default knobs.
 //
 // -batch enables the batched-trial ablations of the batch-capable
 // experiments (E14): multi-seed sweeps additionally run through the batched
@@ -110,7 +104,6 @@ func run() int {
 		seed    = flag.Uint64("seed", 1, "randomness seed")
 		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable programs)")
-		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nofuse, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "experiment pool size (0 = GOMAXPROCS, 1 = serial)")
 		format  = flag.String("format", "text", "output format: text|csv|json")
 		batch   = flag.Bool("batch", false, "add the batched-trial ablations of batch-capable experiments (E14)")
@@ -201,12 +194,6 @@ func run() int {
 		return 2
 	}
 	eng = local.ForcePlane(eng, pl)
-	tn, err := local.ParseTuning(*tuneF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
-	}
-	eng = local.ForceTuning(eng, tn)
 	faults := local.FaultPlan{Seed: *fseed, Drop: *drop, Delay: *delay, Crash: *crash}
 	if err := faults.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)

@@ -35,12 +35,6 @@
 // with -batch is rejected (the batched solvers do not route through the
 // plane-forced engine).
 //
-// -tune sets the engines' cache-tuning knobs — scatter prefetch and fused
-// broadcast scatter — as a comma-separated list of "noprefetch",
-// "prefetch=N" and "nofuse" tokens. Knobs change wall-clock time only;
-// results are bit-identical. The batched solvers of -batch run with
-// default knobs.
-//
 // With -trials N > 1 (or several comma-separated algorithms), wsplit fans
 // the (algorithm, seed) grid over a bounded worker pool — seeds seed,
 // seed+1, ..., seed+N-1 — and reports one line per trial in a fixed order
@@ -97,7 +91,6 @@ func run() int {
 		seed    = flag.Uint64("seed", 1, "randomness seed (first seed of a -trials sweep)")
 		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
 		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable algorithms)")
-		tuneF   = flag.String("tune", "", "cache tuning knobs: noprefetch|prefetch=N|nofuse, comma-separated (default: all mechanisms on)")
 		workers = flag.Int("workers", 0, "trial/engine pool size (0 = GOMAXPROCS)")
 		trials  = flag.Int("trials", 1, "number of seeds to sweep (seed..seed+N-1)")
 		format  = flag.String("format", "text", "trial report format: text|csv|json")
@@ -132,12 +125,6 @@ func run() int {
 		return 2
 	}
 	eng = local.ForcePlane(eng, pl)
-	tn, err := local.ParseTuning(*tuneF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsplit: %v\n", err)
-		return 2
-	}
-	eng = local.ForceTuning(eng, tn)
 	algos := strings.Split(*algo, ",")
 	for i, a := range algos {
 		algos[i] = strings.TrimSpace(a)

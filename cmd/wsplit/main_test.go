@@ -191,26 +191,50 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestRemovedEngineFailsLoudly runs wsplit (this test binary, re-executed
-// into run) with -engine goroutine: the removed engine must be a usage
-// error (exit 2) whose message says it was removed and names the engines
-// that remain.
-func TestRemovedEngineFailsLoudly(t *testing.T) {
+// reexec runs wsplit with args in a child process: this test binary,
+// re-executed into the calling test, which calls run. It returns the
+// combined output and the exit status.
+func reexec(t *testing.T, args ...string) (string, int) {
+	t.Helper()
 	if os.Getenv("WSPLIT_TEST_RUN") == "1" {
-		os.Args = []string{"wsplit", "-engine", "goroutine"}
+		os.Args = append([]string{"wsplit"}, args...)
 		os.Exit(run())
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedEngineFailsLoudly$")
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
 	cmd.Env = append(os.Environ(), "WSPLIT_TEST_RUN=1")
 	out, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("-engine goroutine: err = %v, want exit status 2; output:\n%s", err, out)
+	if !errors.As(err, &ee) {
+		t.Fatalf("%v: err = %v, want a non-zero exit; output:\n%s", args, err, out)
+	}
+	return string(out), ee.ExitCode()
+}
+
+// TestRemovedEngineFailsLoudly runs wsplit with -engine goroutine: the
+// removed engine must be a usage error (exit 2) whose message says it was
+// removed and names the engines that remain.
+func TestRemovedEngineFailsLoudly(t *testing.T) {
+	out, code := reexec(t, "-engine", "goroutine")
+	if code != 2 {
+		t.Fatalf("-engine goroutine: exit status %d, want 2; output:\n%s", code, out)
 	}
 	for _, want := range []string{`engine "goroutine" was removed`, "have seq, pool, batch"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("-engine goroutine: output %q lacks %q", out, want)
 		}
+	}
+}
+
+// TestRemovedTuneFlagFailsLoudly runs wsplit with -tune nofuse: the
+// cache-tuning knobs were removed with the flag, so the flag package must
+// reject it as a usage error (exit 2) that names -tune, not accept it.
+func TestRemovedTuneFlagFailsLoudly(t *testing.T) {
+	out, code := reexec(t, "-tune", "nofuse")
+	if code != 2 {
+		t.Fatalf("-tune nofuse: exit status %d, want 2; output:\n%s", code, out)
+	}
+	if !strings.Contains(out, "-tune") {
+		t.Errorf("-tune nofuse: output %q does not name -tune", out)
 	}
 }
 

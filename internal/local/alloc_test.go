@@ -97,7 +97,10 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 // the execution paths — the planes, the per-worker packed scratch rows, the
 // cast slots and gather blocks, and the delivery table are all set up once.
 // The pool-cast row and the batch's third trial run a fused caster, so
-// their dense rounds pull (see castSlots) beside pushing trials.
+// their dense rounds pull (see castSlots) beside pushing trials. The
+// seq-nofuse row runs that caster through unfused: the scratch-row
+// reference schedule TestFusedCasterEquivalence checks the fused paths
+// against.
 func TestBitPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -119,7 +122,7 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 		}},
 		{"seq-nofuse", func(rounds int) {
 			out := make([]uint64, n)
-			if _, err := local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true}).Run(topo, bitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+			if _, err := (local.SequentialEngine{}).Run(topo, unfused(castEchoFactory(rounds, out)), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -177,9 +180,9 @@ func castEchoFactory(rounds int, out []uint64) local.Factory {
 }
 
 // TestFusedZeroAllocsPerRound extends the bit-plane pin to the fused fast
-// paths: a BitBroadcaster program with prefetch and fusion active (the
-// defaults) must still allocate nothing per steady-state round on the
-// sequential, pool and batch paths. castEchoFactory's rounds are all pull
+// paths: a BitBroadcaster program, which every engine runs through CastB,
+// must still allocate nothing per steady-state round on the sequential,
+// pool and batch paths. castEchoFactory's rounds are all pull
 // rounds on pool and batch; the pool-tail row runs castTail, whose dense
 // pull rounds give way to a sparse tail — one gathering round, then push
 // rounds with per-row clears over a shrinking active set.
@@ -210,7 +213,7 @@ func TestFusedZeroAllocsPerRound(t *testing.T) {
 		}},
 		{"pool-tail", func(rounds int) {
 			out := make([]uint64, n)
-			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castTailFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castTailFactory(rounds, out, false, nil), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -102,7 +102,6 @@ type batchTrial struct {
 	// in either direction, the previous bounds are reused as-is.
 	carvedRemaining int
 	carvedUnit      int64
-	pf              int         // word trial: scatter look-ahead window (see Tuning)
 	faults          *faultState // nil when the trial injects no faults
 	ctl             *RunControl // nil when the trial is uncontrolled
 	maxRounds       int
@@ -259,14 +258,11 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			// sequential boxed loop — governed by the batch-level control
 			// first and its own second, as a batched trial would be.
 			statsOut[s], errsOut[s] = runSeqBoxed(t, nodes, tr.maxRounds, tr.faults,
-				opts.Control.under(bopts.Control), opts.Tune.prefetchScalar())
+				opts.Control.under(bopts.Control))
 			continue
 		}
 		if bw > bitWidth {
 			bitWidth = bw
-		}
-		if tr.bnodes == nil {
-			tr.pf = opts.Tune.prefetchScalar()
 		}
 		tr.carvedRemaining = -1
 		tr.ctl = opts.Control
@@ -279,7 +275,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		if tr.bnodes != nil {
 			tr.bdead = deadDeliver{t: t}
 			// A single inline worker owns every plane word (see runRound).
-			tr.pass = newBitPass(t, tr.bnodes, tr.done, opts.Tune, tr.faults != nil, nw > 1)
+			tr.pass = newBitPass(t, tr.bnodes, tr.done, tr.faults != nil, nw > 1)
 		}
 		tr.remaining = n
 		tr.weight = int64(n + arcs)
@@ -657,7 +653,7 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 		if tr.wnodes[v].RoundW(u.r, recv, send) {
 			tr.done[v] = true
 		}
-		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send, tr.pf)
+		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send)
 		for p := range recv {
 			recv[p] = NilWord
 		}

@@ -412,9 +412,11 @@ func asBitNodes(nodes []Node) ([]BitNode, int) {
 // that detect the interface skip the send scratch row entirely: they fuse
 // the Broadcast with the scatter into one pass over the node's arc range
 // (push, see castBitRow) or, in the throughput loops' dense rounds, store
-// the value once for the receivers to gather (pull, see castSlots). Runs
-// tuned with NoFuse keep calling RoundB. A program implementing CastB
-// should make RoundB delegate to it so the two paths cannot drift.
+// the value once for the receivers to gather (pull, see castSlots). Every
+// engine takes the fused path whenever the program has one; RoundB stays
+// the contract, and the cross-plane suites run it, since bit programs on
+// the word and boxed planes go through RoundB. A program implementing
+// CastB should make RoundB delegate to it so the two paths cannot drift.
 type BitBroadcaster interface {
 	BitNode
 	CastB(r int, recv BitRow) (v uint64, cast, done bool)
@@ -647,30 +649,6 @@ func castBitRow(deliver []int32, next bitPlane, arcLo, arcHi int32, v uint64, at
 	return msgs
 }
 
-// prefetchBitTargets touches the next-plane words the coming scatter of
-// arcs [lo, hi) will OR into, up to a look-ahead window of pf arcs. The
-// deliver[] indirection makes each scatter store a dependent random access;
-// issuing the loads before the node's RoundB/CastB call lets the misses
-// resolve while the program computes. The loads are atomic — the gc
-// compiler never dead-code-eliminates an atomic load, and atomic load vs.
-// the concurrent atomic-OR deliveries is clean under the race detector —
-// and their values are discarded.
-//
-//splitlint:zeroalloc
-func prefetchBitTargets(deliver []int32, next bitPlane, lo, hi int32, pf int) {
-	if h := lo + int32(pf); hi > h {
-		hi = h
-	}
-	sh := next.width
-	for arc := lo; arc < hi; arc++ {
-		dst := deliver[arc]
-		if dst < 0 {
-			continue
-		}
-		_ = atomic.LoadUint64(&next.lanes[uint32(dst)<<sh>>6])
-	}
-}
-
 // clearBitRange zeroes bits [lo, hi) of ws: plain stores on interior words,
 // and — when atomicEdge is set — atomic AND-NOT on the masked head and tail
 // words, which may be shared with ranges cleared concurrently by other
@@ -730,7 +708,7 @@ func countBitRange(ws []uint64, lo, hi int) int64 {
 // consumption — a steady-state round allocates nothing and touches 2–4 bits
 // per arc instead of 64. Delivery, termination and Stats semantics mirror
 // the boxed/word loops exactly.
-func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl, tune Tuning) (stats Stats, err error) {
+func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := newBitPlane(arcs, width)
@@ -738,11 +716,7 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 	scratch := newBitScratch(t.maxDeg, width)
 	done := make([]bool, n)
 	dead := deadDeliver{t: t}
-	pfw := tune.prefetchBit()
-	var casters []BitBroadcaster
-	if !tune.NoFuse {
-		casters = asBitCasters(nodes)
-	}
+	casters := asBitCasters(nodes)
 	var newlyDone []int32
 	remaining := n
 	weight := int64(n + arcs)
@@ -778,9 +752,6 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 			}
 			curV = v
 			lo, hi := t.off[v], t.off[v+1]
-			if pfw > 0 {
-				prefetchBitTargets(deliver, next, lo, hi, pfw)
-			}
 			var fin bool
 			if c := caster(casters, v); c != nil {
 				val, cast, cfin := c.CastB(r, inbox.row(lo, hi))
@@ -974,7 +945,6 @@ type bitPass struct {
 	nodes   []BitNode
 	casters []BitBroadcaster // nil when the run has no fused casters
 	done    []bool
-	pf      int  // scatter prefetch window
 	par     bool // other workers share plane words: atomic scatter and edge clears
 	// pulls: the run has casters and no faults, so its dense rounds pull;
 	// mixed: some nodes lack CastB and push even in pull rounds.
@@ -994,11 +964,8 @@ type bitPass struct {
 }
 
 // newBitPass sets up a run's pass; faulty runs never pull.
-func newBitPass(t *Topology, nodes []BitNode, done []bool, tune Tuning, faulty, par bool) bitPass {
-	p := bitPass{t: t, nodes: nodes, done: done, pf: tune.prefetchBit(), par: par}
-	if !tune.NoFuse {
-		p.casters = asBitCasters(nodes)
-	}
+func newBitPass(t *Topology, nodes []BitNode, done []bool, faulty, par bool) bitPass {
+	p := bitPass{t: t, nodes: nodes, casters: asBitCasters(nodes), done: done, par: par}
 	if p.casters != nil && !faulty {
 		p.pulls = true
 		p.slots = newCastSlots(t.N())
@@ -1118,9 +1085,6 @@ func (p *bitPass) run(active []int32, i, end int, send BitRow, gbuf []uint64, c 
 				recv = p.inbox.row(lo, hi)
 			}
 			cs := caster(p.casters, int(v))
-			if p.pf > 0 && (cs == nil || !p.pull) {
-				prefetchBitTargets(p.deliver, p.next, lo, hi, p.pf)
-			}
 			var fin bool
 			if cs != nil {
 				val, cast, cfin := cs.CastB(p.r, recv)

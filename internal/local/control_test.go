@@ -148,15 +148,13 @@ func ctlOpts(n int, plane local.Plane) local.Options {
 	}
 }
 
-// ctlEngines is the control and panic suites' engine table for runs on
-// the given plane: the pool at three workers and at one, whose units run
-// inline. NoFuse only changes the bit plane, so the unfused seq-nofuse
-// reference row is on the bit plane's table alone.
-func ctlEngines(plane local.Plane) []struct {
+// ctlEngines is the control and panic suites' engine table: the pool at
+// three workers and at one, whose units run inline.
+func ctlEngines() []struct {
 	name string
 	e    local.Engine
 } {
-	engines := []struct {
+	return []struct {
 		name string
 		e    local.Engine
 	}{
@@ -164,13 +162,6 @@ func ctlEngines(plane local.Plane) []struct {
 		{"pool", local.WorkerPoolEngine{Workers: 3}},
 		{"pool-1", local.WorkerPoolEngine{Workers: 1}},
 	}
-	if plane == local.PlaneBit {
-		engines = append(engines, struct {
-			name string
-			e    local.Engine
-		}{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})})
-	}
-	return engines
 }
 
 var ctlPlanes = []local.Plane{local.PlaneBoxed, local.PlaneWord, local.PlaneBit}
@@ -199,7 +190,7 @@ func TestCancellationBitIdentity(t *testing.T) {
 				t.Fatalf("reference run took %d rounds, want %d", refStats.Rounds, ctlRounds)
 			}
 
-			for _, eng := range ctlEngines(plane) {
+			for _, eng := range ctlEngines() {
 				eng := eng
 				t.Run(eng.name, func(t *testing.T) {
 					// Uncancelled run on this engine: full bit-identity.
@@ -259,7 +250,7 @@ func TestDeadlineControl(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
 	n := g.N()
-	for _, eng := range ctlEngines(local.PlaneWord) {
+	for _, eng := range ctlEngines() {
 		t.Run(eng.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), -1)
 			defer cancel()

@@ -18,13 +18,10 @@ import (
 )
 
 // engines under test; every program below runs under all of them and every
-// pair of runs must agree exactly. The seq-nofuse row is the unfused
-// reference schedule the tuned throughput paths are checked against; NoFuse
-// only changes bit programs with a fused caster, so on every other program
-// the row reruns seq's loop. The pool rows are the one-trial BatchRun: at
-// one worker its units run inline, at three they run concurrently (the
-// package's tests lower the unit minimum so these small fixtures carve
-// several units).
+// pair of runs must agree exactly. The pool rows are the one-trial
+// BatchRun: at one worker its units run inline, at three they run
+// concurrently (the package's tests lower the unit minimum so these small
+// fixtures carve several units).
 func allEngines() []struct {
 	name string
 	e    local.Engine
@@ -34,7 +31,6 @@ func allEngines() []struct {
 		e    local.Engine
 	}{
 		{"seq", local.SequentialEngine{}},
-		{"seq-nofuse", local.ForceTuning(local.SequentialEngine{}, local.Tuning{NoFuse: true})},
 		{"pool", local.WorkerPoolEngine{}},
 		{"pool-1", local.WorkerPoolEngine{Workers: 1}},
 		{"pool-3", local.WorkerPoolEngine{Workers: 3}},

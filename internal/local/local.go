@@ -38,8 +38,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
@@ -183,9 +181,6 @@ type Options struct {
 	// at round boundaries and abort with ErrCancelled/ErrDeadline and
 	// partial Stats. nil runs uncontrolled with the hot paths untouched.
 	Control *RunControl
-	// Tune carries the cache-tuning knobs (see Tuning). The zero value is
-	// every default; no knob changes observable behavior, only wall-clock.
-	Tune Tuning
 }
 
 const defaultMaxRounds = 1 << 20
@@ -319,25 +314,8 @@ func planeNodes(nodes []Node, plane Plane, arcs int) (bs []BitNode, bitWidth int
 // sequential boxed loop uses it: boxed runs have no throughput path. The
 // send slice is program-owned and left untouched.
 //
-// pf is the scatter look-ahead window (see Tuning): the first pf target
-// slots are touched up front so their cache misses overlap instead of
-// serializing behind the deliver[] indirection. The reads fold into warm,
-// kept alive past the loop so the compiler cannot eliminate them; the
-// values are never used. Race-instrumented builds run with pf == 0 (see
-// Tuning.prefetchScalar).
-//
 //splitlint:zeroalloc
-func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Message, pf int) int64 {
-	if pf > len(send) {
-		pf = len(send)
-	}
-	var warm Message
-	for k := 0; k < pf; k++ {
-		if m := next[t.deliver[lo+int32(k)]]; m != nil {
-			warm = m
-		}
-	}
-	runtime.KeepAlive(warm)
+func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Message) int64 {
 	var msgs int64
 	for p, msg := range send {
 		if msg != nil {
@@ -353,19 +331,10 @@ func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Me
 
 // deliverWords is deliverBoxed for a word send row. The row is
 // engine-owned scratch, so it is cleared as it is scattered — after the
-// call it is all-NilWord and ready for the next node. The prefetch touch
-// loads are atomic so the compiler cannot eliminate them (Word's underlying
-// type is uint64, making the pointer conversion legal); race builds run
-// with pf == 0.
+// call it is all-NilWord and ready for the next node.
 //
 //splitlint:zeroalloc
-func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word, pf int) int64 {
-	if pf > len(send) {
-		pf = len(send)
-	}
-	for k := 0; k < pf; k++ {
-		_ = atomic.LoadUint64((*uint64)(&next[base+int(t.deliver[lo+int32(k)])]))
-	}
+func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word) int64 {
 	var msgs int64
 	for p, msg := range send {
 		if msg != NilWord {
@@ -493,12 +462,12 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 	}
 	ctl := opts.Control
 	if bs != nil {
-		return runSeqBit(t, bs, bw, maxRounds, fs, ctl, opts.Tune)
+		return runSeqBit(t, bs, bw, maxRounds, fs, ctl)
 	}
 	if ws != nil {
-		return runSeqWord(t, ws, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
+		return runSeqWord(t, ws, maxRounds, fs, ctl)
 	}
-	return runSeqBoxed(t, nodes, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
+	return runSeqBoxed(t, nodes, maxRounds, fs, ctl)
 }
 
 // runSeqBoxed is the sequential engine's boxed-plane loop, and the only
@@ -506,7 +475,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 // and trials to it. Message = any planes allocate per send row, so a
 // throughput path would buy little; boxed programs are tests, benchmarks and
 // facade callers, never a shipped solver.
-func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *RunControl, pf int) (stats Stats, err error) {
+func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	// Double-buffered flat message arrays sharing the topology's offsets:
 	// node v's inbox is inbox[off[v]:off[v+1]].
@@ -561,7 +530,7 @@ func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *
 			if len(send) != int(hi-lo) {
 				return stats, fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), hi-lo)
 			}
-			stats.Messages += t.deliverBoxed(next, dead, lo, send, pf)
+			stats.Messages += t.deliverBoxed(next, dead, lo, send)
 		}
 		curV = -1
 		// Messages addressed to nodes that terminated this round will never
@@ -596,7 +565,7 @@ func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *
 // delivery, termination and Stats semantics mirror the boxed loop exactly
 // (a delivered message is a non-NilWord slot addressed to a non-dead node;
 // messages to nodes that terminated this round are uncounted and dropped).
-func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl, pf int) (stats Stats, err error) {
+func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := make([]Word, arcs)
@@ -640,7 +609,7 @@ func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ct
 				newlyDone = append(newlyDone, int32(v))
 				remaining--
 			}
-			stats.Messages += t.deliverWords(next, dead, 0, lo, send, pf)
+			stats.Messages += t.deliverWords(next, dead, 0, lo, send)
 			// Clear the consumed row so that after the swap the new next
 			// rows are already all-NilWord (nothing is re-zeroed wholesale).
 			for p := range recv {

@@ -284,10 +284,6 @@ func TestMaxRoundsExactBoundary(t *testing.T) {
 		e    Engine
 	}{
 		{"seq", SequentialEngine{}},
-		// NoFuse changes only the bit plane, so on these boxed and word
-		// floods seq-nofuse reruns seq's loop; it is the unfused reference
-		// row every engine table carries.
-		{"seq-nofuse", ForceTuning(SequentialEngine{}, Tuning{NoFuse: true})},
 		{"pool", WorkerPoolEngine{}},
 		{"pool-2", WorkerPoolEngine{Workers: 2}},
 	}

@@ -75,7 +75,7 @@ func TestPanicIsolationEngines(t *testing.T) {
 	for _, plane := range ctlPlanes {
 		plane := plane
 		t.Run(plane.String(), func(t *testing.T) {
-			for _, eng := range ctlEngines(plane) {
+			for _, eng := range ctlEngines() {
 				eng := eng
 				t.Run(eng.name, func(t *testing.T) {
 					rec := newCtlRecorder(n, ctlRounds)
@@ -214,7 +214,7 @@ func TestPanicInFactory(t *testing.T) {
 			return inner(v)
 		}
 	}
-	for _, eng := range ctlEngines(local.PlaneWord) {
+	for _, eng := range ctlEngines() {
 		t.Run(eng.name, func(t *testing.T) {
 			_, err := eng.e.Run(topo, mk(newCtlRecorder(n, ctlRounds)), ctlOpts(n, local.PlaneWord))
 			var pe *local.PanicError
