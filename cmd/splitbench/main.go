@@ -46,35 +46,15 @@
 // experiment order no matter how the pool schedules them, and every table
 // is bit-identical to a serial run.
 //
-// -engine selects the LOCAL simulation engine used inside the experiments:
-// "seq" iterates nodes in one goroutine, and "pool" (or its synonym
-// "batch") runs each simulation as a one-trial batch, sharding nodes over
-// a worker pool (the fastest choice on large instances). The pool is the
-// throughput path for word and bit programs; boxed programs run on the
-// sequential loop under every engine. Engines are observationally
-// identical, so this flag changes wall-clock time only.
-//
-// -plane pins the message-plane representation of every LOCAL run inside
-// the selected experiments ("auto", the default, lets each run take the
-// fastest plane its programs support — bit, then word, then boxed). Planes
-// are observationally identical; the flag exists for plane ablations.
-// Forcing a plane some program cannot take fails that experiment loudly
-// rather than silently falling back, and combining -plane with -batch is
-// rejected (the batched-trial ablations do not route through the plane-
-// forced engine).
+// -engine, -plane, -drop, -delay, -crash and -faultseed are the LOCAL
+// engine flags splitbench shares with wsplit; internal/cliutil.EngineFlags
+// documents them once. They apply to every LOCAL simulation inside the
+// selected experiments. The fault sweep experiment EF generates its own
+// fault grid and rejects a fault plan.
 //
 // -format selects the output: "text" (default) prints aligned tables,
 // "csv" prints one CSV block per experiment separated by "# id" comment
 // lines, and "json" prints a single JSON array of table objects.
-//
-// -drop, -delay, -crash and -faultseed inject a deterministic fault plan
-// (message drops, bounded redelivery delay, crash-stop failures) into every
-// LOCAL simulation inside the selected experiments, keyed by -faultseed
-// independently of -seed. Most experiments self-check their solvers, so
-// faults generally surface as loud failures — the flags are a stress knob.
-// The fault sweep experiment EF generates its own fault grid and rejects
-// them, as does -batch (the batched-trial ablations run through BatchRun
-// directly and would ignore the fault-wrapped engine).
 package main
 
 import (
@@ -102,8 +82,6 @@ func run() int {
 		expFlag = flag.String("experiment", "", "comma-separated experiment ids (default: all)")
 		quick   = flag.Bool("quick", false, "smaller instances and fewer trials")
 		seed    = flag.Uint64("seed", 1, "randomness seed")
-		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
-		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable programs)")
 		workers = flag.Int("workers", 0, "experiment pool size (0 = GOMAXPROCS, 1 = serial)")
 		format  = flag.String("format", "text", "output format: text|csv|json")
 		batch   = flag.Bool("batch", false, "add the batched-trial ablations of batch-capable experiments (E14)")
@@ -112,14 +90,9 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 		blkProf = flag.String("blockprofile", "", "write a goroutine blocking profile to this file")
 		mtxProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
-		drop    = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1]")
-		delay   = flag.Int("delay", 0, "fault injection: dropped messages are redelivered up to N rounds late instead of lost (needs -drop)")
-		crash   = flag.Float64("crash", 0, "fault injection: per-node per-round crash-stop probability in [0,1]")
-		fseed   = flag.Uint64("faultseed", 1, "fault stream seed, independent of -seed (needs -drop or -crash)")
+		ef      = cliutil.NewEngineFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -179,36 +152,9 @@ func run() int {
 		}()
 	}
 
-	eng, err := local.ParseEngine(*engine, 0)
+	eng, ov, err := ef.Resolve(0, *batch)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
-	}
-	pl, err := local.ParsePlane(*plane)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
-	}
-	if pl != local.PlaneAuto && *batch {
-		fmt.Fprintf(os.Stderr, "splitbench: -plane=%s cannot be combined with -batch: the batched-trial ablations run through BatchRun directly and would ignore the forced plane\n", pl)
-		return 2
-	}
-	eng = local.ForcePlane(eng, pl)
-	faults := local.FaultPlan{Seed: *fseed, Drop: *drop, Delay: *delay, Crash: *crash}
-	if err := faults.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
-	}
-	if !faults.Active() {
-		for _, knob := range []string{"delay", "faultseed"} {
-			if setFlags[knob] {
-				fmt.Fprintf(os.Stderr, "splitbench: -%s only modulates an active fault plan; add -drop or -crash\n", knob)
-				return 2
-			}
-		}
-	}
-	if faults.Active() && *batch {
-		fmt.Fprintf(os.Stderr, "splitbench: -drop/-crash cannot be combined with -batch: the batched-trial ablations run through BatchRun directly and would ignore the fault-wrapped engine\n")
 		return 2
 	}
 	switch *format {
@@ -246,7 +192,7 @@ func run() int {
 		return 2
 	}
 
-	if faults.Active() && slices.Contains(ids, "EF") {
+	if ov.Faults.Active() && slices.Contains(ids, "EF") {
 		fmt.Fprintf(os.Stderr, "splitbench: experiment EF sweeps its own fault grid; drop -drop/-crash or deselect EF\n")
 		return 2
 	}
@@ -266,9 +212,9 @@ func run() int {
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Engine: eng, Batch: *batch, GraphFile: *graphF}
-	if faults.Active() {
-		cfg.Faults = &faults
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Engine: local.Overlay{Plane: ov.Plane}.On(eng), Batch: *batch, GraphFile: *graphF}
+	if ov.Faults.Active() {
+		cfg.Faults = &ov.Faults
 	}
 	// First SIGINT/SIGTERM stops at the next round boundary: experiments not
 	// yet started are skipped, finished tables still print, and the run
@@ -316,7 +262,7 @@ func run() int {
 			effective = runtime.GOMAXPROCS(0)
 		}
 		fmt.Printf("total: %d experiment(s) in %s (workers=%d, engine=%s)\n",
-			len(results)-failed, time.Since(start).Round(time.Millisecond), effective, *engine)
+			len(results)-failed, time.Since(start).Round(time.Millisecond), effective, ef.EngineName())
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "splitbench: %d experiment(s) failed\n", failed)

@@ -21,19 +21,11 @@
 // the file fixes the instance, so those generator knobs would be silently
 // ignored.
 //
-// -engine selects the LOCAL simulation engine (seq|pool; batch is a
-// synonym for pool); engines are observationally identical, so it only
-// changes wall-clock time. With -engine=pool or -engine=batch, -workers
-// also sizes the engine's
-// worker pool; passing -workers with any other engine outside a sweep is an
-// error rather than silently ignored.
-//
-// -plane pins the message-plane representation (auto|boxed|word|bit) the
-// engine uses; planes are observationally identical, so this is the knob
-// for plane ablations. Forcing a plane the chosen algorithm's programs
-// cannot take fails loudly instead of silently falling back, and -plane
-// with -batch is rejected (the batched solvers do not route through the
-// plane-forced engine).
+// -engine, -plane, -drop, -delay, -crash and -faultseed are the LOCAL
+// engine flags wsplit shares with splitbench; internal/cliutil.EngineFlags
+// documents them once. With -engine=pool or -engine=batch, -workers also
+// sizes the engine's worker pool; passing -workers with any other engine
+// outside a sweep is an error rather than silently ignored.
 //
 // With -trials N > 1 (or several comma-separated algorithms), wsplit fans
 // the (algorithm, seed) grid over a bounded worker pool — seeds seed,
@@ -46,17 +38,6 @@
 // results are bit-identical to an unbatched sweep. It requires a
 // seed-independent instance (-gen tree|star or -graph FILE) and a sweep; any
 // other combination is rejected.
-//
-// -drop, -delay, -crash and -faultseed inject deterministic faults (message
-// drops, bounded redelivery delay, crash-stop failures) into every LOCAL
-// phase of the run, keyed by -faultseed independently of -seed; the same
-// plan replays bit-identically on every engine, plane and worker count.
-// The paper's solvers self-check, so under faults expect failed runs — the
-// point of the knob is to observe exactly how they fail (the splitbench
-// experiment EF grades degradation systematically). -delay and -faultseed
-// only modulate an active plan, so they require -drop or -crash; -batch
-// rejects fault flags (the batched solvers run through BatchRun directly
-// and would ignore the fault-wrapped engine).
 package main
 
 import (
@@ -89,16 +70,11 @@ func run() int {
 		d       = flag.Int("d", 16, "left degree")
 		algo    = flag.String("algo", "det", "comma-separated algorithms: det|rand|sixr|trivial|ref|hg-det|hg-rand")
 		seed    = flag.Uint64("seed", 1, "randomness seed (first seed of a -trials sweep)")
-		engine  = flag.String("engine", "seq", "LOCAL engine: seq|pool|batch (boxed programs always run on seq)")
-		plane   = flag.String("plane", "auto", "message plane: auto|boxed|word|bit (forced planes fail loudly on incapable algorithms)")
 		workers = flag.Int("workers", 0, "trial/engine pool size (0 = GOMAXPROCS)")
 		trials  = flag.Int("trials", 1, "number of seeds to sweep (seed..seed+N-1)")
 		format  = flag.String("format", "text", "trial report format: text|csv|json")
 		batch   = flag.Bool("batch", false, "run the sweep through the batched multi-seed trial path (needs -gen tree|star or -graph)")
-		drop    = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1]")
-		delay   = flag.Int("delay", 0, "fault injection: dropped messages are redelivered up to N rounds late instead of lost (needs -drop)")
-		crash   = flag.Float64("crash", 0, "fault injection: per-node per-round crash-stop probability in [0,1]")
-		fseed   = flag.Uint64("faultseed", 1, "fault stream seed, independent of -seed (needs -drop or -crash)")
+		ef      = cliutil.NewEngineFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	setFlags := map[string]bool{}
@@ -114,17 +90,11 @@ func run() int {
 		*graphF = *in
 	}
 
-	eng, err := local.ParseEngine(*engine, *workers)
+	eng, ov, err := ef.Resolve(*workers, *batch)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsplit: %v\n", err)
 		return 2
 	}
-	pl, err := local.ParsePlane(*plane)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsplit: %v\n", err)
-		return 2
-	}
-	eng = local.ForcePlane(eng, pl)
 	algos := strings.Split(*algo, ",")
 	for i, a := range algos {
 		algos[i] = strings.TrimSpace(a)
@@ -132,21 +102,20 @@ func run() int {
 	// Anything beyond a single text-mode run goes through the sweep harness,
 	// so -format behaves identically with and without -trials.
 	sweep := *trials > 1 || len(algos) > 1 || *format != "text"
-	faults := local.FaultPlan{Seed: *fseed, Drop: *drop, Delay: *delay, Crash: *crash}
-	if err := validateFlags(setFlags, sweep, *engine, *gen, *graphF, *batch, pl, faults); err != nil {
+	if err := validateFlags(setFlags, sweep, ef.EngineName(), *gen, *graphF, *batch); err != nil {
 		fmt.Fprintf(os.Stderr, "wsplit: %v\n", err)
 		return 2
 	}
-	eng = local.ForceFaults(eng, faults)
 	// First SIGINT/SIGTERM cancels at the next LOCAL round boundary — a
 	// sweep still prints the rows it finished and exits nonzero — and a
 	// second one hard-kills (exit 130).
 	ctx, release := cliutil.InterruptContext()
 	defer release()
 	if sweep {
-		return runSweep(*gen, *graphF, *nu, *nv, *d, algos, *seed, *trials, *workers, *format, eng, *batch, ctx)
+		return runSweep(*gen, *graphF, *nu, *nv, *d, algos, *seed, *trials, *workers, *format, ov.On(eng), *batch, ctx)
 	}
-	eng = local.ForceControl(eng, ctx)
+	ov.Control = &local.RunControl{Ctx: ctx}
+	eng = ov.On(eng)
 
 	src := prob.NewSource(*seed)
 	b, err := buildInstance(*gen, *graphF, *nu, *nv, *d, src)
@@ -188,25 +157,15 @@ func run() int {
 // what makes a sweep eligible for the batched trial path.
 func fixedInstance(gen, in string) bool { return experiments.FixedInstance(gen, in) }
 
-// validateFlags rejects flag combinations that would otherwise be silently
-// ignored: -workers with an engine that has no worker pool outside a sweep
-// (inside one, it sizes the trial pool), generator knobs alongside -graph
-// (the file fixes the instance), -batch without a sweep or with an instance
-// that is rebuilt per seed, and -plane with -batch (the batched solvers run
-// through BatchRun directly and would ignore the forced plane).
-func validateFlags(set map[string]bool, sweep bool, engine, gen, in string, batch bool, plane local.Plane, faults local.FaultPlan) error {
+// validateFlags rejects the wsplit-specific flag combinations that would
+// otherwise be silently ignored (the engine flags' own rejections live in
+// cliutil.EngineFlags): -workers with an engine that has no worker pool
+// outside a sweep (inside one, it sizes the trial pool), generator knobs
+// alongside -graph (the file fixes the instance), and -batch without a
+// sweep or with an instance that is rebuilt per seed.
+func validateFlags(set map[string]bool, sweep bool, engine, gen, in string, batch bool) error {
 	if set["workers"] && !sweep && !local.EngineUsesWorkers(engine) {
 		return fmt.Errorf("-workers is ignored with -engine=%s on a single run; use -engine=pool|batch or a multi-trial sweep", engine)
-	}
-	if err := faults.Validate(); err != nil {
-		return err
-	}
-	if !faults.Active() {
-		for _, knob := range []string{"delay", "faultseed"} {
-			if set[knob] {
-				return fmt.Errorf("-%s only modulates an active fault plan; add -drop or -crash", knob)
-			}
-		}
 	}
 	if in != "" {
 		for _, knob := range []string{"gen", "nu", "nv", "d"} {
@@ -221,12 +180,6 @@ func validateFlags(set map[string]bool, sweep bool, engine, gen, in string, batc
 		}
 		if !fixedInstance(gen, in) {
 			return fmt.Errorf("-batch needs a seed-independent instance shared by all trials; -gen %s rebuilds per seed (use -gen tree|star or -graph FILE)", gen)
-		}
-		if plane != local.PlaneAuto {
-			return fmt.Errorf("-plane=%s cannot be combined with -batch: batched solvers would ignore the forced plane", plane)
-		}
-		if faults.Active() {
-			return fmt.Errorf("-drop/-crash cannot be combined with -batch: batched solvers would ignore the fault-wrapped engine")
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/cliutil/clitest"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -154,37 +155,27 @@ func TestValidateFlags(t *testing.T) {
 		engine  string
 		gen, in string
 		batch   bool
-		plane   local.Plane
-		faults  local.FaultPlan
 		wantErr bool
 	}{
-		{"defaults", set(), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"workers+seq+single", set("workers"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"workers+pool+single", set("workers"), false, "pool", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"workers+batch-engine+single", set("workers"), false, "batch", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"workers+seq+sweep", set("workers"), true, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"batch+single", set("batch"), false, "seq", "star", "", true, local.PlaneAuto, local.FaultPlan{}, true},
-		{"batch+sweep+random-gen", set("batch"), true, "seq", "leftregular", "", true, local.PlaneAuto, local.FaultPlan{}, true},
-		{"batch+sweep+star", set("batch"), true, "seq", "star", "", true, local.PlaneAuto, local.FaultPlan{}, false},
-		{"batch+sweep+tree", set("batch"), true, "seq", "tree", "", true, local.PlaneAuto, local.FaultPlan{}, false},
-		{"batch+sweep+file", set("batch"), true, "seq", "leftregular", "inst.txt", true, local.PlaneAuto, local.FaultPlan{}, false},
-		{"plane+single", set("plane"), false, "seq", "leftregular", "", false, local.PlaneBit, local.FaultPlan{}, false},
-		{"plane+batch", set("plane", "batch"), true, "seq", "star", "", true, local.PlaneWord, local.FaultPlan{}, true},
-		{"graph-alone", set("graph"), false, "seq", "leftregular", "inst.txt", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"graph+gen", set("graph", "gen"), false, "seq", "tree", "inst.txt", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"graph+nu", set("graph", "nu"), false, "seq", "leftregular", "inst.txt", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"graph+nv", set("in", "nv"), false, "seq", "leftregular", "inst.txt", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"graph+d", set("graph", "d"), false, "seq", "leftregular", "inst.txt", false, local.PlaneAuto, local.FaultPlan{}, true},
-		{"gen-knobs-no-graph", set("gen", "nu", "nv", "d"), false, "seq", "biregular", "", false, local.PlaneAuto, local.FaultPlan{}, false},
-		{"faults+single", set("drop"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{Seed: 1, Drop: 0.1}, false},
-		{"faults+sweep", set("crash"), true, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{Seed: 1, Crash: 0.01}, false},
-		{"faults+batch", set("drop", "batch"), true, "seq", "star", "", true, local.PlaneAuto, local.FaultPlan{Seed: 1, Drop: 0.1}, true},
-		{"delay-without-drop", set("delay"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{Seed: 1, Delay: 2}, true},
-		{"faultseed-without-plan", set("faultseed"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{Seed: 9}, true},
-		{"drop-out-of-range", set("drop"), false, "seq", "leftregular", "", false, local.PlaneAuto, local.FaultPlan{Seed: 1, Drop: 1.5}, true},
+		{"defaults", set(), false, "seq", "leftregular", "", false, false},
+		{"workers+seq+single", set("workers"), false, "seq", "leftregular", "", false, true},
+		{"workers+pool+single", set("workers"), false, "pool", "leftregular", "", false, false},
+		{"workers+batch-engine+single", set("workers"), false, "batch", "leftregular", "", false, false},
+		{"workers+seq+sweep", set("workers"), true, "seq", "leftregular", "", false, false},
+		{"batch+single", set("batch"), false, "seq", "star", "", true, true},
+		{"batch+sweep+random-gen", set("batch"), true, "seq", "leftregular", "", true, true},
+		{"batch+sweep+star", set("batch"), true, "seq", "star", "", true, false},
+		{"batch+sweep+tree", set("batch"), true, "seq", "tree", "", true, false},
+		{"batch+sweep+file", set("batch"), true, "seq", "leftregular", "inst.txt", true, false},
+		{"graph-alone", set("graph"), false, "seq", "leftregular", "inst.txt", false, false},
+		{"graph+gen", set("graph", "gen"), false, "seq", "tree", "inst.txt", false, true},
+		{"graph+nu", set("graph", "nu"), false, "seq", "leftregular", "inst.txt", false, true},
+		{"graph+nv", set("in", "nv"), false, "seq", "leftregular", "inst.txt", false, true},
+		{"graph+d", set("graph", "d"), false, "seq", "leftregular", "inst.txt", false, true},
+		{"gen-knobs-no-graph", set("gen", "nu", "nv", "d"), false, "seq", "biregular", "", false, false},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.set, tc.sweep, tc.engine, tc.gen, tc.in, tc.batch, tc.plane, tc.faults)
+		err := validateFlags(tc.set, tc.sweep, tc.engine, tc.gen, tc.in, tc.batch)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: got err %v, wantErr=%t", tc.name, err, tc.wantErr)
 		}
@@ -223,6 +214,12 @@ func TestRemovedEngineFailsLoudly(t *testing.T) {
 			t.Errorf("-engine goroutine: output %q lacks %q", out, want)
 		}
 	}
+}
+
+// TestEngineFlagRejections holds wsplit to the engine-flag rejection table
+// it shares with splitbench.
+func TestEngineFlagRejections(t *testing.T) {
+	clitest.CheckEngineFlagRejections(t, reexec)
 }
 
 // TestRemovedTuneFlagFailsLoudly runs wsplit with -tune nofuse: the

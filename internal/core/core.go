@@ -152,7 +152,7 @@ func ZeroRoundRandom(b *graph.Bipartite, src *prob.Source) (*Result, error) {
 
 // ZeroRoundRandomOn is ZeroRoundRandom on a chosen engine (nil means
 // sequential). Engines are observationally identical, so the choice — and
-// any plane forced through local.ForcePlane — changes wall-clock time and
+// any plane forced through a local.Overlay — changes wall-clock time and
 // representation only; the CLIs use this for plane ablations.
 func ZeroRoundRandomOn(b *graph.Bipartite, src *prob.Source, eng local.Engine) (*Result, error) {
 	if eng == nil {

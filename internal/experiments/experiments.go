@@ -33,16 +33,16 @@ type Config struct {
 	// generate their own instances and ignore it.
 	GraphFile string
 	// Faults injects a deterministic fault plan (drops, delays, crash-stop)
-	// into every LOCAL simulation the experiment runs, by wrapping Engine in
-	// local.ForceFaults. Most solvers self-check and report failures as
-	// errors, so this is a stress knob; EF sweeps its own fault grid and
-	// rejects it.
+	// into every LOCAL simulation the experiment runs, through the engine's
+	// local.Overlay. Most solvers self-check and report failures as errors,
+	// so this is a stress knob; EF sweeps its own fault grid and rejects it.
 	Faults *local.FaultPlan
 	// Control makes the run cancellable: every LOCAL phase the experiment
-	// runs observes it at round boundaries (the engine is wrapped in
-	// local.ForceControl), and RunParallel skips experiments not yet started
-	// once it fires. nil runs uncontrolled. A control that never fires
-	// perturbs nothing — tables are bit-identical with and without it.
+	// runs observes it at round boundaries (it rides the engine's
+	// local.Overlay, alongside any control the engine already carries), and
+	// RunParallel skips experiments not yet started once it fires. nil runs
+	// uncontrolled. A control that never fires perturbs nothing — tables are
+	// bit-identical with and without it.
 	Control *local.RunControl
 }
 
@@ -64,13 +64,11 @@ func (c Config) engine() local.Engine {
 	if eng == nil {
 		eng = local.SequentialEngine{}
 	}
+	ov := local.Overlay{Control: c.Control}
 	if c.Faults != nil {
-		eng = local.ForceFaults(eng, *c.Faults)
+		ov.Faults = *c.Faults
 	}
-	if c.Control != nil {
-		eng = local.ForceControl(eng, c.Control.Ctx)
-	}
-	return eng
+	return ov.On(eng)
 }
 
 // Table is one experiment's result.

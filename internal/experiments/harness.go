@@ -325,26 +325,19 @@ func transientTrialErr(err error) bool {
 	return errors.Is(err, local.ErrDeadline) || errors.As(err, &pe)
 }
 
-// attemptEngine wraps the grid engine with one attempt's control context —
-// the grid control plus a fresh TrialTimeout — and returns a release func
-// for the timeout's timer. With neither knob set the engine is returned
+// attemptEngine overlays the grid engine with one attempt's controls — the
+// grid control, plus a fresh TrialTimeout — and returns a release func for
+// the timeout's timer. With neither knob set the engine is returned
 // untouched, keeping uncontrolled grids on the unwrapped hot path.
 func (g Grid) attemptEngine(eng local.Engine) (local.Engine, func()) {
-	var base context.Context
-	if g.Control != nil {
-		base = g.Control.Ctx
-	}
+	release := func() {}
 	if g.TrialTimeout > 0 {
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, g.TrialTimeout)
-		return local.ForceControl(eng, ctx), cancel
+		ctx, cancel := context.WithTimeout(context.Background(), g.TrialTimeout)
+		eng, release = local.Overlay{Control: &local.RunControl{Ctx: ctx}}.On(eng), cancel
 	}
-	if base == nil {
-		return eng, func() {}
-	}
-	return local.ForceControl(eng, base), func() {}
+	// The grid control goes outermost, so a cancelled grid reports its
+	// cancellation before an attempt's deadline.
+	return local.Overlay{Control: g.Control}.On(eng), release
 }
 
 func runTrial(gs GraphSpec, as AlgoSpec, seed uint64, eng local.Engine) (TrialResult, error) {

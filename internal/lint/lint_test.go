@@ -51,3 +51,10 @@ func TestLoudFlags(t *testing.T) {
 	t.Parallel()
 	linttest.Run(t, "testdata", lint.LoudFlags, "loudflags_a")
 }
+
+// TestLoudFlagsLib pins the analyzer outside package main: flags a library
+// registers on a FlagSet field, bound to struct fields, must be read too.
+func TestLoudFlagsLib(t *testing.T) {
+	t.Parallel()
+	linttest.Run(t, "testdata", lint.LoudFlags, "loudflags_lib")
+}

@@ -16,13 +16,16 @@ var LoudFlags = &analysis.Analyzer{
 	Name: "loudflags",
 	Doc: "every registered CLI flag must be read by a use or validation site — a flag that parses but changes nothing is a silent lie" + `
 
-In package main, every flag registration (flag.String/Int/..., the ...Var
-forms, flag.Var/TextVar, and the same methods on a *flag.FlagSet) must bind
-a variable that is referenced somewhere outside the registration itself.
-flag.Func/BoolFunc registrations carry their use in the callback and always
-pass. Registrations whose target the analyzer cannot track (&struct.field,
-a flag.Value built elsewhere) are given the benefit of the doubt. Waive a
-deliberately inert flag with //lint:flagok <why>.`,
+In every package — CLIs and the libraries that register flags for them —
+every flag registration (flag.String/Int/..., the ...Var forms,
+flag.Var/TextVar, and the same methods on a *flag.FlagSet) must bind a
+variable or struct field that is read somewhere outside the registration
+itself: a variable is read when it is referenced, a field when it is
+selected (x.f) in the registering package. flag.Func/BoolFunc
+registrations carry their use in the callback and always pass.
+Registrations whose target the analyzer cannot track (a flag.Value built
+elsewhere) are given the benefit of the doubt. Waive a deliberately inert
+flag with //lint:flagok <why>.`,
 	Run: runLoudFlags,
 }
 
@@ -41,14 +44,12 @@ var flagVarFns = map[string]bool{
 
 type flagReg struct {
 	name string        // the flag's command-line name, best effort
-	obj  types.Object  // the variable holding the value, nil if untrackable
+	obj  types.Object  // the variable or field holding the value, nil if untrackable
 	call *ast.CallExpr // the registration call
+	span ast.Node      // the registration: the call, or the assignment binding its result
 }
 
 func runLoudFlags(pass *analysis.Pass) (any, error) {
-	if pass.Pkg.Name() != "main" {
-		return nil, nil
-	}
 	w := newWaivers(pass)
 
 	var regs []flagReg
@@ -74,11 +75,24 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 		}
 		return "?"
 	}
-	objOf := func(id *ast.Ident) types.Object {
-		if o := pass.TypesInfo.Defs[id]; o != nil {
-			return o
+	// objOf resolves a registration target — x, x.f, or either behind
+	// parens — to its variable or field, nil if untrackable.
+	objOf := func(e ast.Expr) types.Object {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if e.Name == "_" {
+				return nil
+			}
+			if o := pass.TypesInfo.Defs[e]; o != nil {
+				return o
+			}
+			return pass.TypesInfo.Uses[e]
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				return sel.Obj()
+			}
 		}
-		return pass.TypesInfo.Uses[id]
+		return nil
 	}
 
 	for _, file := range pass.Files {
@@ -101,13 +115,9 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 					return true
 				}
 				claimed[call] = true
-				var obj types.Object
-				if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					obj = objOf(id)
-				}
 				// obj == nil here means _ = flag.String(...) or an
 				// untrackable LHS: reported below as discarded.
-				regs = append(regs, flagReg{name: flagName(call, 0), obj: obj, call: call})
+				regs = append(regs, flagReg{name: flagName(call, 0), obj: objOf(n.Lhs[0]), call: call, span: n})
 			case *ast.ValueSpec:
 				// var x = flag.String(...)
 				for i, v := range n.Values {
@@ -121,10 +131,10 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 					}
 					claimed[call] = true
 					var obj types.Object
-					if i < len(n.Names) && n.Names[i].Name != "_" {
+					if i < len(n.Names) {
 						obj = objOf(n.Names[i])
 					}
-					regs = append(regs, flagReg{name: flagName(call, 0), obj: obj, call: call})
+					regs = append(regs, flagReg{name: flagName(call, 0), obj: obj, call: call, span: call})
 				}
 			case *ast.CallExpr:
 				f, ok := flagFn(n)
@@ -136,28 +146,23 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 					var obj types.Object
 					if len(n.Args) > 0 {
 						if un, ok := ast.Unparen(n.Args[0]).(*ast.UnaryExpr); ok && un.Op == token.AND {
-							if id, ok := ast.Unparen(un.X).(*ast.Ident); ok {
-								obj = objOf(id)
-							}
-						}
-					}
-					if obj == nil && f.Name() == "Var" {
-						// flag.Var(v, ...) with an opaque flag.Value: the
-						// value object itself may be tracked if it is a
-						// plain identifier.
-						if id, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
-							obj = objOf(id)
+							obj = objOf(un.X)
+						} else if f.Name() == "Var" {
+							// flag.Var(v, ...) with an opaque flag.Value: the
+							// value itself may be tracked if it is a plain
+							// variable or field.
+							obj = objOf(n.Args[0])
 						}
 					}
 					if obj == nil {
-						return true // &struct.field etc.: benefit of the doubt
+						return true // untrackable target: benefit of the doubt
 					}
-					regs = append(regs, flagReg{name: flagName(n, 1), obj: obj, call: n})
+					regs = append(regs, flagReg{name: flagName(n, 1), obj: obj, call: n, span: n})
 				case flagValueFns[f.Name()] && !claimed[n]:
 					// ast.Inspect visits the enclosing assignment or var
 					// spec before the call, so an unclaimed value-returning
 					// registration here had its pointer discarded.
-					regs = append(regs, flagReg{name: flagName(n, 0), obj: nil, call: n})
+					regs = append(regs, flagReg{name: flagName(n, 0), obj: nil, call: n, span: n})
 				}
 			}
 			return true
@@ -165,7 +170,7 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 	}
 
 	for _, reg := range regs {
-		if reg.obj != nil && usedOutside(pass, reg.obj, reg.call) {
+		if reg.obj != nil && usedOutside(pass, reg.obj, reg.span) {
 			continue
 		}
 		if w.waived(reg.call.Pos(), waiverFlagOK) {
@@ -182,17 +187,23 @@ func runLoudFlags(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// usedOutside reports whether obj is referenced anywhere outside the
-// registration call's source range.
-func usedOutside(pass *analysis.Pass, obj types.Object, reg *ast.CallExpr) bool {
+// usedOutside reports whether obj is read anywhere outside the
+// registration's source range: a variable by any reference, a field by any
+// selection x.f.
+func usedOutside(pass *analysis.Pass, obj types.Object, reg ast.Node) bool {
+	outside := func(n ast.Node) bool { return n.Pos() < reg.Pos() || n.End() > reg.End() }
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		for sel, s := range pass.TypesInfo.Selections {
+			if s.Obj() == obj && outside(sel) {
+				return true
+			}
+		}
+		return false
+	}
 	for id, o := range pass.TypesInfo.Uses {
-		if o != obj {
-			continue
+		if o == obj && outside(id) {
+			return true
 		}
-		if id.Pos() >= reg.Pos() && id.End() <= reg.End() {
-			continue // the &x inside the registration itself
-		}
-		return true
 	}
 	return false
 }

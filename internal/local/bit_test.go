@@ -132,7 +132,7 @@ func TestBitEnginesMatchAllPlanes(t *testing.T) {
 		{"bit2", bit2EchoFactory},
 	} {
 		refOut := make([]uint64, n)
-		refStats, err := local.ForcePlane(local.SequentialEngine{}, local.PlaneBoxed).
+		refStats, err := local.Overlay{Plane: local.PlaneBoxed}.On(local.SequentialEngine{}).
 			Run(topo, prog.mk(5, refOut), mkOpts())
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func TestBitEnginesMatchAllPlanes(t *testing.T) {
 		for _, eng := range allEngines() {
 			for _, plane := range planeCases() {
 				out := make([]uint64, n)
-				stats, err := local.ForcePlane(eng.e, plane).Run(topo, prog.mk(5, out), mkOpts())
+				stats, err := local.Overlay{Plane: plane}.On(eng.e).Run(topo, prog.mk(5, out), mkOpts())
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", prog.name, eng.name, plane, err)
 				}
@@ -282,8 +282,9 @@ func TestBatchMixedBitWordBoxedTrials(t *testing.T) {
 }
 
 // TestForcePlaneRejects pins the loud-rejection contract: forcing a plane
-// the program cannot take errors on every engine and in a batch trial
-// instead of silently falling back, and ParsePlane rejects unknown names.
+// through Options.Plane that the program cannot take errors on every engine
+// and in a batch trial instead of silently falling back, and ParsePlane
+// rejects unknown names. TestOverlay pins the same through Overlay.
 func TestForcePlaneRejects(t *testing.T) {
 	t.Parallel()
 	if _, err := local.ParsePlane("simd"); err == nil {
@@ -305,7 +306,7 @@ func TestForcePlaneRejects(t *testing.T) {
 	}
 	for _, plane := range []local.Plane{local.PlaneBit, local.PlaneWord} {
 		for _, eng := range allEngines() {
-			if _, err := local.ForcePlane(eng.e, plane).Run(topo, boxedF, local.Options{}); err == nil {
+			if _, err := eng.e.Run(topo, boxedF, local.Options{Plane: plane}); err == nil {
 				t.Errorf("%s: forcing %s on a boxed-only program should fail", eng.name, plane)
 			} else if !strings.Contains(err.Error(), plane.String()) {
 				t.Errorf("%s: error %q does not name the plane", eng.name, err)
@@ -319,10 +320,10 @@ func TestForcePlaneRejects(t *testing.T) {
 	// A bit program accepts every rung of the ladder (covered in depth by
 	// TestBitEnginesMatchAllPlanes); a word program must reject only bit.
 	mkWordF := func() local.Factory { return wordEchoFactory(2, make([]uint64, topo.N())) }
-	if _, err := local.ForcePlane(local.SequentialEngine{}, local.PlaneBit).Run(topo, mkWordF(), local.Options{Source: prob.NewSource(1)}); err == nil {
+	if _, err := (local.SequentialEngine{}).Run(topo, mkWordF(), local.Options{Source: prob.NewSource(1), Plane: local.PlaneBit}); err == nil {
 		t.Error("forcing bit on a word-only program should fail")
 	}
-	if _, err := local.ForcePlane(local.SequentialEngine{}, local.PlaneWord).Run(topo, mkWordF(), local.Options{Source: prob.NewSource(1)}); err != nil {
+	if _, err := (local.SequentialEngine{}).Run(topo, mkWordF(), local.Options{Source: prob.NewSource(1), Plane: local.PlaneWord}); err != nil {
 		t.Errorf("forcing word on a word program: %v", err)
 	}
 }

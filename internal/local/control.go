@@ -84,40 +84,17 @@ func (rc *RunControl) Err() error {
 	return fmt.Errorf("%w: %w", ErrCancelled, cerr)
 }
 
-// under returns a control that fires when outer or rc does, outer first;
-// a nil outer returns rc unchanged.
+// under returns a control that fires when outer or rc does, outer first.
+// rc's own outer chain is kept, so controls layered any number of times all
+// stay live; a nil side returns the other unchanged.
 func (rc *RunControl) under(outer *RunControl) *RunControl {
 	if outer == nil {
 		return rc
 	}
-	c := &RunControl{outer: outer}
-	if rc != nil {
-		c.Ctx = rc.Ctx
+	if rc == nil {
+		return outer
 	}
-	return c
-}
-
-// ForceControl wraps an engine so every run is governed by the given
-// context, exactly as ForcePlane forces a plane and ForceFaults a fault
-// plan: harness layers hand algorithms a control-wrapped engine and every
-// LOCAL phase they run becomes cancellable. A nil context returns the
-// engine unchanged.
-func ForceControl(e Engine, ctx context.Context) Engine {
-	if ctx == nil {
-		return e
-	}
-	return controlEngine{e: e, ctx: ctx}
-}
-
-type controlEngine struct {
-	e   Engine
-	ctx context.Context
-}
-
-// Run implements Engine.
-func (ce controlEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	opts.Control = &RunControl{Ctx: ce.ctx}
-	return ce.e.Run(t, f, opts)
+	return &RunControl{Ctx: rc.Ctx, outer: rc.outer.under(outer)}
 }
 
 // PanicError is a node-program (or factory) panic converted into an error:

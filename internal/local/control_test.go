@@ -2,7 +2,8 @@
 // k executed rounds 1..k byte-identically to an uncancelled run, across
 // every execution path and all three planes), distinguished
 // ErrCancelled/ErrDeadline sentinels with partial Stats, per-trial and
-// batch-level control in BatchRun, and the ForceControl engine wrapper.
+// batch-level control in BatchRun. The Overlay route is pinned in
+// overlay_test.go.
 package local_test
 
 import (
@@ -375,28 +376,6 @@ func TestBatchLevelControl(t *testing.T) {
 				t.Fatalf("%s: %s trial rounds = %d, want 0", tc.name, ctlPlanes[i], stats[i].Rounds)
 			}
 		}
-	}
-}
-
-// TestForceControl pins the engine wrapper: a nil context is the identity,
-// and a wrapped engine inherits the context on every run.
-func TestForceControl(t *testing.T) {
-	base := local.SequentialEngine{}
-	if e := local.ForceControl(base, nil); e != local.Engine(base) {
-		t.Fatalf("ForceControl(e, nil) must return the engine unchanged")
-	}
-	g := ctlGraph(t)
-	topo := local.NewTopology(g)
-	n := g.N()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := local.ForceControl(base, ctx)
-	stats, err := eng.Run(topo, ctlFactory(newCtlRecorder(n, ctlRounds)), ctlOpts(n, local.PlaneAuto))
-	if !errors.Is(err, local.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if stats.Rounds != 0 {
-		t.Fatalf("stats.Rounds = %d, want 0", stats.Rounds)
 	}
 }
 

@@ -20,3 +20,16 @@ func TestMain(m *testing.M) {
 	batchMinShard = testMinShard
 	os.Exit(m.Run())
 }
+
+// OverlayLayers counts the overlay wrappers stacked around e.
+func OverlayLayers(e Engine) int {
+	n := 0
+	for {
+		o, ok := e.(overlaid)
+		if !ok {
+			return n
+		}
+		n++
+		e = o.e
+	}
+}

@@ -85,29 +85,6 @@ func (fp FaultPlan) Validate() error {
 	return nil
 }
 
-// ForceFaults wraps an engine so every run executes under the given fault
-// plan, exactly as ForcePlane forces a message plane: CLIs hand algorithms a
-// fault-wrapped engine and every LOCAL phase they run inherits the faults.
-// An inactive plan returns the engine unchanged.
-func ForceFaults(e Engine, fp FaultPlan) Engine {
-	if !fp.Active() {
-		return e
-	}
-	return faultEngine{e: e, fp: fp}
-}
-
-type faultEngine struct {
-	e  Engine
-	fp FaultPlan
-}
-
-// Run implements Engine.
-func (fe faultEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	fp := fe.fp
-	opts.Faults = &fp
-	return fe.e.Run(t, f, opts)
-}
-
 // Fault-stream kinds: each fault decision family draws from its own keyed
 // stream so that, e.g., enabling crashes does not perturb which messages
 // drop.

@@ -187,7 +187,7 @@ func TestGoldenTracesBitPlane(t *testing.T) {
 			src := prob.NewSource(99)
 			ids := local.PermutationIDs(g.N(), src.Fork(1))
 			out := make([]uint64, g.N())
-			stats, err := local.ForcePlane(eng.e, plane).Run(topo, bitTraceFactory(5, out), local.Options{Source: src, IDs: ids})
+			stats, err := local.Overlay{Plane: plane}.On(eng.e).Run(topo, bitTraceFactory(5, out), local.Options{Source: src, IDs: ids})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", eng.name, plane, err)
 			}

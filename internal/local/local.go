@@ -239,27 +239,6 @@ func ParsePlane(name string) (Plane, error) {
 	}
 }
 
-// ForcePlane wraps an engine so every run takes the given message plane:
-// CLIs hand algorithms a plane-forced engine and the restriction follows
-// the engine wherever it is used. PlaneAuto returns the engine unchanged.
-func ForcePlane(e Engine, p Plane) Engine {
-	if p == PlaneAuto {
-		return e
-	}
-	return planeEngine{e: e, p: p}
-}
-
-type planeEngine struct {
-	e Engine
-	p Plane
-}
-
-// Run implements Engine.
-func (pe planeEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
-	opts.Plane = pe.p
-	return pe.e.Run(t, f, opts)
-}
-
 // maxBitPlaneBits caps a packed plane's size in bits: BitRow and the
 // scatter loops index lanes with uint32 bit offsets, so a plane of more
 // than 2^32 bits — past 2^30 arcs at 4-bit lanes, below the 2^31-arc

@@ -52,7 +52,7 @@ func TestSnapshotRoundTripTraceIdentity(t *testing.T) {
 	}
 	for _, eng := range allEngines() {
 		for _, plane := range []local.Plane{local.PlaneBit, local.PlaneWord, local.PlaneBoxed} {
-			e := local.ForcePlane(eng.e, plane)
+			e := local.Overlay{Plane: plane}.On(eng.e)
 			want := run(fresh, e)
 			if got := run(loaded, e); got != want {
 				t.Errorf("%s/%s: snapshot-loaded trace hash %#016x, fresh %#016x",

@@ -45,16 +45,6 @@ func CLambdaSplit(b *Bipartite, p CLambdaParams) (*MulticolorResult, error) {
 	return multicolor.CLambdaDerandomized(b, p, local.SequentialEngine{})
 }
 
-// CoverFromCLambda iterates a (C,λ)-splitting oracle into a weak multicolor
-// splitting (hardness direction of Theorem 3.3); it returns the refined
-// coloring and the number of refinement iterations.
-func CoverFromCLambda(b *Bipartite, p CLambdaParams) (*MulticolorResult, int, error) {
-	solver := func(hi *graph.Bipartite, hp multicolor.CLambdaParams) (*multicolor.Result, error) {
-		return multicolor.CLambdaDerandomized(hi, hp, local.SequentialEngine{})
-	}
-	return multicolor.CoverViaCLambda(b, p, solver)
-}
-
 // SinklessOrientation runs the Figure 1 pipeline: encode g as a rank-2 weak
 // splitting instance, solve it, and return per-edge directions
 // (toward[i] == true orients Edges()[i][0] → Edges()[i][1]). It requires

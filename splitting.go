@@ -42,8 +42,6 @@ type (
 	Graph = graph.Graph
 	// Bipartite is a weak-splitting instance B = (U ∪ V, E).
 	Bipartite = graph.Bipartite
-	// Multigraph supports the directed degree splitting substrate.
-	Multigraph = graph.Multigraph
 	// Result is a weak splitting together with its simulated LOCAL cost.
 	Result = core.Result
 	// Source is the reproducible randomness used by all randomized
@@ -65,40 +63,18 @@ type (
 	View = local.View
 	// Node is a per-node LOCAL program.
 	Node = local.Node
-	// Factory creates the program instance for one node.
-	Factory = local.Factory
 	// Message is an arbitrary value exchanged between neighbors.
 	Message = local.Message
-	// Word is a compact one-uint64 message (tag bits + payload) for the
-	// engines' zero-allocation fast path; the zero value NilWord means
-	// "no message".
-	Word = local.Word
-	// WordNode is the zero-allocation per-node program interface: RoundW
-	// reads and writes engine-owned word buffers instead of allocating
-	// message slices. Wrap with WordProgram to obtain a Node.
-	WordNode = local.WordNode
-	// WordFunc adapts a closure to WordNode.
-	WordFunc = local.WordFunc
-	// BitRow is a packed view of one node's inbox or outbox on the bit
-	// plane: one presence bit plus 1–2 value bits per port.
-	BitRow = local.BitRow
-	// Bit2Row is a BitRow with 2-bit (trit) values.
-	Bit2Row = local.Bit2Row
-	// BitNode is the bit-plane fast path: single-bit messages packed 32
-	// per word, planes cache-resident at million-node scale. Wrap with
-	// BitProgram to obtain a Node.
-	BitNode = local.BitNode
-	// Bit2Node marks a BitNode whose messages are trits (2-bit values).
-	Bit2Node = local.Bit2Node
-	// BitFunc adapts a closure to BitNode.
-	BitFunc = local.BitFunc
-	// Bit2Func adapts a closure to a Bit2Node.
-	Bit2Func = local.Bit2Func
-	// Plane selects the message-plane representation of a run; see
-	// ForcePlane.
+	// Overlay carries the run-wide settings every run of an engine takes —
+	// a forced message plane, a fault plan, a run control: Overlay{...}.On(e)
+	// returns the overlaid engine. Programs that cannot take a forced plane
+	// fail loudly instead of falling back; Stats report the injected
+	// Dropped/Delayed/Crashed counts.
+	Overlay = local.Overlay
+	// Plane selects the message-plane representation of a run; see Overlay.
 	Plane = local.Plane
 	// FaultPlan is a seeded, keyed fault model (message drops, bounded
-	// redelivery delay, crash-stop failures); see ForceFaults. The same plan
+	// redelivery delay, crash-stop failures); see Overlay. The same plan
 	// replays bit-identically on every engine, plane and worker count.
 	FaultPlan = local.FaultPlan
 )
@@ -111,57 +87,12 @@ const (
 	PlaneBit   = local.PlaneBit
 )
 
-// NilWord is the reserved "no message" word.
-const NilWord = local.NilWord
-
 // NodeFunc adapts a closure to the Node interface, for programs without
 // per-node state.
 type NodeFunc func(r int, recv []Message) ([]Message, bool)
 
 // Round implements Node.
 func (f NodeFunc) Round(r int, recv []Message) ([]Message, bool) { return f(r, recv) }
-
-// MakeWord packs a tag (1..7) and a payload into a Word; see local.MakeWord.
-func MakeWord(tag uint8, payload uint64) Word { return local.MakeWord(tag, payload) }
-
-// MakeIntWord packs a signed payload under the given tag; see
-// local.MakeIntWord.
-func MakeIntWord(tag uint8, x int) Word { return local.MakeIntWord(tag, x) }
-
-// Broadcast fills every slot of a send buffer with w — the shared broadcast
-// helper of word programs.
-func Broadcast(send []Word, w Word) { local.Broadcast(send, w) }
-
-// WordProgram adapts a WordNode to the Node interface. Engines detect the
-// underlying WordNode and run it on the flat word planes — a steady-state
-// round then performs zero heap allocations; on any engine (or mixed
-// program) that cannot, the adapter exchanges the same Words boxed.
-func WordProgram(w WordNode) Node { return local.WordProgram(w) }
-
-// BitProgram adapts a BitNode to the Node interface. Engines detect the
-// underlying BitNode and run it on the packed bit planes (1–3 bits per arc
-// per plane, zero allocations per round); mixed runs fall down the
-// boxed ← word ← bit ladder with unchanged meaning.
-func BitProgram(b BitNode) Node { return local.BitProgram(b) }
-
-// IntLane zigzag-encodes a small signed value (a splitting trit) into a
-// bit-plane value lane; LaneInt decodes it.
-func IntLane(x int) uint64 { return local.IntLane(x) }
-
-// LaneInt decodes a zigzag-encoded value lane.
-func LaneInt(v uint64) int { return local.LaneInt(v) }
-
-// ParsePlane resolves a plane name ("auto", "boxed", "word", "bit").
-func ParsePlane(name string) (Plane, error) { return local.ParsePlane(name) }
-
-// ForcePlane wraps an engine so every run takes the given message plane;
-// programs that cannot take it fail loudly instead of falling back.
-func ForcePlane(e Engine, p Plane) Engine { return local.ForcePlane(e, p) }
-
-// ForceFaults wraps an engine so every run executes under the given fault
-// plan; an inactive plan (Drop and Crash both zero) returns the engine
-// unchanged. Stats report the injected Dropped/Delayed/Crashed counts.
-func ForceFaults(e Engine, fp FaultPlan) Engine { return local.ForceFaults(e, fp) }
 
 // Colors of a weak splitting.
 const (
@@ -202,10 +133,6 @@ func TrivialRandomizedBatch(b *Bipartite, srcs []*Source) ([]*Result, []error) {
 
 // --- Instance construction -------------------------------------------------
 
-// NewBipartite returns an empty instance with nu constraints and nv
-// variables; add edges with AddEdge and finish with Normalize.
-func NewBipartite(nu, nv int) *Bipartite { return graph.NewBipartite(nu, nv) }
-
 // FromGraph encodes a general graph as a weak-splitting instance
 // (Section 1.2): both sides get one copy of every node, and a splitting
 // 2-colors the nodes of the original graph.
@@ -238,36 +165,15 @@ func HighGirthStarInstance(d int) (*Bipartite, error) {
 // or the "nu nv"-header instance text format.
 func ReadInstanceFile(path string) (*Bipartite, error) { return graph.ReadBipartiteFile(path) }
 
-// ReadInstance parses the "nu nv"-header instance text format from a file.
-func ReadInstance(path string) (*Bipartite, error) { return graph.ReadInstance(path) }
-
-// EdgeListOptions is the input-hygiene policy of ReadEdgeList; the zero
-// value rejects self loops and duplicate edges with descriptive errors.
-type EdgeListOptions = graph.EdgeListOptions
-
-// ReadEdgeList parses a SNAP-style edge-list/adjacency text file, remapping
-// arbitrary node IDs to dense indices (returned alongside the graph).
-func ReadEdgeList(path string, opt EdgeListOptions) (*Graph, []int64, error) {
-	return graph.ReadEdgeList(path, opt)
-}
-
 // ReadGraphSnapshot loads a graph from a binary CSR snapshot file with no
 // O(m) rebuild: payloads are checksum-verified, structurally validated, and
 // used in place. Write snapshots with WriteGraphSnapshot or cmd/csrpack.
 func ReadGraphSnapshot(path string) (*Graph, error) { return graph.ReadSnapshot(path) }
 
-// ReadInstanceSnapshot is ReadGraphSnapshot for bipartite instances.
-func ReadInstanceSnapshot(path string) (*Bipartite, error) { return graph.ReadBipartiteSnapshot(path) }
-
 // WriteGraphSnapshot writes g to path in the binary CSR snapshot format
 // (DESIGN.md §CSR snapshot format).
 func WriteGraphSnapshot(path string, g *Graph) error {
 	return writeSnapshotFile(path, g.ExportSnapshot)
-}
-
-// WriteInstanceSnapshot writes b to path in the binary CSR snapshot format.
-func WriteInstanceSnapshot(path string, b *Bipartite) error {
-	return writeSnapshotFile(path, b.ExportSnapshot)
 }
 
 func writeSnapshotFile(path string, export func(io.Writer) error) error {
@@ -310,19 +216,9 @@ func Randomized(b *Bipartite, src *Source) (*Result, error) {
 	return core.RandomizedSplit(b, src, core.RandomizedOptions{})
 }
 
-// RandomizedOn is Randomized with an explicit simulation engine.
-func RandomizedOn(b *Bipartite, src *Source, eng Engine) (*Result, error) {
-	return core.RandomizedSplit(b, src, core.RandomizedOptions{Engine: eng})
-}
-
 // SixR solves instances with δ ≥ 6·r deterministically (Theorem 2.7).
 func SixR(b *Bipartite) (*Result, error) {
 	return core.SixRSplit(b, core.SixROptions{})
-}
-
-// SixROn is SixR with an explicit simulation engine.
-func SixROn(b *Bipartite, eng Engine) (*Result, error) {
-	return core.SixRSplit(b, core.SixROptions{Engine: eng})
 }
 
 // HighGirthDeterministic is Theorem 5.2 (girth ≥ 10, derandomized
@@ -356,17 +252,7 @@ func Verify(b *Bipartite, colors []int, minDeg int) error {
 // data). See Grade.
 type Degradation = check.Degradation
 
-// Outcome is the three-band grade a Degradation carries.
-type Outcome = check.Outcome
-
-// Outcome bands, in decreasing order of health.
-const (
-	OutcomeValid     = check.OutcomeValid
-	OutcomeDegraded  = check.OutcomeDegraded
-	OutcomeShattered = check.OutcomeShattered
-)
-
-// Grade classifies a weak splitting produced under faults (see ForceFaults):
+// Grade classifies a weak splitting produced under faults (see Overlay):
 // pass-fail verification is the wrong instrument once crash-stop holes are
 // expected, so Grade separates degraded coverage from broken logic.
 func Grade(b *Bipartite, colors []int, minDeg int) Degradation {
