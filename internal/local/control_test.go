@@ -379,6 +379,30 @@ func TestBatchLevelControl(t *testing.T) {
 	}
 }
 
+// TestForceControl pins forcing a run control through a control-only
+// Overlay: a control with no context is the identity, and an overlaid
+// engine hands its context to every run, so a cancelled one ends the run
+// before round 1.
+func TestForceControl(t *testing.T) {
+	base := local.SequentialEngine{}
+	if e := (local.Overlay{Control: &local.RunControl{}}).On(base); e != local.Engine(base) {
+		t.Fatalf("a control without a context must return the engine unchanged")
+	}
+	g := ctlGraph(t)
+	topo := local.NewTopology(g)
+	n := g.N()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := local.Overlay{Control: &local.RunControl{Ctx: ctx}}.On(base)
+	stats, err := eng.Run(topo, ctlFactory(newCtlRecorder(n, ctlRounds)), ctlOpts(n, local.PlaneAuto))
+	if !errors.Is(err, local.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if stats.Rounds != 0 {
+		t.Fatalf("stats.Rounds = %d, want 0", stats.Rounds)
+	}
+}
+
 func equalU64(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false

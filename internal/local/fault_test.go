@@ -162,6 +162,36 @@ func TestFaultDeterminismBoxedAccounting(t *testing.T) {
 	}
 }
 
+// TestForceFaults pins forcing a fault plan through a faults-only Overlay,
+// the route the CLIs use: it is equivalent to setting Options.Faults, and
+// an inactive plan returns the engine unchanged.
+func TestForceFaults(t *testing.T) {
+	g := graph.Cycle(40)
+	topo := local.NewTopology(g)
+	n := g.N()
+	seq := local.Engine(local.SequentialEngine{})
+	fp := local.FaultPlan{Seed: 21, Drop: 0.25}
+	out1 := make([]uint64, n)
+	s1, err := local.Overlay{Faults: fp}.On(seq).Run(topo, chatterFactory(5, out1), local.Options{Source: prob.NewSource(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out2 := make([]uint64, n)
+	s2, err := seq.Run(topo, chatterFactory(5, out2), local.Options{Source: prob.NewSource(2), Faults: &fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 != s2 || outHash(out1) != outHash(out2) {
+		t.Errorf("overlay run differs from Options.Faults run: %+v vs %+v", s1, s2)
+	}
+	if s1.Dropped == 0 {
+		t.Errorf("overlaid run dropped nothing: %+v", s1)
+	}
+	if e := (local.Overlay{Faults: local.FaultPlan{Seed: 9}}).On(seq); e != seq {
+		t.Errorf("inactive plan should return the engine unchanged, got %T", e)
+	}
+}
+
 // TestFaultPlanValidation pins that malformed plans are rejected up front on
 // both the active and inactive paths.
 func TestFaultPlanValidation(t *testing.T) {

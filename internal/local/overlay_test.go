@@ -23,8 +23,9 @@ func (s optsSpy) Run(_ *local.Topology, _ local.Factory, opts local.Options) (lo
 // TestOverlay pins the one settings wrapper: a zero overlay is the
 // identity, overlays merge into a single wrapper, the outer non-zero plane
 // and fault plan win, every control in play (outer, inner, the caller's
-// own) can end the run, and each setting reaches the engines exactly as
-// the matching Options field would.
+// own) can end the run, and a forced plane is rejected by programs that
+// cannot run on it. TestForceControl and TestForceFaults pin a single
+// control or fault plan forced through an overlay.
 func TestOverlay(t *testing.T) {
 	t.Parallel()
 	live := &local.RunControl{Ctx: context.Background()}
@@ -109,29 +110,6 @@ func TestOverlay(t *testing.T) {
 		opts.Control = live
 		if _, err := e.Run(topo, ctlFactory(newCtlRecorder(n, ctlRounds)), opts); err != nil {
 			t.Fatalf("live controls: %v", err)
-		}
-	})
-
-	t.Run("faults-match-options", func(t *testing.T) {
-		g := graph.Cycle(40)
-		topo := local.NewTopology(g)
-		n := g.N()
-		fp := local.FaultPlan{Seed: 21, Drop: 0.25}
-		out1 := make([]uint64, n)
-		s1, err := local.Overlay{Faults: fp}.On(seq).Run(topo, chatterFactory(5, out1), local.Options{Source: prob.NewSource(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out2 := make([]uint64, n)
-		s2, err := seq.Run(topo, chatterFactory(5, out2), local.Options{Source: prob.NewSource(2), Faults: &fp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1 != s2 || outHash(out1) != outHash(out2) {
-			t.Errorf("overlay run differs from Options.Faults run: %+v vs %+v", s1, s2)
-		}
-		if s1.Dropped == 0 {
-			t.Errorf("overlaid run dropped nothing: %+v", s1)
 		}
 	})
 
