@@ -269,10 +269,10 @@ func measureAllocsPerRound(run func(rounds int)) float64 {
 // a high-girth bipartite tree, and — in full (non -short) runs — a
 // million-node random graph that only fits because the CSR graph core
 // stores adjacency in two flat arrays. The seq/pool cases run the word-plane
-// program (the broadest fast path); pool-bit runs the bit-plane program the
-// migrated splitting algorithms use, and seq-boxed keeps the boxed Message
-// plane — which only the sequential loop runs — as the in-benchmark
-// baseline. rounds/sec is the
+// program (the broadest fast path; seq is the pool at one inline worker);
+// pool-bit runs the bit-plane program the migrated splitting algorithms
+// use, and seq-boxed keeps the boxed Message plane — which only the boxed
+// reference loop runs — as the in-benchmark baseline. rounds/sec is the
 // headline metric; allocs/round (marginal, setup excluded) and
 // plane-bytes/node track the message-plane cost next to graph-bytes/node.
 func BenchmarkEngines(b *testing.B) {
@@ -357,8 +357,8 @@ func BenchmarkEngines(b *testing.B) {
 // plane-bits/arc the single-plane footprint (≤ 2 for the bit plane), and
 // plane-bytes/node the double-buffered per-node cost, so the artifacts
 // track GC pressure and memory cost of each representation across PRs. The
-// boxed plane runs on the sequential path only (pool and batch hand boxed
-// runs to the same sequential loop). The 1M case drops the boxed plane (a
+// boxed plane runs on the seq path only (pool and batch hand boxed runs to
+// the same boxed loop). The 1M case drops the boxed plane (a
 // million-node boxed run is gigabytes of GC-scanned pointers) and runs 2
 // batch trials instead of 4.
 func BenchmarkMsgPlane(b *testing.B) {

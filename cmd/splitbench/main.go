@@ -212,16 +212,13 @@ func run() int {
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Engine: local.Overlay{Plane: ov.Plane}.On(eng), Batch: *batch, GraphFile: *graphF}
-	if ov.Faults.Active() {
-		cfg.Faults = &ov.Faults
-	}
 	// First SIGINT/SIGTERM stops at the next round boundary: experiments not
 	// yet started are skipped, finished tables still print, and the run
 	// exits nonzero. A second signal hard-kills (exit 130).
 	ctx, release := cliutil.InterruptContext()
 	defer release()
-	cfg.Control = &local.RunControl{Ctx: ctx}
+	ov.Control = &local.RunControl{Ctx: ctx}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Engine: eng, Overlay: ov, Batch: *batch, GraphFile: *graphF}
 	start := time.Now()
 	results := experiments.RunParallel(ids, cfg, *workers)
 	failed := 0

@@ -14,7 +14,7 @@ import (
 // goroutine, and "pool" (or its synonym "batch") runs each simulation as a
 // one-trial batch, sharding nodes over a worker pool (the fastest choice on
 // large instances). The pool is the throughput path for word and bit
-// programs; boxed programs run on the sequential loop under every engine.
+// programs; boxed programs run on the boxed loop under every engine.
 // Engines are observationally identical, so the flag changes wall-clock
 // time only. The removed "goroutine" engine is a usage error.
 //

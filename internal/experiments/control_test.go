@@ -151,7 +151,7 @@ func TestConfigControl(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := Config{Quick: true, Control: &local.RunControl{Ctx: ctx}}
+	cfg := Config{Quick: true, Overlay: local.Overlay{Control: &local.RunControl{Ctx: ctx}}}
 	for _, r := range RunParallel([]string{"E1", "E2"}, cfg, 2) {
 		if !errors.Is(r.Err, local.ErrCancelled) {
 			t.Fatalf("%s: err = %v, want ErrCancelled", r.ID, r.Err)
@@ -168,5 +168,16 @@ func TestConfigControl(t *testing.T) {
 	}, local.Options{Source: prob.NewSource(1), MaxRounds: 4})
 	if !errors.Is(err, local.ErrCancelled) {
 		t.Fatalf("cfg.engine() err = %v, want ErrCancelled", err)
+	}
+}
+
+// TestEFRejectsFaultOverlay pins that EF refuses a config whose overlay
+// carries an active fault plan: it sweeps its own grid, and a second plan
+// would silently replace every cell's.
+func TestEFRejectsFaultOverlay(t *testing.T) {
+	t.Parallel()
+	cfg := Config{Quick: true, Overlay: local.Overlay{Faults: local.FaultPlan{Seed: 3, Drop: 0.1}}}
+	if _, err := EF(cfg); err == nil || !strings.Contains(err.Error(), "own fault grid") {
+		t.Fatalf("EF with an active fault overlay: err = %v, want the own-grid rejection", err)
 	}
 }

@@ -103,7 +103,7 @@ func probeSetup(b *graph.Bipartite) (*local.Topology, []any, []int) {
 // EF quantifies graceful degradation under the deterministic fault layer:
 // validity rate versus drop probability, with delay and crash-stop rows.
 func EF(cfg Config) (*Table, error) {
-	if cfg.Faults != nil {
+	if cfg.Overlay.Faults.Active() {
 		return nil, fmt.Errorf("EF sweeps its own fault grid; run it without fault flags")
 	}
 	t := &Table{

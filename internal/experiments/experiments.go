@@ -32,18 +32,18 @@ type Config struct {
 	// instance text) for the real-graph experiment EG; the other experiments
 	// generate their own instances and ignore it.
 	GraphFile string
-	// Faults injects a deterministic fault plan (drops, delays, crash-stop)
-	// into every LOCAL simulation the experiment runs, through the engine's
-	// local.Overlay. Most solvers self-check and report failures as errors,
-	// so this is a stress knob; EF sweeps its own fault grid and rejects it.
-	Faults *local.FaultPlan
-	// Control makes the run cancellable: every LOCAL phase the experiment
-	// runs observes it at round boundaries (it rides the engine's
-	// local.Overlay, alongside any control the engine already carries), and
-	// RunParallel skips experiments not yet started once it fires. nil runs
-	// uncontrolled. A control that never fires perturbs nothing — tables are
-	// bit-identical with and without it.
-	Control *local.RunControl
+	// Overlay imposes run-wide settings on every LOCAL simulation the
+	// experiment runs, on top of any the engine already carries:
+	//   - Plane forces a message plane;
+	//   - Faults injects a deterministic fault plan (drops, delays,
+	//     crash-stop). Most solvers self-check and report failures as
+	//     errors, so this is a stress knob; EF sweeps its own fault grid and
+	//     rejects it;
+	//   - Control makes the run cancellable: LOCAL phases observe it at round
+	//     boundaries, and RunParallel skips experiments not yet started once
+	//     it fires. A control that never fires perturbs nothing — tables are
+	//     bit-identical with and without it.
+	Overlay local.Overlay
 }
 
 // BatchCapable reports whether an experiment honors Config.Batch. CLIs use
@@ -64,11 +64,7 @@ func (c Config) engine() local.Engine {
 	if eng == nil {
 		eng = local.SequentialEngine{}
 	}
-	ov := local.Overlay{Control: c.Control}
-	if c.Faults != nil {
-		ov.Faults = *c.Faults
-	}
-	return ov.On(eng)
+	return c.Overlay.On(eng)
 }
 
 // Table is one experiment's result.

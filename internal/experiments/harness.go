@@ -75,9 +75,10 @@ type RunResult struct {
 
 // RunParallel executes the named experiments concurrently on at most
 // `workers` goroutines and returns the results in the order of ids. Unknown
-// ids produce an error entry rather than a panic. When cfg.Control fires,
-// experiments not yet started return its cancellation error immediately and
-// running ones observe it inside their LOCAL phases (via cfg.engine()).
+// ids produce an error entry rather than a panic. When cfg.Overlay.Control
+// fires, experiments not yet started return its cancellation error
+// immediately and running ones observe it inside their LOCAL phases (via
+// cfg.engine()).
 func RunParallel(ids []string, cfg Config, workers int) []RunResult {
 	registry := All()
 	return forEachIndexed(workers, len(ids), func(i int) RunResult {
@@ -86,7 +87,7 @@ func RunParallel(ids []string, cfg Config, workers int) []RunResult {
 		if !ok {
 			return RunResult{ID: id, Err: fmt.Errorf("unknown experiment %q", id)}
 		}
-		if cerr := cfg.Control.Err(); cerr != nil {
+		if cerr := cfg.Overlay.Control.Err(); cerr != nil {
 			return RunResult{ID: id, Err: cerr}
 		}
 		start := time.Now()

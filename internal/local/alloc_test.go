@@ -1,6 +1,6 @@
 // Allocation-regression pins for the word-plane fast path: a steady-state
 // round must perform zero heap allocations on every execution path
-// (sequential, worker pool, batch, plus the unfused sequential loop on the
+// (sequential, worker pool, batch, plus the unfused sequential run on the
 // bit plane). The measurement is
 // marginal — the same run at two round budgets, so one-time setup (views,
 // nodes, planes, worker spawn) cancels out and only the per-round cost

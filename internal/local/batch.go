@@ -32,12 +32,14 @@ import (
 //     shattering sweep, where most trials collapse early and a few run
 //     long tails.
 //   - Boxed trials have no throughput path: each runs to completion on the
-//     sequential engine's boxed loop during setup, on the coordinator.
+//     boxed loop, runSeqBoxed, during setup, on the coordinator.
+//   - A pool of one worker runs its units inline on the coordinator, with
+//     no goroutines and no atomics: that is SequentialEngine.
 //
 // Trials are observationally independent: per-node randomness is keyed by
 // (seed, ID) only, so every trial's message trace, outputs and Stats are
-// bit-identical to a standalone SequentialEngine run with the same Options
-// (the determinism, batch and golden-trace suites pin this).
+// bit-identical to a standalone run with the same Options on the boxed
+// loop (the determinism, batch and golden-trace suites pin this).
 
 // Trial is one independent run of a batch: a node-program factory plus its
 // per-trial options (randomness source, ID assignment, inputs, round cap,
@@ -164,8 +166,8 @@ type batchUnit struct {
 // the programs cannot take) report through their error slot without
 // disturbing the other trials.
 //
-// Each trial is bit-identical to SequentialEngine{}.Run(t, trials[i].Factory,
-// trials[i].Opts); batching changes wall-clock time only.
+// Each trial is bit-identical to a standalone run of trials[i] on any engine
+// and any plane the programs support; batching changes wall-clock time only.
 func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error) {
 	stats, errs, _, _ := batchRun(t, trials, bopts)
 	return stats, errs
@@ -207,6 +209,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	var sharedBase []View
 	var sharedIDs []int
 	bitWidth := 0
+	pulls := false // some bit trial pulls, so workers need gather blocks
 	for s := range trials {
 		tr := &all[s]
 		tr.idx = s
@@ -255,8 +258,8 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 		if tr.bnodes == nil && tr.wnodes == nil {
 			// A boxed trial runs here, on the coordinator, through the
-			// sequential boxed loop — governed by the batch-level control
-			// first and its own second, as a batched trial would be.
+			// boxed loop — governed by the batch-level control first and
+			// its own second, as a batched trial would be.
 			statsOut[s], errsOut[s] = runSeqBoxed(t, nodes, tr.maxRounds, tr.faults,
 				opts.Control.under(bopts.Control))
 			continue
@@ -276,6 +279,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			tr.bdead = deadDeliver{t: t}
 			// A single inline worker owns every plane word (see runRound).
 			tr.pass = newBitPass(t, tr.bnodes, tr.done, tr.faults != nil, nw > 1)
+			pulls = pulls || tr.pass.pulls
 		}
 		tr.remaining = n
 		tr.weight = int64(n + arcs)
@@ -330,16 +334,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			lifetime.Add(1)
 			go func(w int) {
 				defer lifetime.Done()
-				// Per-worker send scratch, reused for every node of every
-				// unit the worker ever runs.
-				var sc unitScratch
-				if hasWord {
-					sc.wsend = make([]Word, t.maxDeg)
-				}
-				if hasBit {
-					sc.bsend = newBitScratch(t.maxDeg, bitWidth)
-					sc.gbuf = make([]uint64, gatherWords(t.maxDeg, bitWidth))
-				}
+				sc := newUnitScratch(t.maxDeg, bitWidth, hasWord, hasBit, pulls)
 				for range start[w] {
 					for {
 						i := int(cursor.Add(1)) - 1
@@ -361,13 +356,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	}
 	var inline unitScratch
 	if nw == 1 {
-		if hasWord {
-			inline.wsend = make([]Word, t.maxDeg)
-		}
-		if hasBit {
-			inline.bsend = newBitScratch(t.maxDeg, bitWidth)
-			inline.gbuf = make([]uint64, gatherWords(t.maxDeg, bitWidth))
-		}
+		inline = newUnitScratch(t.maxDeg, bitWidth, hasWord, hasBit, pulls)
 	}
 	runRound := func() {
 		if nw == 1 {
@@ -489,7 +478,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		runRound()
 
 		// Wholesale-clearing bit trials get their consumed region memclr'd
-		// here, between the barrier and the swap (see runSeqBit).
+		// here, between the barrier and the swap (see clearWholesale).
 		for _, tr := range live {
 			if tr.bnodes != nil {
 				tr.pass.clearConsumed()
@@ -603,12 +592,30 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 }
 
 // unitScratch is one worker's reused scratch, shared by every unit it
-// runs: the send row for word trials, and the send row and gather block
-// for bit trials (nil when no trial of that kind exists).
+// runs: the send row for word trials, the send row for bit trials, and the
+// gather block for bit trials that pull (nil when no trial needs it).
 type unitScratch struct {
 	wsend []Word
 	bsend BitRow
 	gbuf  []uint64
+}
+
+// newUnitScratch allocates a worker's scratch for the trials of a run:
+// word and bit send rows of maxDeg ports when such trials exist, and the
+// gather block only when some bit trial pulls — a gather block is a few KB,
+// more than a small run's whole planes.
+func newUnitScratch(maxDeg, bitWidth int, word, bit, pull bool) unitScratch {
+	var sc unitScratch
+	if word {
+		sc.wsend = make([]Word, maxDeg)
+	}
+	if bit {
+		sc.bsend = newBitScratch(maxDeg, bitWidth)
+	}
+	if pull {
+		sc.gbuf = make([]uint64, gatherWords(maxDeg, bitWidth))
+	}
+	return sc
 }
 
 // runBatchUnit executes one (trial, shard) unit: it runs every node of the

@@ -1,10 +1,10 @@
 // Batch determinism suite: every trial of a BatchRun must be bit-identical —
-// outputs and full Stats — to a standalone SequentialEngine run with the same
-// Options, whatever the worker count and however the trials' lifetimes
+// outputs and full Stats — to a standalone run of the boxed oracle with the
+// same Options, whatever the worker count and however the trials' lifetimes
 // interleave. Error handling is per-trial: one failing trial must not disturb
-// its batchmates. A boxed trial runs on the sequential oracle inside the
-// batch, so every program here also runs as a bit twin forced onto the word
-// and bit planes, which drives the batch runner's own loops.
+// its batchmates. A boxed trial runs on the oracle's loop inside the batch,
+// so every program here also runs as a bit twin forced onto the word and
+// bit planes, which drives the batch runner's own loops.
 package local_test
 
 import (
@@ -111,8 +111,8 @@ type planeProg struct {
 }
 
 // twins returns a boxed program and its bit twin forced onto the word and
-// the bit plane. Boxed runs go to the sequential loop under every engine,
-// so only the twins reach the pool's and the batch runner's own loops.
+// the bit plane. Boxed runs go to the boxed loop under every engine, so
+// only the twins reach the pool's and the batch runner's own loops.
 func twins(boxed, bit func(int, []uint64) local.Factory) []planeProg {
 	return []planeProg{
 		{"boxed", boxed, local.PlaneBoxed},
@@ -121,16 +121,14 @@ func twins(boxed, bit func(int, []uint64) local.Factory) []planeProg {
 	}
 }
 
-// sequentialReference runs one trial standalone on the sequential boxed
-// loop — the oracle, whatever plane the trial itself is forced onto — and
-// returns its outputs and stats, as the reference for the batched run.
+// sequentialReference runs one trial standalone on the boxed oracle,
+// whatever plane the trial itself is forced onto, and returns its outputs
+// and stats, as the reference for the batched run.
 func sequentialReference(t *testing.T, topo *local.Topology, mk func(out []uint64) local.Trial) ([]uint64, local.Stats) {
 	t.Helper()
 	out := make([]uint64, topo.N())
 	trial := mk(out)
-	opts := trial.Opts
-	opts.Plane = local.PlaneBoxed
-	stats, err := local.SequentialEngine{}.Run(topo, trial.Factory, opts)
+	stats, err := local.Oracle.Run(topo, trial.Factory, trial.Opts)
 	if err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
@@ -303,7 +301,7 @@ func (badSenderNode) Round(int, []local.Message) ([]local.Message, bool) {
 // TestBatchPerTrialMaxRounds gives each trial its own cap around the exact
 // finishing round: the trial at the boundary succeeds, the one a round short
 // fails, and neither outcome leaks into the other trials — on the boxed
-// trial's sequential loop and on the batched word and bit loops alike.
+// trial's boxed loop and on the batched word and bit loops alike.
 func TestBatchPerTrialMaxRounds(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(20)

@@ -21,30 +21,29 @@ package local
 // present lane addressed to a node that has not already terminated.
 //
 // Concurrency discipline. Unlike the word plane, adjacent nodes' rows can
-// share a uint64 of the packed plane, so the parallel engines cannot rely
+// share a uint64 of the packed plane, so concurrent workers cannot rely
 // on slot ownership alone:
 //
 //   - reads from a shared plane always go through atomic loads (free on the
 //     architectures we run on);
-//   - deliveries into the next plane use one atomic OR per message on the
-//     parallel engines (a lane is zero until its unique writer delivers, so
-//     OR writes presence and value together) and plain OR on the
-//     sequential path;
+//   - deliveries into the next plane use one atomic OR per message on a
+//     multi-worker pool (a lane is zero until its unique writer delivers, so
+//     OR writes presence and value together) and plain OR on a one-worker
+//     pool, whose single worker owns every plane word;
 //   - a consumed row is cleared by its owner with plain stores on its
 //     interior words and atomic AND-NOT on the (at most two) words shared
 //     with neighboring rows;
 //   - send scratch rows are word-aligned and private to one worker or node,
 //     so programs write them with plain stores.
 //
-// That is push delivery, and the sequential oracle pushes in every round.
-// In dense fault-free rounds the throughput bit loop delivers fused
-// broadcasts (BitBroadcaster) by pull instead: a caster stores its lane in
-// its own byte of castSlots with a plain store, and next round's receivers
-// gather their rows from their neighbors' slots into private, word-aligned
-// scratch — no atomic OR, and no plane line written by two cores. Nodes
-// without CastB keep pushing, and gathers OR their pushes in. Slots are
-// written only by their node's owner and read only in the following
-// round, so the round barrier orders every access.
+// That is push delivery. In dense fault-free rounds the bit loop delivers
+// fused broadcasts (BitBroadcaster) by pull instead: a caster stores its
+// lane in its own byte of castSlots with a plain store, and next round's
+// receivers gather their rows from their neighbors' slots into private,
+// word-aligned scratch — no atomic OR, and no plane line written by two
+// cores. Nodes without CastB keep pushing, and gathers OR their pushes in.
+// Slots are written only by their node's owner and read only in the
+// following round, so the round barrier orders every access.
 
 import (
 	"math/bits"
@@ -492,11 +491,6 @@ func wordsFor(bits int) int { return (bits + 63) / 64 }
 // given value width.
 func planeWords(arcs, width int) int { return wordsFor(arcs * 2 * width) }
 
-// newBitPlane allocates an all-clear plane for `arcs` arcs.
-func newBitPlane(arcs, width int) bitPlane {
-	return bitPlane{lanes: make([]uint64, planeWords(arcs, width)), width: uint32(width)}
-}
-
 // newBitScratch allocates a private, word-aligned send scratch row of deg
 // ports (resize per node with ports()).
 func newBitScratch(deg, width int) BitRow {
@@ -698,111 +692,6 @@ func countPatternRange(ws []uint64, lo, hi int, pat uint64) int64 {
 	return int64(c)
 }
 
-// countBitRange returns the population count of bits [lo, hi) of ws.
-func countBitRange(ws []uint64, lo, hi int) int64 {
-	return countPatternRange(ws, lo, hi, ^uint64(0))
-}
-
-// runSeqBit is the sequential engine's bit-plane fast path: double-buffered
-// packed planes, one reused send scratch row, per-row clearing on
-// consumption — a steady-state round allocates nothing and touches 2–4 bits
-// per arc instead of 64. Delivery, termination and Stats semantics mirror
-// the boxed/word loops exactly.
-func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
-	n := t.N()
-	arcs := len(t.adj)
-	inbox := newBitPlane(arcs, width)
-	next := newBitPlane(arcs, width)
-	scratch := newBitScratch(t.maxDeg, width)
-	done := make([]bool, n)
-	dead := deadDeliver{t: t}
-	casters := asBitCasters(nodes)
-	var newlyDone []int32
-	remaining := n
-	weight := int64(n + arcs)
-	// Panic isolation: see SequentialEngine.Run. The guard sits outside the
-	// marked region (defers are banned inside) and costs one open-coded
-	// defer for the whole run.
-	curV := -1
-	defer func() {
-		if p := recover(); p != nil {
-			err = newPanicError(curV, stats.Rounds, p)
-		}
-	}()
-	//splitlint:zeroalloc
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, maxRoundsErr(maxRounds)
-		}
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, cerr
-		}
-		stats.Rounds = r
-		// Consumed rows must be all-clear after the swap. While a decent
-		// fraction of the graph is still active, one wholesale memclr of the
-		// tiny packed plane beats 100k masked per-row clears; in a sparse
-		// tail (the shattering shape: few survivors, many rounds) the
-		// wholesale clear would dominate, so clear per row instead.
-		wholesale := clearWholesale(weight, n, arcs)
-		deliver := dead.table()
-		newlyDone = newlyDone[:0]
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			curV = v
-			lo, hi := t.off[v], t.off[v+1]
-			var fin bool
-			if c := caster(casters, v); c != nil {
-				val, cast, cfin := c.CastB(r, inbox.row(lo, hi))
-				if cast {
-					stats.Messages += castBitRow(deliver, next, lo, hi, val, false)
-				}
-				fin = cfin
-			} else {
-				send := scratch.ports(int(hi - lo))
-				fin = nodes[v].RoundB(r, inbox.row(lo, hi), send)
-				stats.Messages += scatterBitRow(deliver, next, lo, send, false)
-			}
-			if fin {
-				done[v] = true
-				//lint:alloc amortized: reslice of a buffer whose capacity stops growing after the first rounds
-				newlyDone = append(newlyDone, int32(v))
-				remaining--
-			}
-			if !wholesale {
-				inbox.clearRow(lo, hi, false)
-			}
-		}
-		curV = -1
-		if wholesale {
-			inbox.clearAll()
-		}
-		// Messages addressed to nodes that terminated this round will never
-		// be consumed: uncount and drop them, then retire the nodes.
-		for _, v := range newlyDone {
-			lo, hi := t.off[v], t.off[v+1]
-			stats.Messages -= next.countRow(lo, hi)
-			next.clearRow(lo, hi, false)
-			weight -= 1 + int64(hi-lo)
-			dead.kill(v)
-		}
-		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryBit(r, next, &stats) {
-				done[v] = true
-				weight -= 1 + int64(t.off[v+1]-t.off[v])
-				remaining--
-				dead.kill(v)
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, nil
-}
-
 // clearWholesale decides between one wholesale memclr of a packed plane and
 // masked per-row clears: wholesale wins while the active set still covers a
 // quarter of the graph's weight, per-row wins in long sparse tails. The
@@ -829,7 +718,8 @@ const (
 // no atomic — and the receivers of the next round gather their inbox rows
 // from their neighbors' slots (slot[adj[arc]]) instead of finding them
 // pushed into the plane. This is the push→pull switch of direction-
-// optimizing BFS; the sequential oracle always pushes.
+// optimizing BFS. Only the bit loop pulls: the word and boxed loops, the
+// boxed reference included, always push.
 //
 // A run (or batch trial) pulls in exactly the rounds that clear the plane
 // wholesale, when it has casters and no faults (fault injection acts on the

@@ -132,8 +132,7 @@ func TestBitEnginesMatchAllPlanes(t *testing.T) {
 		{"bit2", bit2EchoFactory},
 	} {
 		refOut := make([]uint64, n)
-		refStats, err := local.Overlay{Plane: local.PlaneBoxed}.On(local.SequentialEngine{}).
-			Run(topo, prog.mk(5, refOut), mkOpts())
+		refStats, err := local.Oracle.Run(topo, prog.mk(5, refOut), mkOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +179,7 @@ func (w wordOnly) RoundW(r int, recv, send []local.Word) bool {
 // TestBitMixedProgramFallsBack pins the fallback ladder: hiding the bit
 // interface of one node drops the run to the word plane, hiding everything
 // drops it to the boxed plane, and in both cases the run stays bit-identical
-// to the pure bit-plane run on every engine.
+// on every engine to the boxed oracle's run of the pure bit program.
 func TestBitMixedProgramFallsBack(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(40)
@@ -204,7 +203,7 @@ func TestBitMixedProgramFallsBack(t *testing.T) {
 		return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))}
 	}
 	pureF, pureOut := mk(nil)
-	pureStats, err := local.SequentialEngine{}.Run(topo, pureF, mkOpts())
+	pureStats, err := local.Oracle.Run(topo, pureF, mkOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestBitMixedProgramFallsBack(t *testing.T) {
 				t.Fatalf("%s/%s: %v", mix.name, eng.name, err)
 			}
 			if stats != pureStats {
-				t.Errorf("%s/%s: mixed stats %+v != pure bit stats %+v", mix.name, eng.name, stats, pureStats)
+				t.Errorf("%s/%s: mixed stats %+v != oracle stats %+v", mix.name, eng.name, stats, pureStats)
 			}
 			for v := range mixedOut {
 				if mixedOut[v] != pureOut[v] {
@@ -234,8 +233,8 @@ func TestBitMixedProgramFallsBack(t *testing.T) {
 }
 
 // TestBatchMixedBitWordBoxedTrials runs one batch holding a bit trial, a
-// word trial and a boxed trial: each must match its standalone sequential
-// run exactly (the three plane pairs coexist without interference), which is
+// word trial and a boxed trial: each must match its standalone oracle run
+// exactly (the three plane pairs coexist without interference), which is
 // the batch-runner fallback contract.
 func TestBatchMixedBitWordBoxedTrials(t *testing.T) {
 	t.Parallel()
@@ -266,7 +265,7 @@ func TestBatchMixedBitWordBoxedTrials(t *testing.T) {
 		{boxedEchoFactory, xOut},
 	} {
 		want := make([]uint64, n)
-		wantStats, err := local.SequentialEngine{}.Run(topo, ref.f(4, want), opts(uint64(i+1)))
+		wantStats, err := local.Oracle.Run(topo, ref.f(4, want), opts(uint64(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}

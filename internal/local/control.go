@@ -23,10 +23,9 @@ package local
 // Panic isolation converts a panic inside a node program (or its factory)
 // into a *PanicError carrying the (node, round) coordinates and the stack:
 // a per-trial error in BatchRun — sibling trials run to completion
-// bit-identically — which the pool returns as its run's error, and an
-// engine-level error on the sequential engine. Recovery happens on the
-// cold exit path only; the steady-state round loops pay at most one
-// deferred guard per unit.
+// bit-identically — which both engines, one-trial batches, return as their
+// run's error. Recovery happens on the cold exit path only; the
+// steady-state round loops pay at most one deferred guard per unit.
 
 import (
 	"context"
@@ -57,7 +56,7 @@ type RunControl struct {
 	// Ctx is polled at round boundaries; its cancellation ends the run.
 	Ctx context.Context
 	// outer, when set, is polled before Ctx: a boxed BatchRun trial runs on
-	// the sequential loop under both the batch-level control and its own.
+	// the boxed loop under both the batch-level control and its own.
 	outer *RunControl
 }
 
@@ -121,9 +120,9 @@ func newPanicError(node, round int, v any) *PanicError {
 
 // buildNodes instantiates the per-node programs on the (possibly shared)
 // base views, attaching each node's random stream from src (none when src
-// is nil), and converts a factory panic into a *PanicError (round 0): an
-// engine-level error on the sequential engine, a per-trial error in
-// BatchRun, where sibling trials are untouched.
+// is nil), and converts a factory panic into a *PanicError (round 0): a
+// per-trial error in BatchRun, where sibling trials are untouched, and so
+// the run's error on either engine.
 func buildNodes(f Factory, vs []View, src *prob.Source, ids []int) (nodes []Node, err error) {
 	var rngs []*rand.Rand
 	if src != nil {

@@ -39,9 +39,11 @@ func newCtlRecorder(n, rounds int) *ctlRecorder {
 func (rec *ctlRecorder) row(r int) []uint64 { return rec.hist[r-1] }
 
 // ctlNode is the trace program behind ctlRecorder. It implements the whole
-// plane ladder (boxed, word, bit) so the same program runs under every
-// forced plane; each plane folds its received (round, port, payload)
-// triples and one random draw per round into the per-node hash.
+// plane ladder (boxed, word, bit) natively, with one message semantics on
+// every plane: per port, silence or a one-bit value (see ctlMsg). Each plane
+// folds its received (round, port, value) triples and one random draw per
+// round into the per-node hash, so a run's trace is the same under every
+// forced plane and the boxed oracle is the reference for all three.
 type ctlNode struct {
 	v   local.View
 	rec *ctlRecorder
@@ -58,28 +60,44 @@ func ctlFactory(rec *ctlRecorder) local.Factory {
 	}
 }
 
-func (n *ctlNode) step(r int, x uint64) {
+// ctlMsg is what a node with round draw x sends on port p: some ports stay
+// silent, the rest carry 0 or 1, which exercises the packed plane's
+// presence/value split.
+func ctlMsg(x uint64, p int) (v uint64, ok bool) {
+	return x >> (uint(p+1) & 63) & 1, x>>(uint(p)&63)&1 != 0
+}
+
+func (n *ctlNode) recv(r, p int, v uint64) {
+	n.acc = fnvFold(fnvFold(fnvFold(n.acc, uint64(r)), uint64(p)), v)
+}
+
+// step draws the round's random value, records the node's hash and reports
+// whether the node stops this round.
+func (n *ctlNode) step(r int) (x uint64, done bool) {
+	x = n.v.Rand.Uint64()
 	n.acc = fnvFold(n.acc, x)
 	n.rec.hist[r-1][n.idx] = n.acc
 	if n.rec.hook != nil {
 		n.rec.hook(r, n.idx)
 	}
+	return x, r == n.rec.rounds
 }
 
 func (n *ctlNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	for p, m := range recv {
 		if m != nil {
-			n.acc = fnvFold(fnvFold(fnvFold(n.acc, uint64(r)), uint64(p)), m.(uint64))
+			n.recv(r, p, m.(uint64))
 		}
 	}
-	x := n.v.Rand.Uint64()
-	n.step(r, x)
-	if r == n.rec.rounds {
+	x, done := n.step(r)
+	if done {
 		return nil, true
 	}
 	send := make([]local.Message, n.v.Deg)
 	for p := range send {
-		send[p] = x ^ uint64(p)<<32 ^ uint64(n.v.ID)
+		if v, ok := ctlMsg(x, p); ok {
+			send[p] = v
+		}
 	}
 	return send, false
 }
@@ -87,16 +105,17 @@ func (n *ctlNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 func (n *ctlNode) RoundW(r int, recv, send []local.Word) bool {
 	for p, m := range recv {
 		if m != local.NilWord {
-			n.acc = fnvFold(fnvFold(fnvFold(n.acc, uint64(r)), uint64(p)), m.Payload())
+			n.recv(r, p, m.Payload())
 		}
 	}
-	x := n.v.Rand.Uint64()
-	n.step(r, x)
-	if r == n.rec.rounds {
+	x, done := n.step(r)
+	if done {
 		return true
 	}
 	for p := range send {
-		send[p] = local.MakeWord(2, x^uint64(p)<<32^uint64(n.v.ID))
+		if v, ok := ctlMsg(x, p); ok {
+			send[p] = local.MakeWord(2, v)
+		}
 	}
 	return false
 }
@@ -104,19 +123,16 @@ func (n *ctlNode) RoundW(r int, recv, send []local.Word) bool {
 func (n *ctlNode) RoundB(r int, recv, send local.BitRow) bool {
 	for p := 0; p < recv.Len(); p++ {
 		if v, ok := recv.Lane(p); ok {
-			n.acc = fnvFold(fnvFold(fnvFold(n.acc, uint64(r)), uint64(p)), v)
+			n.recv(r, p, v)
 		}
 	}
-	x := n.v.Rand.Uint64()
-	n.step(r, x)
-	if r == n.rec.rounds {
+	x, done := n.step(r)
+	if done {
 		return true
 	}
-	// Some ports stay silent, the rest carry 0 or 1: exercises the packed
-	// plane's presence/value split.
 	for p := 0; p < send.Len(); p++ {
-		if x>>(uint(p)&63)&1 != 0 {
-			send.Set(p, x>>(uint(p+1)&63)&1)
+		if v, ok := ctlMsg(x, p); ok {
+			send.Set(p, v)
 		}
 	}
 	return false
@@ -181,9 +197,9 @@ func TestCancellationBitIdentity(t *testing.T) {
 	for _, plane := range ctlPlanes {
 		plane := plane
 		t.Run(plane.String(), func(t *testing.T) {
-			// Reference: uncancelled sequential run.
+			// Reference: uncancelled oracle run.
 			ref := newCtlRecorder(n, ctlRounds)
-			refStats, err := local.SequentialEngine{}.Run(topo, ctlFactory(ref), ctlOpts(n, plane))
+			refStats, err := local.Oracle.Run(topo, ctlFactory(ref), ctlOpts(n, plane))
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -202,7 +218,7 @@ func TestCancellationBitIdentity(t *testing.T) {
 					}
 					for r := 1; r <= ctlRounds; r++ {
 						if !equalU64(full.row(r), ref.row(r)) {
-							t.Fatalf("uncancelled round %d diverges from sequential reference", r)
+							t.Fatalf("uncancelled round %d diverges from the oracle", r)
 						}
 					}
 
@@ -272,9 +288,42 @@ func TestDeadlineControl(t *testing.T) {
 	}
 }
 
+// TestCancelBeatsMaxRounds pins the order of the two round-boundary exits:
+// when the control fires in the last round MaxRounds allows, the next
+// boundary reports the cancellation, not the exhausted cap, on every
+// engine, plane and the oracle alike.
+func TestCancelBeatsMaxRounds(t *testing.T) {
+	g := ctlGraph(t)
+	topo := local.NewTopology(g)
+	n := g.N()
+	engines := append(ctlEngines(), struct {
+		name string
+		e    local.Engine
+	}{"oracle", local.Oracle})
+	for _, plane := range ctlPlanes {
+		for _, eng := range engines {
+			ctx, cancel := context.WithCancel(context.Background())
+			rec := newCtlRecorder(n, ctlRounds)
+			rec.hook = func(r, idx int) {
+				if r == ctlCancel && idx == 0 {
+					cancel()
+				}
+			}
+			opts := ctlOpts(n, plane)
+			opts.MaxRounds = ctlCancel
+			opts.Control = &local.RunControl{Ctx: ctx}
+			stats, err := eng.e.Run(topo, ctlFactory(rec), opts)
+			cancel()
+			if !errors.Is(err, local.ErrCancelled) || stats.Rounds != ctlCancel {
+				t.Errorf("%s/%s: err %v after %d rounds, want ErrCancelled after %d", plane, eng.name, err, stats.Rounds, ctlCancel)
+			}
+		}
+	}
+}
+
 // TestBatchPerTrialControl pins trial-level isolation in BatchRun: one
 // trial's control firing cancels that trial alone, and the sibling trials'
-// full traces are byte-identical to their solo sequential runs.
+// full traces are byte-identical to their solo oracle runs.
 func TestBatchPerTrialControl(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
@@ -287,7 +336,7 @@ func TestBatchPerTrialControl(t *testing.T) {
 		refs[i] = newCtlRecorder(n, ctlRounds)
 		src := prob.NewSource(seed)
 		opts := local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), MaxRounds: 64, Plane: local.PlaneWord}
-		if _, err := (local.SequentialEngine{}).Run(topo, ctlFactory(refs[i]), opts); err != nil {
+		if _, err := local.Oracle.Run(topo, ctlFactory(refs[i]), opts); err != nil {
 			t.Fatalf("solo run %d: %v", i, err)
 		}
 	}
@@ -341,7 +390,7 @@ func TestBatchPerTrialControl(t *testing.T) {
 
 // TestBatchLevelControl pins BatchOptions.Control: a pre-cancelled batch
 // control retires every trial with ErrCancelled and zero-round Stats — one
-// trial per plane, so the boxed trial (which runs on the sequential loop)
+// trial per plane, so the boxed trial (which runs on the boxed loop)
 // is governed by the batch-level control too. Under a live batch control a
 // pre-cancelled per-trial control still retires its trial: both levels
 // compose on every plane.

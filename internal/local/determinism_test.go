@@ -1,9 +1,9 @@
 // Cross-engine determinism suite: every engine must produce bit-identical
 // outputs and identical round counts on every program, because per-node
 // randomness is keyed by (seed, ID) and never by scheduling. This is the
-// correctness harness for the throughput loop (WorkerPoolEngine, the
-// one-trial BatchRun) — a scheduling leak anywhere in the unit carve shows
-// up here as an engine disagreement.
+// correctness harness for the batch loops both engines run (each is a
+// one-trial BatchRun), checked against the boxed oracle — a scheduling leak
+// anywhere in the unit carve shows up here as a disagreement.
 package local_test
 
 import (
@@ -108,15 +108,13 @@ func determinismGraphs(t *testing.T) []testGraph {
 }
 
 // crossEngineCheck runs one program variant under every engine and
-// compares each run with the sequential boxed oracle: same Stats, same
-// outputs. It returns the oracle's outputs and Stats.
+// compares each run with the boxed oracle: same Stats, same outputs. It
+// returns the oracle's outputs and Stats.
 func crossEngineCheck(t *testing.T, topo *local.Topology, p planeProg, k int, mkOpts func() local.Options) ([]uint64, local.Stats) {
 	t.Helper()
 	n := topo.N()
 	refOut := make([]uint64, n)
-	refOpts := mkOpts()
-	refOpts.Plane = local.PlaneBoxed
-	refStats, err := local.SequentialEngine{}.Run(topo, p.mk(k, refOut), refOpts)
+	refStats, err := local.Oracle.Run(topo, p.mk(k, refOut), mkOpts())
 	if err != nil {
 		t.Fatalf("%s/oracle: %v", p.name, err)
 	}
@@ -129,11 +127,11 @@ func crossEngineCheck(t *testing.T, topo *local.Topology, p planeProg, k int, mk
 			t.Fatalf("%s/%s: %v", p.name, eng.name, err)
 		}
 		if stats != refStats {
-			t.Errorf("%s/%s stats %+v != seq stats %+v", p.name, eng.name, stats, refStats)
+			t.Errorf("%s/%s stats %+v != oracle stats %+v", p.name, eng.name, stats, refStats)
 		}
 		for v := range out {
 			if out[v] != refOut[v] {
-				t.Fatalf("%s/%s disagrees with seq at node %d: %x vs %x", p.name, eng.name, v, out[v], refOut[v])
+				t.Fatalf("%s/%s disagrees with the oracle at node %d: %x vs %x", p.name, eng.name, v, out[v], refOut[v])
 			}
 		}
 	}
@@ -192,11 +190,11 @@ func TestCrossEngineDeterminismChatterbox(t *testing.T) {
 						t.Fatalf("%s/batch: %v", p.name, errs[0])
 					}
 					if stats[0] != refStats {
-						t.Errorf("%s/batch stats %+v != seq stats %+v", p.name, stats[0], refStats)
+						t.Errorf("%s/batch stats %+v != oracle stats %+v", p.name, stats[0], refStats)
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("%s/batch disagrees with seq at node %d", p.name, v)
+							t.Fatalf("%s/batch disagrees with the oracle at node %d", p.name, v)
 						}
 					}
 				}

@@ -33,3 +33,10 @@ func OverlayLayers(e Engine) int {
 		e = o.e
 	}
 }
+
+// Oracle is the reference run of every differential test in the package:
+// the sequential engine forced onto the boxed plane. Its loop, runSeqBoxed,
+// reads every message as a plain Message value and shares no code with the
+// word and bit loops it checks, so the suites stay reference-vs-throughput
+// differentials.
+var Oracle = Overlay{Plane: PlaneBoxed}.On(SequentialEngine{})

@@ -5,9 +5,9 @@ package local
 // engine and every message plane.
 //
 // The design constraint is the repository's determinism discipline: a faulty
-// run must be bit-identical across the sequential and throughput execution
-// paths, every plane, and every worker count. Two properties give
-// that by construction:
+// run must be bit-identical across the boxed reference loop and the batch
+// loops, every plane, and every worker count. Two properties give that by
+// construction:
 //
 //   - Every fault decision is a pure function of the fault seed, a stable
 //     index (the inbox arc slot for message faults, the topology node index
@@ -196,10 +196,10 @@ func (fs *faultState) pickCrashes(round int) []int32 {
 	return crashed
 }
 
-// boundaryBoxed runs the fault pass over the sequential boxed loop's next
-// plane after round r; see the file comment for the pass order. It returns
-// the nodes crashed for round r+1, which the engine must retire exactly
-// like same-round terminators.
+// boundaryBoxed runs the fault pass over the boxed loop's next plane after
+// round r; see the file comment for the pass order. It returns the nodes
+// crashed for round r+1, which the engine must retire exactly like
+// same-round terminators.
 func (fs *faultState) boundaryBoxed(r int, next []Message, stats *Stats) []int32 {
 	t := fs.t
 	if fs.dropT > 0 {

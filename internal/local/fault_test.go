@@ -42,8 +42,8 @@ func outHash(out []uint64) uint64 {
 
 // TestFaultDeterminismAcrossEngines runs the cross-plane bit2 echo program
 // under every fault config × engine × forced plane and demands agreement
-// with the sequential boxed reference: same Stats (fault counters included),
-// same outputs. Fault decisions key on inbox arc slots and topology node
+// with the boxed oracle: same Stats (fault counters included), same
+// outputs. Fault decisions key on inbox arc slots and topology node
 // indices, which mean the same thing on every plane, so even the forced
 // planes must agree bit-for-bit. A crashed node never writes its output
 // slot, so the output vector also pins the crash schedule.
@@ -55,33 +55,33 @@ func TestFaultDeterminismAcrossEngines(t *testing.T) {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
 			t.Parallel()
-			var refOut []uint64
-			var refStats local.Stats
-			first := true
+			run := func(e local.Engine, plane local.Plane) ([]uint64, local.Stats, error) {
+				out := make([]uint64, n)
+				fp := fc.fp
+				stats, err := e.Run(topo, bit2EchoFactory(8, out), local.Options{
+					Source: prob.NewSource(3),
+					Plane:  plane,
+					Faults: &fp,
+				})
+				return out, stats, err
+			}
+			refOut, refStats, err := run(local.Oracle, local.PlaneAuto)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
 			for _, eng := range allEngines() {
 				for _, plane := range planeCases() {
-					out := make([]uint64, n)
-					fp := fc.fp
-					stats, err := eng.e.Run(topo, bit2EchoFactory(8, out), local.Options{
-						Source: prob.NewSource(3),
-						Plane:  plane,
-						Faults: &fp,
-					})
+					out, stats, err := run(eng.e, plane)
 					if err != nil {
 						t.Fatalf("%s/%v: %v", eng.name, plane, err)
 					}
-					if first {
-						refOut, refStats = out, stats
-						first = false
-						continue
-					}
 					if stats != refStats {
-						t.Errorf("%s/%v stats %+v != seq/auto stats %+v", eng.name, plane, stats, refStats)
+						t.Errorf("%s/%v stats %+v != oracle stats %+v", eng.name, plane, stats, refStats)
 					}
 					if outHash(out) != outHash(refOut) {
 						for v := range out {
 							if out[v] != refOut[v] {
-								t.Fatalf("%s/%v disagrees with seq/auto at node %d: %x vs %x",
+								t.Fatalf("%s/%v disagrees with the oracle at node %d: %x vs %x",
 									eng.name, plane, v, out[v], refOut[v])
 							}
 						}
@@ -106,8 +106,8 @@ func TestFaultDeterminismAcrossEngines(t *testing.T) {
 // under faults: staggered terminations mean many messages target terminated
 // or crashed receivers, and every engine (multi-trial batch included) must
 // draw drop, redelivery and crash boundaries at exactly the same place. The
-// boxed chatterbox runs on the sequential loop under every engine, so its
-// bit twin repeats the check on the word and bit planes.
+// boxed chatterbox runs on the oracle's loop under every engine, so its bit
+// twin repeats the check on the word and bit planes.
 func TestFaultDeterminismBoxedAccounting(t *testing.T) {
 	g := graph.RandomGraph(120, 0.06, prob.NewSource(78).Rand())
 	topo := local.NewTopology(g)
@@ -126,12 +126,11 @@ func TestFaultDeterminismBoxedAccounting(t *testing.T) {
 				// A multi-trial batch mixing faulty and clean trials must
 				// fault each trial independently: the faulty trial matches
 				// the faulty reference, the clean trial matches a clean
-				// sequential run.
+				// oracle run.
 				cleanRef := make([]uint64, n)
 				cleanOpts := mkOpts()
 				cleanOpts.Faults = nil
-				cleanOpts.Plane = local.PlaneBoxed
-				cleanStats, err := (local.SequentialEngine{}).Run(topo, p.mk(7, cleanRef), cleanOpts)
+				cleanStats, err := local.Oracle.Run(topo, p.mk(7, cleanRef), cleanOpts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -117,7 +117,7 @@ func unfused(f local.Factory) local.Factory {
 
 // TestFusedCasterEquivalence runs the fused-path stress program, at 1-bit
 // and 2-bit lanes, under every engine and compares outputs and Stats
-// against the sequential engine running the unfused program. Every engine
+// against the boxed oracle running the unfused program. Every engine
 // must take the fused path (no RoundB call) and the reference must not
 // (every node-round through RoundB), so neither side can silently run the
 // other's schedule.
@@ -137,7 +137,7 @@ func TestFusedCasterEquivalence(t *testing.T) {
 			t.Parallel()
 			ref := make([]uint64, n)
 			var refCalls atomic.Int64
-			refStats, err := local.SequentialEngine{}.Run(
+			refStats, err := local.Oracle.Run(
 				topo, unfused(castTailFactory(tail, ref, wide, &refCalls)), local.Options{Source: prob.NewSource(8)})
 			if err != nil {
 				t.Fatal(err)

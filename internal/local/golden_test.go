@@ -210,9 +210,9 @@ var goldenBatchSeeds = []uint64{
 
 // TestGoldenTracesBatch runs the multi-seed sweep through BatchRun: one
 // shared topology, one trial per seed, and every trial's folded trace hash
-// must equal both the checked-in golden value and a standalone
-// SequentialEngine run with the same seed. The boxed trace program runs on
-// the sequential loop inside the batch; its bit twin, forced onto the word
+// must equal both the checked-in golden value and a standalone run of the
+// boxed oracle with the same seed. The boxed trace program runs on the
+// oracle's loop inside the batch; its bit twin, forced onto the word
 // and bit planes, drives the batched loops, and its seed-99 trial must hit
 // the bit-trace golden value.
 func TestGoldenTracesBatch(t *testing.T) {
@@ -244,14 +244,12 @@ func TestGoldenTracesBatch(t *testing.T) {
 				t.Errorf("%s batch trial %d (seed %d) trace hash %#016x, want golden %#016x", p.name, k, 99+k, got, want)
 			}
 			ref := make([]uint64, g.N())
-			refOpts := opts(k)
-			refOpts.Plane = local.PlaneBoxed
-			refStats, err := local.SequentialEngine{}.Run(topo, p.mk(5, ref), refOpts)
+			refStats, err := local.Oracle.Run(topo, p.mk(5, ref), opts(k))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if standalone := foldRun(ref, refStats.Rounds, refStats.Messages); got != standalone {
-				t.Errorf("%s batch trial %d diverges from standalone sequential: %#016x vs %#016x", p.name, k, got, standalone)
+				t.Errorf("%s batch trial %d diverges from the standalone oracle: %#016x vs %#016x", p.name, k, got, standalone)
 			}
 		}
 	}

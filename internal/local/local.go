@@ -5,18 +5,19 @@
 // resource; message size and local computation are unbounded.
 //
 // Algorithms are written as per-node state machines (the Node interface).
-// Two execution paths run them:
+// Three round loops run them, one per message plane:
 //
-//   - SequentialEngine iterates nodes in a single goroutine, one loop per
-//     message plane: the plain oracle every other path must match
-//     bit-for-bit. It is the right choice for small instances and
-//     debugging, and the only path for boxed programs.
-//   - BatchRun (many trials over one topology) is the throughput path, and
-//     WorkerPoolEngine is its one-trial case: it shards the active nodes
-//     of every trial over one pool of up to GOMAXPROCS workers with
-//     double-buffered, reused message planes. It exists for word and bit
-//     programs only; a run on the boxed plane is handed to the sequential
-//     boxed loop.
+//   - runSeqBoxed iterates nodes in one goroutine over plain Message values:
+//     the only path for boxed programs and, forced with Overlay{Plane:
+//     PlaneBoxed}, the reference every other path must match bit-for-bit.
+//   - BatchRun (many trials over one topology) holds the word and bit loops,
+//     sharding every trial's active nodes over one pool of workers with
+//     double-buffered, reused message planes.
+//
+// Both engines are one-trial batches: WorkerPoolEngine on up to GOMAXPROCS
+// workers, SequentialEngine on one worker that runs inline on the calling
+// goroutine, the right choice for small instances, for debugging, and for
+// callers that already run many runs at once.
 //
 // All paths are observationally identical: per-node randomness is derived
 // from (seed, node ID) only, never from scheduling, so a program produces
@@ -289,9 +290,9 @@ func planeNodes(nodes []Node, plane Plane, arcs int) (bs []BitNode, bitWidth int
 
 // deliverBoxed scatters one node's boxed send row (first arc lo) into next
 // through the precomputed delivery table, dropping (and not counting)
-// messages to dead nodes; it returns the delivered count. Only the
-// sequential boxed loop uses it: boxed runs have no throughput path. The
-// send slice is program-owned and left untouched.
+// messages to dead nodes; it returns the delivered count. Only the boxed
+// loop uses it: boxed runs have no throughput path. The send slice is
+// program-owned and left untouched.
 //
 //splitlint:zeroalloc
 func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Message) int64 {
@@ -412,48 +413,30 @@ func baseViews(t *Topology, opts Options) ([]View, []int, error) {
 	return vs, ids, nil
 }
 
-// SequentialEngine executes all nodes in one goroutine.
+// SequentialEngine runs every node on the calling goroutine: a run is the
+// one-worker batch, BatchRun(t, []Trial{{f, opts}}, BatchOptions{Workers:
+// 1}), whose single worker runs inline with no goroutines and no atomics.
+// Word and bit programs take the batch's word and bit loops; boxed programs
+// take runSeqBoxed, the reference loop. Callers that run many engines at
+// once (service jobs, experiment grids) rely on it never starting a
+// goroutine.
 type SequentialEngine struct{}
 
 var _ Engine = SequentialEngine{}
 
 // Run implements Engine.
-func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, err error) {
-	vs, ids, err := baseViews(t, opts)
-	if err != nil {
-		return Stats{}, err
-	}
-	nodes, err := buildNodes(f, vs, opts.Source, ids)
-	if err != nil {
-		return Stats{}, err
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	bs, bw, ws, err := planeNodes(nodes, opts.Plane, len(t.adj))
-	if err != nil {
-		return Stats{}, err
-	}
-	fs, err := newFaultState(t, opts.Faults)
-	if err != nil {
-		return Stats{}, err
-	}
-	ctl := opts.Control
-	if bs != nil {
-		return runSeqBit(t, bs, bw, maxRounds, fs, ctl)
-	}
-	if ws != nil {
-		return runSeqWord(t, ws, maxRounds, fs, ctl)
-	}
-	return runSeqBoxed(t, nodes, maxRounds, fs, ctl)
+func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) {
+	stats, errs := BatchRun(t, []Trial{{Factory: f, Opts: opts}}, BatchOptions{Workers: 1})
+	return stats[0], errs[0]
 }
 
-// runSeqBoxed is the sequential engine's boxed-plane loop, and the only
-// boxed loop there is: the worker pool and the batch runner hand boxed runs
-// and trials to it. Message = any planes allocate per send row, so a
-// throughput path would buy little; boxed programs are tests, benchmarks and
-// facade callers, never a shipped solver.
+// runSeqBoxed is the boxed-plane loop, and the only boxed loop there is:
+// BatchRun, and with it both engines, hands boxed runs and trials to it.
+// Message = any planes allocate per send row, so a throughput path would
+// buy little; boxed programs are tests, benchmarks and facade callers,
+// never a shipped solver. Because it reads every message as a plain value
+// and shares no code with the word and bit loops, the differential suites
+// use it as their reference.
 func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	// Double-buffered flat message arrays sharing the topology's offsets:
@@ -478,13 +461,14 @@ func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *
 		}
 	}()
 	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			return stats, fmt.Errorf("local: exceeded MaxRounds=%d", maxRounds)
-		}
 		// The cancellation point: before round r runs, so rounds 1..r-1 are
-		// untouched and Stats cover exactly the rounds that executed.
+		// untouched and Stats cover exactly the rounds that executed. It
+		// comes before the round cap, as in BatchRun.
 		if cerr := ctl.Err(); cerr != nil {
 			return stats, cerr
+		}
+		if r > maxRounds {
+			return stats, maxRoundsErr(maxRounds)
 		}
 		stats.Rounds = r
 		for i := range next {
@@ -528,90 +512,6 @@ func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *
 				fs.markDown(v)
 			}
 			for _, v := range fs.boundaryBoxed(r, next, &stats) {
-				done[v] = true
-				dead[v] = true
-				remaining--
-			}
-		}
-		inbox, next = next, inbox
-	}
-	return stats, nil
-}
-
-// runSeqWord is the sequential engine's word-plane fast path: pointer-free
-// double-buffered []Word planes, one reused send scratch row, and per-row
-// clearing on consumption — a steady-state round allocates nothing. The
-// delivery, termination and Stats semantics mirror the boxed loop exactly
-// (a delivered message is a non-NilWord slot addressed to a non-dead node;
-// messages to nodes that terminated this round are uncounted and dropped).
-func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
-	n := t.N()
-	arcs := len(t.adj)
-	inbox := make([]Word, arcs)
-	next := make([]Word, arcs)
-	sendBuf := make([]Word, t.maxDeg)
-	done := make([]bool, n)
-	dead := make([]bool, n)
-	var newlyDone []int32
-	remaining := n
-	// Panic isolation: see SequentialEngine.Run. The guard sits outside the
-	// marked region (defers are banned inside) and costs one open-coded
-	// defer for the whole run.
-	curV := -1
-	defer func() {
-		if p := recover(); p != nil {
-			err = newPanicError(curV, stats.Rounds, p)
-		}
-	}()
-	//splitlint:zeroalloc
-	for r := 1; remaining > 0; r++ {
-		if r > maxRounds {
-			//lint:alloc cold failure exit: runs at most once, ending the run
-			return stats, fmt.Errorf("local: exceeded MaxRounds=%d", maxRounds)
-		}
-		if cerr := ctl.Err(); cerr != nil {
-			return stats, cerr
-		}
-		stats.Rounds = r
-		newlyDone = newlyDone[:0]
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			curV = v
-			lo, hi := t.off[v], t.off[v+1]
-			recv := inbox[lo:hi:hi]
-			send := sendBuf[:hi-lo]
-			if nodes[v].RoundW(r, recv, send) {
-				done[v] = true
-				//lint:alloc amortized: reslice of a buffer whose capacity stops growing after the first rounds
-				newlyDone = append(newlyDone, int32(v))
-				remaining--
-			}
-			stats.Messages += t.deliverWords(next, dead, 0, lo, send)
-			// Clear the consumed row so that after the swap the new next
-			// rows are already all-NilWord (nothing is re-zeroed wholesale).
-			for p := range recv {
-				recv[p] = NilWord
-			}
-		}
-		curV = -1
-		// Messages addressed to nodes that terminated this round will never
-		// be consumed: uncount and drop them, then retire the nodes.
-		for _, v := range newlyDone {
-			for i := t.off[v]; i < t.off[v+1]; i++ {
-				if next[i] != NilWord {
-					next[i] = NilWord
-					stats.Messages--
-				}
-			}
-			dead[v] = true
-		}
-		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryWord(r, next, 0, &stats) {
 				done[v] = true
 				dead[v] = true
 				remaining--

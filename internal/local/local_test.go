@@ -1,6 +1,8 @@
 package local
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -46,16 +48,16 @@ func floodFactory(rounds int, out *[]int) Factory {
 	}
 }
 
-// runBoth runs a boxed program on the sequential engine and its word twin
-// on a 3-worker pool (a boxed program would be handed to the same
-// sequential loop); the two must agree exactly.
+// runBoth runs a boxed program on the boxed oracle and its word twin on a
+// 3-worker pool (a boxed program would be handed to the oracle's loop); the
+// two must agree exactly.
 func runBoth(t *testing.T, g *graph.Graph, mk, mkWord func(out *[]int) Factory, opts Options) (seq, pool []int, sStats, pStats Stats) {
 	t.Helper()
 	topo := NewTopology(g)
 	seq = make([]int, g.N())
 	pool = make([]int, g.N())
 	var err error
-	sStats, err = SequentialEngine{}.Run(topo, mk(&seq), opts)
+	sStats, err = Oracle.Run(topo, mk(&seq), opts)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -263,7 +265,7 @@ func TestMaxRounds(t *testing.T) {
 	if _, err := (SequentialEngine{}).Run(topo, f, Options{MaxRounds: 10}); err == nil {
 		t.Error("sequential engine should abort at MaxRounds")
 	}
-	// A boxed program would run on the sequential loop; the word spinner
+	// A boxed program would run on the boxed loop; the word spinner
 	// drives the pool's own.
 	wf := func(View) Node { return WordProgram(wordSpinner{}) }
 	if _, err := (WorkerPoolEngine{}).Run(topo, wf, Options{MaxRounds: 10}); err == nil {
@@ -287,7 +289,7 @@ func TestMaxRoundsExactBoundary(t *testing.T) {
 		{"pool", WorkerPoolEngine{}},
 		{"pool-2", WorkerPoolEngine{Workers: 2}},
 	}
-	// The boxed program runs on the sequential loop under every engine; its
+	// The boxed program runs on the boxed loop under every engine; its
 	// word twin drives the pool's own loop.
 	for _, eng := range engines {
 		for _, flood := range []func(int, *[]int) Factory{floodFactory, wordFloodFactory} {
@@ -314,6 +316,40 @@ type badSender struct{}
 
 func (badSender) Round(int, []Message) ([]Message, bool) {
 	return []Message{1, 2, 3, 4, 5}, false
+}
+
+// TestSequentialRunsInline pins that the sequential engine never starts a
+// goroutine: service jobs, experiment grids and the core solvers each run
+// many sequential runs at once and size that concurrency themselves. A node
+// program reads the goroutine count inside every round, and on every plane
+// it must not exceed the count taken just before Run. It may fall: the
+// workers of an earlier test's pool can still be exiting after their pool
+// returned. Not parallel, so no sibling test starts goroutines meanwhile.
+func TestSequentialRunsInline(t *testing.T) {
+	topo := NewTopology(graph.RandomGraph(200, 0.05, prob.NewSource(7).Rand()))
+	for _, plane := range []Plane{PlaneBoxed, PlaneWord, PlaneBit} {
+		var rounds, most atomic.Int64
+		f := func(View) Node {
+			return BitProgram(BitFunc(func(r int, recv, send BitRow) bool {
+				rounds.Add(1)
+				if c := int64(runtime.NumGoroutine()); c > most.Load() {
+					most.Store(c)
+				}
+				send.Broadcast(uint64(r) & 1)
+				return r >= 3
+			}))
+		}
+		before := runtime.NumGoroutine()
+		if _, err := (SequentialEngine{}).Run(topo, f, Options{Plane: plane}); err != nil {
+			t.Fatalf("%s: %v", plane, err)
+		}
+		if rounds.Load() == 0 {
+			t.Fatalf("%s: no node ran a round", plane)
+		}
+		if c := most.Load(); c > int64(before) {
+			t.Errorf("%s: %d goroutines inside a round, %d before Run", plane, c, before)
+		}
+	}
 }
 
 func TestPortCountValidation(t *testing.T) {

@@ -72,7 +72,7 @@ func TestBitPlaneLaneIndexOverflow(t *testing.T) {
 	}
 
 	// End to end: a trit program past the limit runs on the word plane under
-	// every engine, with the results of the unguarded bit-plane run.
+	// every engine, with the results of the boxed oracle.
 	g := graph.RandomGraph(60, 0.1, prob.NewSource(3).Rand())
 	big := NewTopology(g)
 	run := func(e Engine, plane Plane) ([]uint64, Stats, error) {
@@ -80,8 +80,7 @@ func TestBitPlaneLaneIndexOverflow(t *testing.T) {
 		st, err := e.Run(big, bit2EchoTwin(6, out), Options{Source: prob.NewSource(4), Plane: plane})
 		return out, st, err
 	}
-	maxBitPlaneBits = uint64(1) << 32
-	want, wantSt, err := run(SequentialEngine{}, PlaneBit)
+	want, wantSt, err := run(Oracle, PlaneAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,9 +98,9 @@ func TestPanicIsolationEngines(t *testing.T) {
 					}
 
 					// The topology is untouched: a clean run after the panic
-					// reproduces the sequential reference trace.
+					// reproduces the oracle's trace.
 					ref := newCtlRecorder(n, ctlRounds)
-					if _, err := (local.SequentialEngine{}).Run(topo, ctlFactory(ref), ctlOpts(n, plane)); err != nil {
+					if _, err := local.Oracle.Run(topo, ctlFactory(ref), ctlOpts(n, plane)); err != nil {
 						t.Fatalf("follow-up run: %v", err)
 					}
 					clean := newCtlRecorder(n, ctlRounds)
@@ -116,9 +116,9 @@ func TestPanicIsolationEngines(t *testing.T) {
 	}
 }
 
-// TestPanicNodeAttribution pins exact node attribution on the path whose
-// execution unit is a single node (the sequential loop): the reported Node
-// is the topology index of the program that panicked.
+// TestPanicNodeAttribution pins exact node attribution on the sequential
+// engine: the reported Node is the topology index of the program that
+// panicked.
 func TestPanicNodeAttribution(t *testing.T) {
 	g := ctlGraph(t)
 	topo := local.NewTopology(g)
@@ -152,7 +152,7 @@ func TestPanicIsolationBatch(t *testing.T) {
 		refs[i] = newCtlRecorder(n, ctlRounds)
 		src := prob.NewSource(seed)
 		opts := local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1)), MaxRounds: 64, Plane: local.PlaneWord}
-		if _, err := (local.SequentialEngine{}).Run(topo, ctlFactory(refs[i]), opts); err != nil {
+		if _, err := local.Oracle.Run(topo, ctlFactory(refs[i]), opts); err != nil {
 			t.Fatalf("solo run %d: %v", i, err)
 		}
 	}

@@ -6,9 +6,10 @@ import "fmt"
 // BatchRun(t, []Trial{{f, opts}}, BatchOptions{Workers: e.Workers}). Word
 // and bit programs run on BatchRun's worker pool over its arc-balanced
 // (trial, shard) units; boxed runs have no throughput path and run on the
-// sequential oracle's boxed loop. Like every engine it is bit-for-bit
-// identical to SequentialEngine: per-node randomness is derived from
-// (seed, ID) only, never from the schedule.
+// boxed loop. SequentialEngine is the same batch at one inline worker. Like
+// every engine it is bit-for-bit identical to the boxed reference run:
+// per-node randomness is derived from (seed, ID) only, never from the
+// schedule.
 type WorkerPoolEngine struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0). BatchRun
 	// caps it at the most units a round of the run can carve.

@@ -10,7 +10,7 @@ import (
 )
 
 // The pool tests below run word programs: a boxed run is handed to the
-// sequential loop, so only word and bit programs drive the pool's workers.
+// boxed loop, so only word and bit programs drive the pool's workers.
 
 // wordFlood is maxFlood on the word plane.
 type wordFlood struct {
@@ -70,13 +70,13 @@ func TestWorkerPoolFloodComputesMax(t *testing.T) {
 }
 
 // TestWorkerPoolMatchesSequentialStats checks the pool's word loop against
-// the sequential boxed loop running the boxed flood.
+// the boxed oracle running the boxed flood.
 func TestWorkerPoolMatchesSequentialStats(t *testing.T) {
 	g := graph.RandomGraph(80, 0.1, prob.NewSource(11).Rand())
 	topo := NewTopology(g)
 	seqOut := make([]int, g.N())
 	poolOut := make([]int, g.N())
-	seqStats, err := SequentialEngine{}.Run(topo, floodFactory(6, &seqOut), Options{})
+	seqStats, err := Oracle.Run(topo, floodFactory(6, &seqOut), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

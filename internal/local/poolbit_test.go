@@ -49,8 +49,8 @@ func TestBitRangeHelpers(t *testing.T) {
 				t.Fatalf("clearBitRange(%d, %d): bit %d is %v", tc.lo, tc.hi, b, got)
 			}
 		}
-		if c := countBitRange(ws, 0, 256); int(c) != 256-(tc.hi-tc.lo) {
-			t.Fatalf("countBitRange after clear(%d, %d) = %d", tc.lo, tc.hi, c)
+		if c := countPatternRange(ws, 0, 256, ^uint64(0)); int(c) != 256-(tc.hi-tc.lo) {
+			t.Fatalf("popcount after clear(%d, %d) = %d", tc.lo, tc.hi, c)
 		}
 		// Restore per bit for the next case (reference semantics).
 		for b := tc.lo; b < tc.hi; b++ {
@@ -112,7 +112,7 @@ func TestBitRowAggregates(t *testing.T) {
 	t.Parallel()
 	rng := prob.NewSource(9).Rand()
 	for _, width := range []int{1, 2} {
-		pl := newBitPlane(200, width)
+		pl := bitPlane{lanes: make([]uint64, planeWords(200, width)), width: uint32(width)}
 		for _, bounds := range [][2]int32{{0, 200}, {3, 9}, {17, 130}, {64, 128}, {199, 200}, {50, 50}} {
 			row := pl.row(bounds[0], bounds[1])
 			for p := 0; p < row.Len(); p++ {

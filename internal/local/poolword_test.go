@@ -83,13 +83,13 @@ func checkPlanesClear(t *testing.T, pl *batchPlanes) {
 // which one trial finishes early while the other — on the plane under test
 // (bit true: the bit plane) — is cancelled mid-run, so clearTrial must
 // wipe the cancelled trial's regions. Finished trials' Stats must match the
-// sequential engine exactly.
+// boxed oracle exactly.
 func checkNoisyPlanes(t *testing.T, bit bool) {
 	g := graph.RandomGraph(200, 0.06, prob.NewSource(21).Rand())
 	topo := NewTopology(g)
 	const long, short, cancelAt = 60, 8, 20
-	seq := func(bit bool, long int) Stats {
-		st, err := SequentialEngine{}.Run(topo, noisyFactory(bit, long, 0, nil), Options{})
+	oracle := func(bit bool, long int) Stats {
+		st, err := Oracle.Run(topo, noisyFactory(bit, long, 0, nil), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +103,8 @@ func checkNoisyPlanes(t *testing.T, bit bool) {
 	if stats[0].Rounds != long {
 		t.Errorf("rounds=%d, want %d", stats[0].Rounds, long)
 	}
-	if want := seq(bit, long); stats[0] != want {
-		t.Errorf("stats differ: pool=%+v seq=%+v", stats[0], want)
+	if want := oracle(bit, long); stats[0] != want {
+		t.Errorf("stats differ: pool=%+v oracle=%+v", stats[0], want)
 	}
 	checkPlanesClear(t, pl)
 
@@ -120,8 +120,8 @@ func checkNoisyPlanes(t *testing.T, bit bool) {
 	if errs[1] != nil {
 		t.Fatal(errs[1])
 	}
-	if want := seq(!bit, short); stats[1] != want {
-		t.Errorf("early trial stats differ: batch=%+v seq=%+v", stats[1], want)
+	if want := oracle(!bit, short); stats[1] != want {
+		t.Errorf("early trial stats differ: batch=%+v oracle=%+v", stats[1], want)
 	}
 	checkPlanesClear(t, pl)
 }

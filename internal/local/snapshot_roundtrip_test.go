@@ -84,7 +84,7 @@ func TestSnapshotRoundTripBoxedTraces(t *testing.T) {
 			}
 		}
 		if want, ok := goldenTraces[tc.name+"/trace"]; ok {
-			if got := traceHash(t, loaded, local.SequentialEngine{}, tc.seed); got != want {
+			if got := traceHash(t, loaded, local.Oracle, tc.seed); got != want {
 				t.Errorf("%s: snapshot-loaded hash %#016x misses the checked-in golden %#016x",
 					tc.name, got, want)
 			}

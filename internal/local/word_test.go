@@ -125,7 +125,7 @@ func TestWordEnginesMatchBoxed(t *testing.T) {
 		return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))}
 	}
 	refOut := make([]uint64, n)
-	refStats, err := local.SequentialEngine{}.Run(topo, boxedEchoFactory(5, refOut), mkOpts())
+	refStats, err := local.Oracle.Run(topo, boxedEchoFactory(5, refOut), mkOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,8 @@ func TestWordEnginesMatchBoxed(t *testing.T) {
 // TestWordMixedProgramFallsBack pins the fallback rule: when even one node
 // of a run is not a WordNode, the whole run takes the boxed path, and word
 // programs (via their WordProgram adapters) still exchange messages
-// correctly with the boxed node.
+// correctly with the boxed node: every engine's mixed run matches the boxed
+// oracle's run of the pure word program.
 func TestWordMixedProgramFallsBack(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(40)
@@ -173,7 +174,7 @@ func TestWordMixedProgramFallsBack(t *testing.T) {
 		return local.Options{Source: src, IDs: local.PermutationIDs(n, src.Fork(1))}
 	}
 	pureF, pureOut := mk(false)
-	pureStats, err := local.SequentialEngine{}.Run(topo, pureF, mkOpts())
+	pureStats, err := local.Oracle.Run(topo, pureF, mkOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestWordMixedProgramFallsBack(t *testing.T) {
 			t.Fatalf("%s: %v", eng.name, err)
 		}
 		if stats != pureStats {
-			t.Errorf("%s: mixed stats %+v != pure word stats %+v", eng.name, stats, pureStats)
+			t.Errorf("%s: mixed stats %+v != oracle stats %+v", eng.name, stats, pureStats)
 		}
 		for v := range mixedOut {
 			if mixedOut[v] != pureOut[v] {
@@ -196,7 +197,7 @@ func TestWordMixedProgramFallsBack(t *testing.T) {
 
 // TestBatchMixedWordAndBoxedTrials runs one batch holding both a word trial
 // and a boxed trial of the same program: each must match its standalone
-// sequential run exactly (the two plane pairs coexist without interference).
+// oracle run exactly (the two plane pairs coexist without interference).
 func TestBatchMixedWordAndBoxedTrials(t *testing.T) {
 	t.Parallel()
 	g := graph.RandomGraph(90, 0.06, prob.NewSource(41).Rand())
@@ -217,12 +218,12 @@ func TestBatchMixedWordAndBoxedTrials(t *testing.T) {
 	}
 
 	wantW := make([]uint64, n)
-	wantStatsW, err := local.SequentialEngine{}.Run(topo, wordEchoFactory(4, wantW), opts(1))
+	wantStatsW, err := local.Oracle.Run(topo, wordEchoFactory(4, wantW), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantB := make([]uint64, n)
-	wantStatsB, err := local.SequentialEngine{}.Run(topo, boxedEchoFactory(4, wantB), opts(2))
+	wantStatsB, err := local.Oracle.Run(topo, boxedEchoFactory(4, wantB), opts(2))
 	if err != nil {
 		t.Fatal(err)
 	}

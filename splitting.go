@@ -77,6 +77,18 @@ type (
 	// redelivery delay, crash-stop failures); see Overlay. The same plan
 	// replays bit-identically on every engine, plane and worker count.
 	FaultPlan = local.FaultPlan
+	// RunControl makes every run of an overlaid engine cancellable: runs
+	// poll its context at round boundaries and stop with ErrCancelled or
+	// ErrDeadline and the Stats of the rounds that ran; see Overlay.
+	RunControl = local.RunControl
+)
+
+// Errors of a run whose RunControl fired: its context was cancelled
+// (ErrCancelled) or its deadline passed (ErrDeadline). Match them with
+// errors.Is.
+var (
+	ErrCancelled = local.ErrCancelled
+	ErrDeadline  = local.ErrDeadline
 )
 
 // Plane values, in fallback-ladder order.
@@ -109,7 +121,7 @@ func Sequential() Engine { return local.SequentialEngine{} }
 // WorkerPool returns the sharded worker-pool LOCAL engine — the fastest
 // choice on large instances. workers <= 0 means GOMAXPROCS. Like every
 // engine it produces bit-for-bit the same outputs as Sequential; boxed
-// programs have no throughput path and run on the sequential loop.
+// programs have no throughput path and run on the boxed loop.
 func WorkerPool(workers int) Engine { return local.WorkerPoolEngine{Workers: workers} }
 
 // NewTopology builds the port-numbered topology of a graph once, so that a

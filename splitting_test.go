@@ -1,6 +1,8 @@
 package splitting_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	splitting "repro"
@@ -151,6 +153,25 @@ func TestFacadeColoringAndMIS(t *testing.T) {
 func TestFacadeEngines(t *testing.T) {
 	if splitting.Sequential() == nil || splitting.WorkerPool(0) == nil {
 		t.Fatal("engines missing")
+	}
+}
+
+// TestFacadeRunControl cancels a solver run through the facade alone: a
+// RunControl whose context is already cancelled, overlaid on the sequential
+// engine, stops the first LOCAL phase with ErrCancelled.
+func TestFacadeRunControl(t *testing.T) {
+	b, err := splitting.RandomInstance(60, 90, 18, splitting.NewSource(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := splitting.Overlay{Control: &splitting.RunControl{Ctx: ctx}}.On(splitting.Sequential())
+	if _, err := splitting.DeterministicOn(b, eng); !errors.Is(err, splitting.ErrCancelled) {
+		t.Fatalf("cancelled run: err = %v, want ErrCancelled", err)
+	}
+	if _, err := splitting.DeterministicOn(b, splitting.Sequential()); err != nil {
+		t.Fatalf("uncontrolled run: %v", err)
 	}
 }
 
