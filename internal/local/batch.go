@@ -175,7 +175,7 @@ func BatchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 
 // batchRun is BatchRun that also returns the run's planes and per-trial
 // state, for the in-package plane-hygiene and carve tests.
-func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error, *batchPlanes, []batchTrial) {
+func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error, batchPlanes, []batchTrial) {
 	nTrials := len(trials)
 	statsOut := make([]Stats, nTrials)
 	errsOut := make([]error, nTrials)
@@ -288,7 +288,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 	}
 	if len(live) == 0 {
-		return statsOut, errsOut, &pl, all
+		return statsOut, errsOut, pl, all
 	}
 
 	// One flat plane pair per message representation actually present,
@@ -310,73 +310,29 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 	}
 
-	// Workers claim (trial, shard) units off the round's unit list with an
-	// atomic cursor: one wakeup per worker per global round, not one channel
-	// operation per unit. Merging S trials into one round barrier is the
-	// whole point of the batch — S per-trial pool runs pay S barriers per
-	// round-equivalent, this pays one. With a single worker the coordinator
-	// runs the units inline and no goroutines exist at all.
+	// With a single worker the coordinator runs the units inline and no
+	// goroutines exist at all; the multi-worker machinery lives in its own
+	// heap object (see batchWorkers), so the one-worker path — every
+	// SequentialEngine run — escapes none of it.
 	var unitBuf []batchUnit
-	var cursor atomic.Int64
-	var start []chan struct{}
-	var barrier sync.WaitGroup
-	var lifetime sync.WaitGroup
-	// Snapshot which plane kinds exist before spawning: the workers must not
-	// read pl's fields at startup, because a worker that is never woken (fewer
-	// units than workers) can still be starting while the coordinator swaps
-	// the planes at a round boundary.
-	hasWord := pl.winbox != nil
-	hasBit := pl.binbox.lanes != nil
-	if nw > 1 {
-		start = make([]chan struct{}, nw)
-		for w := 0; w < nw; w++ {
-			start[w] = make(chan struct{}, 1)
-			lifetime.Add(1)
-			go func(w int) {
-				defer lifetime.Done()
-				sc := newUnitScratch(t.maxDeg, bitWidth, hasWord, hasBit, pulls)
-				for range start[w] {
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(unitBuf) {
-							break
-						}
-						runBatchUnit(t, &pl, &sc, &unitBuf[i])
-					}
-					barrier.Done()
-				}
-			}(w)
-		}
-		defer func() {
-			for w := 0; w < nw; w++ {
-				close(start[w])
-			}
-			lifetime.Wait()
-		}()
-	}
+	var workers *batchWorkers
 	var inline unitScratch
-	if nw == 1 {
-		inline = newUnitScratch(t.maxDeg, bitWidth, hasWord, hasBit, pulls)
+	if nw > 1 {
+		workers = startBatchWorkers(t, nw, bitWidth, pulls, pl.winbox != nil, pl.binbox.lanes != nil)
+		defer workers.stop()
+	} else {
+		inline = newUnitScratch(t.maxDeg, bitWidth, pl.winbox != nil, pl.binbox.lanes != nil, pulls)
 	}
 	runRound := func() {
-		if nw == 1 {
-			// A single inline worker owns every plane word mid-round, so the
-			// bit path skips its atomics (see bitPass.par).
-			for i := range unitBuf {
-				runBatchUnit(t, &pl, &inline, &unitBuf[i])
-			}
+		if workers != nil {
+			workers.run(&pl, unitBuf)
 			return
 		}
-		cursor.Store(0)
-		wake := nw
-		if wake > len(unitBuf) {
-			wake = len(unitBuf)
+		// A single inline worker owns every plane word mid-round, so the
+		// bit path skips its atomics (see bitPass.par).
+		for i := range unitBuf {
+			runBatchUnit(t, &pl, &inline, &unitBuf[i])
 		}
-		barrier.Add(wake)
-		for w := 0; w < wake; w++ {
-			start[w] <- struct{}{}
-		}
-		barrier.Wait()
 	}
 
 	// clearTrial zeroes a retired trial's rows in whichever plane pair it
@@ -588,7 +544,73 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		live = keepLive
 		pl.swap()
 	}
-	return statsOut, errsOut, &pl, all
+	return statsOut, errsOut, pl, all
+}
+
+// batchWorkers is a batch run's multi-worker pool. Workers claim (trial,
+// shard) units off the round's unit list with an atomic cursor: one wakeup
+// per worker per global round, not one channel operation per unit. Merging
+// S trials into one round barrier is the whole point of the batch — S
+// per-trial pool runs pay S barriers per round-equivalent, this pays one.
+type batchWorkers struct {
+	// pl and units are the round's planes and units, written by the
+	// coordinator before it wakes the workers (the start send orders the
+	// writes before every worker's reads) and left alone until the barrier.
+	pl       batchPlanes
+	units    []batchUnit
+	cursor   atomic.Int64
+	start    []chan struct{}
+	barrier  sync.WaitGroup
+	lifetime sync.WaitGroup
+}
+
+// startBatchWorkers spawns nw workers, each with its own scratch for the
+// plane kinds present. Workers read planes only from the per-round copy in
+// the pool, never the coordinator's, because a worker that is never woken
+// (fewer units than workers) can still be starting while the coordinator
+// swaps its planes at a round boundary.
+func startBatchWorkers(t *Topology, nw, bitWidth int, pulls, hasWord, hasBit bool) *batchWorkers {
+	bw := &batchWorkers{start: make([]chan struct{}, nw)}
+	for w := 0; w < nw; w++ {
+		bw.start[w] = make(chan struct{}, 1)
+		bw.lifetime.Add(1)
+		go func(start <-chan struct{}) {
+			defer bw.lifetime.Done()
+			sc := newUnitScratch(t.maxDeg, bitWidth, hasWord, hasBit, pulls)
+			for range start {
+				for {
+					i := int(bw.cursor.Add(1)) - 1
+					if i >= len(bw.units) {
+						break
+					}
+					runBatchUnit(t, &bw.pl, &sc, &bw.units[i])
+				}
+				bw.barrier.Done()
+			}
+		}(bw.start[w])
+	}
+	return bw
+}
+
+// run executes one round's units on the pool and returns after the
+// barrier, when every woken worker has finished.
+func (bw *batchWorkers) run(pl *batchPlanes, units []batchUnit) {
+	bw.pl, bw.units = *pl, units
+	bw.cursor.Store(0)
+	wake := min(len(bw.start), len(units))
+	bw.barrier.Add(wake)
+	for w := 0; w < wake; w++ {
+		bw.start[w] <- struct{}{}
+	}
+	bw.barrier.Wait()
+}
+
+// stop ends the workers and waits for them to exit.
+func (bw *batchWorkers) stop() {
+	for _, ch := range bw.start {
+		close(ch)
+	}
+	bw.lifetime.Wait()
 }
 
 // unitScratch is one worker's reused scratch, shared by every unit it

@@ -106,7 +106,7 @@ func checkNoisyPlanes(t *testing.T, bit bool) {
 	if want := oracle(bit, long); stats[0] != want {
 		t.Errorf("stats differ: pool=%+v oracle=%+v", stats[0], want)
 	}
-	checkPlanesClear(t, pl)
+	checkPlanesClear(t, &pl)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -123,7 +123,7 @@ func checkNoisyPlanes(t *testing.T, bit bool) {
 	if want := oracle(!bit, short); stats[1] != want {
 		t.Errorf("early trial stats differ: batch=%+v oracle=%+v", stats[1], want)
 	}
-	checkPlanesClear(t, pl)
+	checkPlanesClear(t, &pl)
 }
 
 // TestWorkerPoolWordClearsTerminatedRows is the stale-inbox regression test:
