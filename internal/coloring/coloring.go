@@ -344,19 +344,20 @@ func GreedySequential(g *graph.Graph) *Result {
 	for i := range colors {
 		colors[i] = -1
 	}
+	// A node's smallest free color is at most its degree, so only
+	// neighbor colors ≤ MaxDeg matter; used[c] == v+1 marks color c taken
+	// around v, and the stamp never needs clearing.
+	used := make([]int32, g.MaxDeg()+2)
 	maxC := 0
 	for v := 0; v < n; v++ {
-		used := make(map[int]struct{}, g.Deg(v))
+		stamp := int32(v + 1)
 		for _, w := range g.Neighbors(v) {
-			if c := colors[w]; c >= 0 {
-				used[c] = struct{}{}
+			if c := colors[w]; c >= 0 && c < len(used) {
+				used[c] = stamp
 			}
 		}
 		c := 0
-		for {
-			if _, bad := used[c]; !bad {
-				break
-			}
+		for used[c] == stamp {
 			c++
 		}
 		colors[v] = c

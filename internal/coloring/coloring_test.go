@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,71 @@ func TestGreedySequential(t *testing.T) {
 	}
 	if res.Num != 7 {
 		t.Errorf("K7 greedy used %d colors, want 7", res.Num)
+	}
+}
+
+// refGreedySequential is GreedySequential with a set of used colors per
+// node: the reference the stamp-row rewrite must match color for color.
+func refGreedySequential(g *graph.Graph) []int {
+	colors := make([]int, g.N())
+	for i := range colors {
+		colors[i] = -1
+	}
+	for v := 0; v < g.N(); v++ {
+		used := make(map[int]bool, g.Deg(v))
+		for _, w := range g.Neighbors(v) {
+			if c := colors[w]; c >= 0 {
+				used[c] = true
+			}
+		}
+		c := 0
+		for used[c] {
+			c++
+		}
+		colors[v] = c
+	}
+	return colors
+}
+
+func TestGreedySequentialMatchesReference(t *testing.T) {
+	rng := prob.NewSource(41).Rand()
+	graphs := map[string]*graph.Graph{
+		"empty":    graph.NewGraph(0),
+		"isolated": graph.NewGraph(5),
+		"complete": graph.Complete(9),
+		"cycle":    graph.Cycle(11),
+		"sparse":   graph.RandomGraph(300, 0.02, rng),
+		"dense":    graph.RandomGraph(120, 0.4, rng),
+	}
+	b, err := graph.RandomBipartiteLeftRegular(200, 400, 12, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["B2"] = b.VPower(1)
+	for name, g := range graphs {
+		res := GreedySequential(g)
+		want := refGreedySequential(g)
+		num := 0
+		for _, c := range want {
+			num = max(num, c+1)
+		}
+		if !slices.Equal(res.Colors, want) || res.Num != num {
+			t.Errorf("%s: greedy colors differ from the reference (Num %d, want %d)", name, res.Num, num)
+		}
+	}
+}
+
+// TestGreedySequentialAllocs pins the stamp row: the greedy allocates its
+// color array, one scratch row and the result, however many nodes it
+// colors (a set per node cost one allocation per node). The ceiling leaves
+// one allocation of slack for the runtime's own, e.g. when a collection
+// starts mid-run.
+func TestGreedySequentialAllocs(t *testing.T) {
+	for _, n := range []int{1_000, 20_000} {
+		g := graph.RandomSparseGraph(n, 4*n, prob.NewSource(43).Rand())
+		if allocs := testing.AllocsPerRun(10, func() { GreedySequential(g) }); allocs > 4 {
+			t.Errorf("GreedySequential allocated %.0f times on %d nodes; want at most 4", allocs, n)
+		}
 	}
 }
 

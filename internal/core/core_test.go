@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -539,5 +540,68 @@ func TestWeakSplitOnEncodedGraph(t *testing.T) {
 		if !red || !blue {
 			t.Fatalf("node %d has a monochromatic neighborhood", v)
 		}
+	}
+}
+
+// residualWithFree is a residual-shaped instance: one constrained component
+// (two constraints on the same 8 variables) followed by free isolated
+// variables, each a constraint-free component of its own.
+func residualWithFree(t *testing.T, free int) *graph.Bipartite {
+	t.Helper()
+	var es [][2]int
+	for u := 0; u < 2; u++ {
+		for v := 0; v < 8; v++ {
+			es = append(es, [2]int{u, v})
+		}
+	}
+	h, err := graph.BipartiteFromEdges(2, 8+free, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestSolveResidualFreeComponents pins the residual solve's handling of
+// constraint-free components: they are colored Red without building a
+// subgraph, so the solve's allocations do not grow with their number, and
+// they still count in the trace exactly as solved components did.
+func TestSolveResidualFreeComponents(t *testing.T) {
+	opts := RandomizedOptions{}
+	opts.normalize()
+	measure := func(free int) float64 {
+		h := residualWithFree(t, free)
+		origV := make([]int, h.NV())
+		for v := range origV {
+			origV[v] = v
+		}
+		colors := make([]int, h.NV())
+		var tr Trace
+		run := func() {
+			for v := range colors {
+				colors[v] = Uncolored
+			}
+			tr = Trace{}
+			if err := solveResidual(h, origV, colors, prob.NewSource(9), opts, &tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, run)
+		if err := check.WeakSplit(h, colors, 0); err != nil {
+			t.Fatal(err)
+		}
+		for v := 8; v < h.NV(); v++ {
+			if colors[v] != Red {
+				t.Fatalf("free variable %d colored %d, want Red", v, colors[v])
+			}
+		}
+		want := fmt.Sprintf("residual: %d components, max size 10, 0 randomized fallbacks", 1+free)
+		if len(tr.Notes) != 1 || tr.Notes[0] != want {
+			t.Fatalf("trace notes %q, want [%q]", tr.Notes, want)
+		}
+		return allocs
+	}
+	few, many := measure(10), measure(10_000)
+	if many > few+4 {
+		t.Errorf("residual solve allocated %.0f times with 10,000 free components, %.0f with 10; want no growth", many, few)
 	}
 }

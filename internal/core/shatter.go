@@ -90,7 +90,20 @@ func Shatter(b *graph.Bipartite, src *prob.Source) *ShatterOutcome {
 // Residual returns the bipartite graph H induced by the unsatisfied
 // constraints and the uncolored variables, with index mappings back to b.
 func (s *ShatterOutcome) Residual(b *graph.Bipartite) (h *graph.Bipartite, origU, origV []int) {
-	var us, vs []int
+	var nu, nv int
+	for _, bad := range s.UnsatU {
+		if bad {
+			nu++
+		}
+	}
+	for _, c := range s.Colors {
+		if c == Uncolored {
+			nv++
+		}
+	}
+	// Both keep lists ascend, so the induced subgraph keeps rows in order.
+	us := make([]int, 0, nu)
+	vs := make([]int, 0, nv)
 	for u, bad := range s.UnsatU {
 		if bad {
 			us = append(us, u)
@@ -218,10 +231,18 @@ func solveResidual(h *graph.Bipartite, origV []int, colors []int, src *prob.Sour
 	maxSize := 0
 	fallbacks := 0
 	for ci := range compUs {
-		sub, _, subOrigV := h.InducedSubgraph(compUs[ci], compVs[ci])
-		if size := sub.N(); size > maxSize {
+		if size := len(compUs[ci]) + len(compVs[ci]); size > maxSize {
 			maxSize = size
 		}
+		if len(compUs[ci]) == 0 {
+			// Unconstrained variables (solveComponent would color them Red
+			// in zero rounds): no subgraph, no source.
+			for _, hv := range compVs[ci] {
+				colors[origV[hv]] = Red
+			}
+			continue
+		}
+		sub, _, subOrigV := h.InducedSubgraph(compUs[ci], compVs[ci])
 		compRes, usedFallback, err := solveComponent(sub, src.Fork(uint64(ci)), opts)
 		if err != nil {
 			return fmt.Errorf("component %d (|U|=%d |V|=%d): %w", ci, sub.NU(), sub.NV(), err)

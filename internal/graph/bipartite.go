@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Bipartite is a bipartite graph B = (U ∪ V, E) in the paper's convention:
 // U is the left, constraint side (hypergraph vertices) and V is the right,
@@ -200,89 +204,152 @@ func (b *Bipartite) SubgraphKeepEdges(keep func(u, v int) bool) *Bipartite {
 }
 
 // InducedSubgraph returns the bipartite subgraph induced by the given U and
-// V node subsets, with mappings from new indices to original ones.
+// V node subsets, with mappings from new indices to original ones: new
+// node i of either side is the i-th entry of its keep list.
+//
+// The V relabel is a lookup in vsKeep itself when it is strictly ascending
+// (Residual's lists are), so new rows keep the original rows' order;
+// otherwise (the BFS-ordered lists of ConnectedComponents) it is a lookup
+// in a sorted copy, and each new row is sorted. Either way the work is
+// proportional to the kept rows and lists, never to b's size, so carving a
+// graph into many small components costs no more than the components.
 func (b *Bipartite) InducedSubgraph(usKeep, vsKeep []int) (*Bipartite, []int, []int) {
 	b.Normalize()
-	uIdx := make(map[int]int, len(usKeep))
-	for i, u := range usKeep {
-		uIdx[u] = i
+	newV := newKeepIndex(vsKeep)
+	arcs := 0
+	for _, u := range usKeep {
+		arcs += b.u.Deg(u)
 	}
-	vIdx := make(map[int]int, len(vsKeep))
-	for i, v := range vsKeep {
-		vIdx[v] = i
-	}
-	sub := NewBipartite(len(usKeep), len(vsKeep))
+	off := make([]int32, len(usKeep)+1)
+	edges := make([]int32, 0, arcs)
 	for i, u := range usKeep {
 		for _, v := range b.u.Row(u) {
-			if j, ok := vIdx[int(v)]; ok {
-				sub.addEdgeUnchecked(int32(i), int32(j))
+			if j, ok := newV.lookup(v); ok {
+				edges = append(edges, j)
 			}
 		}
+		off[i+1] = int32(len(edges))
+		if !newV.monotone() {
+			slices.Sort(edges[off[i]:])
+		}
 	}
-	sub.Normalize()
+	fwd := CSR{Off: off, Edges: edges}
+	sub := &Bipartite{u: fwd, v: transposeRows(fwd, len(vsKeep))}
 	origU := append([]int(nil), usKeep...)
 	origV := append([]int(nil), vsKeep...)
 	return sub, origU, origV
 }
 
+// keepIndex maps node ids to their positions in a keep list; a repeated id
+// maps to its last position.
+type keepIndex struct {
+	keys   []int   // the keep list itself, when strictly ascending
+	packed []int64 // otherwise: sorted id<<32 | position pairs
+}
+
+func newKeepIndex(keep []int) keepIndex {
+	ascending := true
+	for i := 1; i < len(keep) && ascending; i++ {
+		ascending = keep[i-1] < keep[i]
+	}
+	if ascending {
+		return keepIndex{keys: keep}
+	}
+	packed := make([]int64, 0, len(keep))
+	for i, v := range keep {
+		if v >= 0 && v <= math.MaxInt32 { // no other id can match a node
+			packed = append(packed, int64(v)<<32|int64(i))
+		}
+	}
+	slices.Sort(packed)
+	return keepIndex{packed: packed}
+}
+
+// monotone reports whether positions ascend with ids, so that a sorted row
+// relabels into a sorted row.
+func (k keepIndex) monotone() bool { return k.packed == nil }
+
+func (k keepIndex) lookup(v int32) (int32, bool) {
+	if k.packed == nil {
+		i, ok := slices.BinarySearch(k.keys, int(v))
+		return int32(i), ok
+	}
+	// The last pair for v sits just before the first pair for v+1.
+	i, _ := slices.BinarySearch(k.packed, (int64(v)+1)<<32)
+	if i == 0 || k.packed[i-1]>>32 != int64(v) {
+		return 0, false
+	}
+	return int32(k.packed[i-1]), true
+}
+
 // ConnectedComponents returns the connected components of B as parallel
-// slices of U-indices and V-indices per component.
+// slices of U-indices and V-indices per component. Components seeded at U
+// nodes come first, in order of their smallest U node, each listing its
+// nodes in breadth-first discovery order (a nil V list when the seed is
+// isolated); every isolated V node follows as a component of its own with
+// a nil U list. All lists share two flat arrays (capped, so appending to
+// one never writes into another), so the allocations do not grow with the
+// number of components.
 func (b *Bipartite) ConnectedComponents() (us [][]int, vs [][]int) {
 	b.Normalize()
 	nu, nv := b.u.N(), b.v.N()
-	compU := make([]int, nu)
-	compV := make([]int, nv)
-	for i := range compU {
-		compU[i] = -1
-	}
-	for i := range compV {
-		compV[i] = -1
-	}
-	// BFS alternating sides; encode queue entries as side, index.
-	type item struct {
-		side byte // 'U' or 'V'
-		idx  int32
-	}
-	var queue []item
+	seenU := make([]bool, nu)
+	seenV := make([]bool, nv)
+	// flatU and flatV hold the components' lists back to back and double
+	// as the BFS queues: the graph is bipartite, so a FIFO over both sides
+	// drains all pending U nodes, then all pending V nodes, layer by layer.
+	flatU := make([]int, 0, nu)
+	flatV := make([]int, 0, nv)
+	var ends []int // per U-seeded component: its ends in flatU and flatV
 	for s := 0; s < nu; s++ {
-		if compU[s] >= 0 {
+		if seenU[s] {
 			continue
 		}
-		id := len(us)
-		compU[s] = id
-		queue = append(queue[:0], item{'U', int32(s)})
-		var cu, cv []int
-		cu = append(cu, s)
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			if it.side == 'U' {
-				for _, v := range b.u.Row(int(it.idx)) {
-					if compV[v] < 0 {
-						compV[v] = id
-						cv = append(cv, int(v))
-						queue = append(queue, item{'V', v})
+		seenU[s] = true
+		flatU = append(flatU, s)
+		pu, pv := len(flatU)-1, len(flatV)
+		for pu < len(flatU) {
+			for ; pu < len(flatU); pu++ {
+				for _, v := range b.u.Row(flatU[pu]) {
+					if !seenV[v] {
+						seenV[v] = true
+						flatV = append(flatV, int(v))
 					}
 				}
-			} else {
-				for _, u := range b.v.Row(int(it.idx)) {
-					if compU[u] < 0 {
-						compU[u] = id
-						cu = append(cu, int(u))
-						queue = append(queue, item{'U', u})
+			}
+			for ; pv < len(flatV); pv++ {
+				for _, u := range b.v.Row(flatV[pv]) {
+					if !seenU[u] {
+						seenU[u] = true
+						flatU = append(flatU, int(u))
 					}
 				}
 			}
 		}
-		us = append(us, cu)
-		vs = append(vs, cv)
+		ends = append(ends, len(flatU), len(flatV))
+	}
+	seeded, reached := len(ends)/2, len(flatV)
+	for v := 0; v < nv; v++ {
+		if !seenV[v] {
+			flatV = append(flatV, v)
+		}
+	}
+	n := seeded + len(flatV) - reached
+	us = make([][]int, n)
+	vs = make([][]int, n)
+	var lu, lv int
+	for c := 0; c < seeded; c++ {
+		hu, hv := ends[2*c], ends[2*c+1]
+		us[c] = flatU[lu:hu:hu]
+		if hv > lv {
+			vs[c] = flatV[lv:hv:hv]
+		}
+		lu, lv = hu, hv
 	}
 	// Isolated V nodes form their own (trivial) components.
-	for v := 0; v < nv; v++ {
-		if compV[v] < 0 {
-			us = append(us, nil)
-			vs = append(vs, []int{v})
-		}
+	for c := seeded; c < n; c++ {
+		vs[c] = flatV[lv : lv+1 : lv+1]
+		lv++
 	}
 	return us, vs
 }
@@ -310,24 +377,41 @@ func (b *Bipartite) Girth() int { return b.AsGraph().Girth() }
 // between same-side nodes are even). VPower(1) is the "B²" conflict graph
 // used to compile SLOCAL(2) algorithms; VPower(2) is the "B⁴" graph used by
 // Theorem 5.2.
+//
+// Row s is emitted directly: the stamp arrays already make every w within
+// k hops appear once, so each row needs only a sort (see sortDistinct). For k = 1 the edge
+// array is sized up front from Σ_u deg(u)·(deg(u)−1), capped at the
+// complete graph's nv·(nv−1) and at the int32 layout limit.
 func (b *Bipartite) VPower(k int) *Graph {
 	b.Normalize()
 	nv := b.v.N()
-	bld := NewCSRBuilder(nv, 0)
+	off := make([]int32, nv+1)
+	var edges []int32
+	if k == 1 {
+		var bound int
+		for u := 0; u < b.u.N(); u++ {
+			d := b.u.Deg(u)
+			bound += d * (d - 1)
+		}
+		edges = make([]int32, 0, min(bound, nv*(nv-1), maxCSRArcs))
+	}
 	visitedV := make([]int32, nv)
 	visitedU := make([]int32, b.u.N())
+	mark := make([]uint64, (nv+63)/64)
 	for i := range visitedV {
 		visitedV[i] = -1
 	}
 	for i := range visitedU {
 		visitedU[i] = -1
 	}
-	var frontier, next []int32
+	var seed [1]int32
 	for s := 0; s < nv; s++ {
 		visitedV[s] = int32(s)
-		frontier = append(frontier[:0], int32(s))
+		seed[0] = int32(s)
+		frontier := seed[:]
+		lo := len(edges)
 		for hop := 0; hop < k; hop++ {
-			next = next[:0]
+			at := len(edges)
 			for _, v := range frontier {
 				for _, u := range b.v.Row(int(v)) {
 					if visitedU[u] == int32(s) {
@@ -337,18 +421,20 @@ func (b *Bipartite) VPower(k int) *Graph {
 					for _, w := range b.u.Row(int(u)) {
 						if visitedV[w] != int32(s) {
 							visitedV[w] = int32(s)
-							next = append(next, w)
-							if int(w) > s {
-								bld.Edge(int32(s), w)
-							}
+							edges = append(edges, w)
 						}
 					}
 				}
 			}
-			frontier, next = next, frontier
+			// The V nodes this hop reached are the next hop's frontier (a
+			// view: growing edges later leaves its values intact).
+			frontier = edges[at:]
 		}
+		checkArcs(len(edges))
+		sortDistinct(edges[lo:], mark)
+		off[s+1] = int32(len(edges))
 	}
-	return fromCSR(bld.Build())
+	return fromCSR(CSR{Off: off, Edges: edges})
 }
 
 // UGraph returns the graph on U-nodes where two constraints are adjacent iff

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -231,6 +232,73 @@ func sortDedupRows(c *CSR) {
 	}
 	c.Off[n] = w
 	c.Edges = c.Edges[:w]
+}
+
+// transposeRows returns the reverse of fwd over nv columns: row v of the
+// result lists, ascending, every row r of fwd that contains v. One counting
+// pass and one fill in ascending row order, so the output rows come out
+// sorted with no sort, and duplicate-free whenever fwd's rows are. This is
+// the V side of every Bipartite transform whose U side is built directly.
+func transposeRows(fwd CSR, nv int) CSR {
+	off := make([]int32, nv+1)
+	for _, v := range fwd.Edges {
+		off[v+1]++
+	}
+	// Exclusive prefix sum shifted by one: off[v+1] is the start of row v,
+	// then the fill's cursor, and finally the end of row v.
+	var sum int32
+	for v := 1; v <= nv; v++ {
+		sum, off[v] = sum+off[v], sum
+	}
+	edges := make([]int32, len(fwd.Edges))
+	for r := 0; r < fwd.N(); r++ {
+		for _, v := range fwd.Row(r) {
+			edges[off[v+1]] = int32(r)
+			off[v+1]++
+		}
+	}
+	return CSR{Off: off, Edges: edges}
+}
+
+// sortDistinct sorts row ascending; its values must be distinct and index
+// into the bitmap scratch mark (one bit per value, all zero on entry and
+// again on return). A dense row is sorted by setting one bit per value and
+// reading the bits back in order, O(len(row) + span/64) against the
+// O(len(row)·log len(row)) of a comparison sort, which sparse rows keep.
+func sortDistinct(row []int32, mark []uint64) {
+	if len(row) < 2 {
+		return
+	}
+	lo, hi := row[0], row[0]
+	for _, x := range row[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	wlo, whi := int(lo>>6), int(hi>>6)
+	if whi-wlo >= 4*len(row) {
+		slices.Sort(row)
+		return
+	}
+	for _, x := range row {
+		mark[x>>6] |= 1 << (x & 63)
+	}
+	i := 0
+	for w := wlo; w <= whi; w++ {
+		for word := mark[w]; word != 0; word &= word - 1 {
+			row[i] = int32(w<<6 + bits.TrailingZeros64(word))
+			i++
+		}
+		mark[w] = 0
+	}
+}
+
+// checkArcs panics with the CSR builder's descriptive error when a directly
+// built CSR would hold more directed arcs than int32 offsets can index; the
+// in-package constructions that bypass CSRBuilder call it before they size
+// their arrays.
+func checkArcs(arcs int) {
+	if arcs > maxCSRArcs {
+		panic(fmt.Errorf("graph: %d directed arcs exceed the int32 CSR layout limit of %d", arcs, maxCSRArcs))
+	}
 }
 
 // mergeCSR rebuilds a sorted, deduplicated CSR over n rows from an existing

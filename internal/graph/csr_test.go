@@ -200,6 +200,48 @@ func TestRandomSparseGraphAllocs(t *testing.T) {
 	}
 }
 
+// TestTransformAllocs pins the transforms on the solver path to a small
+// constant number of allocations however large the instance: each builds
+// its CSR arrays directly (plus its scratch), where the pending-buffer
+// construction grew its buffer by doubling and sorted through per-call
+// temporaries. Each ceiling is the count at the time of writing plus two
+// of slack for the runtime's own allocations (e.g. a collection starting
+// mid-run); a per-node or per-row allocation would cost thousands here.
+func TestTransformAllocs(t *testing.T) {
+	for _, scale := range []int{1, 10} {
+		nu, nv, d := 300*scale, 1200*scale, 24
+		b, err := RandomBipartiteLeftRegular(nu, nv, d, rand.New(rand.NewPCG(17, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins := []struct {
+			name    string
+			ceiling float64
+			run     func()
+		}{
+			// perm, the draws (2), two transposes (2 each), the result,
+			// and the rng the call consumes.
+			{"RandomBipartiteLeftRegular", 12, func() {
+				_, _ = RandomBipartiteLeftRegular(nu, nv, d, rand.New(rand.NewPCG(17, 0)))
+			}},
+			// offsets, origin, the transpose (2), the result (2).
+			{"NormalizeLeftDegrees", 8, func() { _, _ = NormalizeLeftDegrees(b, 5) }},
+			// offsets, edges, the transpose (2), the result.
+			{"TruncateLeftDegrees", 7, func() { TruncateLeftDegrees(b, 13) }},
+			// offsets, edges, two stamp arrays, the bitmap, the result.
+			{"VPower(1)", 8, func() { b.VPower(1) }},
+			// two seen arrays, two flat lists, component ends, the result
+			// (2).
+			{"ConnectedComponents", 9, func() { b.ConnectedComponents() }},
+		}
+		for _, p := range pins {
+			if allocs := testing.AllocsPerRun(5, p.run); allocs > p.ceiling {
+				t.Errorf("%s on %d×%d allocated %.0f times; want at most %.0f", p.name, nu, nv, allocs, p.ceiling)
+			}
+		}
+	}
+}
+
 // TestGraphCSRView checks the zero-copy contract: Neighbors and CSR().Row
 // return views into one flat array, and Off/Edges are consistent.
 func TestGraphCSRView(t *testing.T) {

@@ -238,21 +238,32 @@ func RandomBipartiteLeftRegular(nu, nv, d int, rng *rand.Rand) (*Bipartite, erro
 	if d > nv {
 		return nil, fmt.Errorf("graph: left degree %d > |V| = %d", d, nv)
 	}
-	b := NewBipartite(nu, nv)
+	d = max(d, 0)
+	if nu*d > maxCSRArcs {
+		return nil, fmt.Errorf("graph: %d×%d edges exceed the int32 CSR layout limit of %d", nu, d, maxCSRArcs)
+	}
+	// Row u of draws is edges[u*d:(u+1)*d], in draw order. The draws of a
+	// row are distinct, so two counting transposes normalize the graph
+	// with no sort: the first yields V rows ascending in u, the second U
+	// rows ascending in v.
+	off := make([]int32, nu+1)
+	edges := make([]int32, nu*d)
 	perm := make([]int32, nv)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	for u := 0; u < nu; u++ {
+		row := edges[u*d : (u+1)*d]
 		// Partial Fisher-Yates: draw d distinct right nodes.
-		for i := 0; i < d; i++ {
+		for i := range row {
 			j := i + rng.IntN(nv-i)
 			perm[i], perm[j] = perm[j], perm[i]
-			b.addEdgeUnchecked(int32(u), perm[i])
+			row[i] = perm[i]
 		}
+		off[u+1] = int32((u + 1) * d)
 	}
-	b.Normalize()
-	return b, nil
+	v := transposeRows(CSR{Off: off, Edges: edges}, nv)
+	return &Bipartite{u: transposeRows(v, nu), v: v}, nil
 }
 
 // RandomBipartiteBiregular returns a bipartite graph where every left node
@@ -279,14 +290,14 @@ func RandomBipartiteBiregular(nu, nv, dU int, rng *rand.Rand) (*Bipartite, error
 	// slots[u*dU : (u+1)*dU] are u's neighbors; repair duplicates within a
 	// block by swapping with random slots of other blocks (degree sequences
 	// on both sides are preserved by any swap).
+	seen := make([]int32, nv)       // seen[v] == u+1: v already occurs in block u
 	dupInBlock := func(u int) int { // returns slot index of a duplicate, or -1
-		seen := make(map[int32]int, dU)
 		for i := 0; i < dU; i++ {
 			v := slots[u*dU+i]
-			if _, dup := seen[v]; dup {
+			if seen[v] == int32(u+1) {
 				return u*dU + i
 			}
-			seen[v] = i
+			seen[v] = int32(u + 1)
 		}
 		return -1
 	}
@@ -298,24 +309,32 @@ func RandomBipartiteBiregular(nu, nv, dU int, rng *rand.Rand) (*Bipartite, error
 		}
 		return false
 	}
+	// A swap is made only when it creates no duplicate, so blocks found
+	// clean stay clean and the scan for the first bad block resumes where
+	// it stopped. A block is rescanned after a swap touches it, so its
+	// stamps are reset first.
 	maxSwaps := 200 * total
+	clean := 0 // blocks [0, clean) hold no duplicate
 	for swaps := 0; swaps < maxSwaps; swaps++ {
 		badSlot := -1
-		for u := 0; u < nu; u++ {
-			if s := dupInBlock(u); s >= 0 {
+		for ; clean < nu; clean++ {
+			if s := dupInBlock(clean); s >= 0 {
 				badSlot = s
 				break
 			}
 		}
 		if badSlot < 0 {
-			b := NewBipartite(nu, nv)
-			for u := 0; u < nu; u++ {
-				for i := 0; i < dU; i++ {
-					b.addEdgeUnchecked(int32(u), slots[u*dU+i])
-				}
+			// Every block is duplicate-free: the blocks are the U rows in
+			// slot order, and two counting transposes sort them.
+			off := make([]int32, nu+1)
+			for u := range nu {
+				off[u+1] = int32((u + 1) * dU)
 			}
-			b.Normalize()
-			return b, nil
+			v := transposeRows(CSR{Off: off, Edges: slots}, nv)
+			return &Bipartite{u: transposeRows(v, nu), v: v}, nil
+		}
+		for i := 0; i < dU; i++ {
+			seen[slots[clean*dU+i]] = 0
 		}
 		j := rng.IntN(total)
 		uBad, uOther := badSlot/dU, j/dU

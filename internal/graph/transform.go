@@ -36,6 +36,12 @@ type VirtualSplit struct {
 
 // NormalizeLeftDegrees performs the virtual split with parameter delta,
 // which must be ≤ the minimum left degree.
+//
+// Each virtual node's row is a contiguous piece of its original node's
+// sorted row, and the pieces are laid out in order, so the result's U side
+// reuses b's U edge array under new offsets: the two instances share that
+// array, which is safe because CSR arrays are never modified once built.
+// The V side is the transpose.
 func NormalizeLeftDegrees(b *Bipartite, delta int) (*VirtualSplit, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("graph: delta must be positive, got %d", delta)
@@ -43,40 +49,36 @@ func NormalizeLeftDegrees(b *Bipartite, delta int) (*VirtualSplit, error) {
 	if md := b.MinDegU(); md < delta {
 		return nil, fmt.Errorf("graph: delta %d exceeds minimum left degree %d", delta, md)
 	}
-	// First pass: count virtual nodes so the result is sized up front.
 	partsOf := func(d int) int {
 		if d > 2*delta {
 			return d / delta
 		}
 		return 1
 	}
+	cu := b.CSRU()
+	// First pass: count virtual nodes so the result is sized up front.
 	var nuVirtual int
-	for u := 0; u < b.NU(); u++ {
-		nuVirtual += partsOf(b.DegU(u))
+	for u := 0; u < cu.N(); u++ {
+		nuVirtual += partsOf(cu.Deg(u))
 	}
-	var origin []int
-	nb := NewBipartite(nuVirtual, b.NV())
-	uid := 0
-	for u := 0; u < b.NU(); u++ {
-		nbrs := b.NbrU(u)
-		d := len(nbrs)
+	off := make([]int32, 1, nuVirtual+1)
+	origin := make([]int, 0, nuVirtual)
+	for u := 0; u < cu.N(); u++ {
+		d := cu.Deg(u)
 		parts := partsOf(d)
 		base, extra := d/parts, d%parts
-		at := 0
+		at := cu.Off[u]
 		for p := 0; p < parts; p++ {
-			size := base
+			at += int32(base)
 			if p < extra {
-				size++
+				at++
 			}
-			for _, v := range nbrs[at : at+size] {
-				nb.addEdgeUnchecked(int32(uid), v)
-			}
+			off = append(off, at)
 			origin = append(origin, u)
-			uid++
-			at += size
 		}
 	}
-	nb.Normalize()
+	fwd := CSR{Off: off, Edges: cu.Edges}
+	nb := &Bipartite{u: fwd, v: transposeRows(fwd, b.NV())}
 	return &VirtualSplit{B: nb, Origin: origin}, nil
 }
 
@@ -85,18 +87,18 @@ func NormalizeLeftDegrees(b *Bipartite, delta int) (*VirtualSplit, error) {
 // with degree ≤ keep are unchanged. The weak splitting property is preserved
 // under adding edges back.
 func TruncateLeftDegrees(b *Bipartite, keep int) *Bipartite {
-	nb := NewBipartite(b.NU(), b.NV())
-	for u := 0; u < b.NU(); u++ {
-		take := b.NbrU(u)
-		if len(take) > keep {
-			take = take[:keep]
-		}
-		for _, v := range take {
-			nb.addEdgeUnchecked(int32(u), v)
-		}
+	cu := b.CSRU()
+	keep = max(keep, 0)
+	off := make([]int32, cu.N()+1)
+	for u := 0; u < cu.N(); u++ {
+		off[u+1] = off[u] + int32(min(cu.Deg(u), keep))
 	}
-	nb.Normalize()
-	return nb
+	edges := make([]int32, off[cu.N()])
+	for u := 0; u < cu.N(); u++ {
+		copy(edges[off[u]:off[u+1]], cu.Row(u))
+	}
+	fwd := CSR{Off: off, Edges: edges}
+	return &Bipartite{u: fwd, v: transposeRows(fwd, b.NV())}
 }
 
 // CliqueGadgetResult is the outcome of AttachCliqueGadgets.
