@@ -344,15 +344,15 @@ func GreedySequential(g *graph.Graph) *Result {
 	for i := range colors {
 		colors[i] = -1
 	}
-	// A node's smallest free color is at most its degree, so only
-	// neighbor colors ≤ MaxDeg matter; used[c] == v+1 marks color c taken
-	// around v, and the stamp never needs clearing.
-	used := make([]int32, g.MaxDeg()+2)
+	// Every color is at most its node's degree, so colors fit in
+	// MaxDeg+1 slots; used[c] == v+1 marks color c taken around v, and the
+	// stamp never needs clearing.
+	used := make([]int32, g.MaxDeg()+1)
 	maxC := 0
 	for v := 0; v < n; v++ {
 		stamp := int32(v + 1)
 		for _, w := range g.Neighbors(v) {
-			if c := colors[w]; c >= 0 && c < len(used) {
+			if c := colors[w]; c >= 0 {
 				used[c] = stamp
 			}
 		}

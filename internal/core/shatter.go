@@ -90,20 +90,8 @@ func Shatter(b *graph.Bipartite, src *prob.Source) *ShatterOutcome {
 // Residual returns the bipartite graph H induced by the unsatisfied
 // constraints and the uncolored variables, with index mappings back to b.
 func (s *ShatterOutcome) Residual(b *graph.Bipartite) (h *graph.Bipartite, origU, origV []int) {
-	var nu, nv int
-	for _, bad := range s.UnsatU {
-		if bad {
-			nu++
-		}
-	}
-	for _, c := range s.Colors {
-		if c == Uncolored {
-			nv++
-		}
-	}
 	// Both keep lists ascend, so the induced subgraph keeps rows in order.
-	us := make([]int, 0, nu)
-	vs := make([]int, 0, nv)
+	var us, vs []int
 	for u, bad := range s.UnsatU {
 		if bad {
 			us = append(us, u)

@@ -379,9 +379,9 @@ func (b *Bipartite) Girth() int { return b.AsGraph().Girth() }
 // Theorem 5.2.
 //
 // Row s is emitted directly: the stamp arrays already make every w within
-// k hops appear once, so each row needs only a sort (see sortDistinct). For k = 1 the edge
-// array is sized up front from Σ_u deg(u)·(deg(u)−1), capped at the
-// complete graph's nv·(nv−1) and at the int32 layout limit.
+// k hops appear once, so each row needs only a sort (see sortDistinct).
+// For k = 1 the edge array is sized up front from Σ_u deg(u)·(deg(u)−1),
+// capped at the complete graph's nv·(nv−1) and at the int32 layout limit.
 func (b *Bipartite) VPower(k int) *Graph {
 	b.Normalize()
 	nv := b.v.N()

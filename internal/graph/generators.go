@@ -290,7 +290,8 @@ func RandomBipartiteBiregular(nu, nv, dU int, rng *rand.Rand) (*Bipartite, error
 	// slots[u*dU : (u+1)*dU] are u's neighbors; repair duplicates within a
 	// block by swapping with random slots of other blocks (degree sequences
 	// on both sides are preserved by any swap).
-	seen := make([]int32, nv)       // seen[v] == u+1: v already occurs in block u
+	// seen[v] == u+1 once v has occurred in block u.
+	seen := make([]int32, nv)
 	dupInBlock := func(u int) int { // returns slot index of a duplicate, or -1
 		for i := 0; i < dU; i++ {
 			v := slots[u*dU+i]
@@ -311,8 +312,8 @@ func RandomBipartiteBiregular(nu, nv, dU int, rng *rand.Rand) (*Bipartite, error
 	}
 	// A swap is made only when it creates no duplicate, so blocks found
 	// clean stay clean and the scan for the first bad block resumes where
-	// it stopped. A block is rescanned after a swap touches it, so its
-	// stamps are reset first.
+	// it stopped. The bad block itself is scanned again on the next pass,
+	// so its stamps are cleared first.
 	maxSwaps := 200 * total
 	clean := 0 // blocks [0, clean) hold no duplicate
 	for swaps := 0; swaps < maxSwaps; swaps++ {
