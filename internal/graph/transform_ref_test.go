@@ -380,21 +380,26 @@ func transformInstances(t *testing.T) map[string]*Bipartite {
 		}
 	}
 	return map[string]*Bipartite{
-		"empty":        NewBipartite(0, 0),
-		"empty-U":      NewBipartite(0, 7),
-		"empty-V":      NewBipartite(4, 0),
-		"no-edges":     NewBipartite(3, 5),
-		"isolated-V":   edges(3, 10, [][2]int{{0, 1}, {0, 3}, {1, 3}, {1, 5}, {2, 8}}),
-		"huge-row":     edges(20, 300, huge),
-		"skewed":       edges(12, 40, skewed),
-		"complete":     CompleteBipartite(6, 9),
-		"leftregular":  must(RandomBipartiteLeftRegular(60, 200, 9, rng)),
-		"dense":        must(RandomBipartiteLeftRegular(30, 40, 25, rng)),
-		"powerlaw":     must(RandomBipartitePowerLaw(80, 300, 2.5, 60, rng)),
-		"biregular":    must(RandomBipartiteBiregular(50, 75, 6, rng)),
-		"star":         must(SubdividedStar(8)),
-		"tree":         must(HighGirthTree(4, 3)),
-		"pending-only": func() *Bipartite { b := NewBipartite(2, 3); b.AddEdge(1, 2); b.AddEdge(0, 2); return b }(),
+		"empty":       NewBipartite(0, 0),
+		"empty-U":     NewBipartite(0, 7),
+		"empty-V":     NewBipartite(4, 0),
+		"no-edges":    NewBipartite(3, 5),
+		"isolated-V":  edges(3, 10, [][2]int{{0, 1}, {0, 3}, {1, 3}, {1, 5}, {2, 8}}),
+		"huge-row":    edges(20, 300, huge),
+		"skewed":      edges(12, 40, skewed),
+		"complete":    CompleteBipartite(6, 9),
+		"leftregular": must(RandomBipartiteLeftRegular(60, 200, 9, rng)),
+		"dense":       must(RandomBipartiteLeftRegular(30, 40, 25, rng)),
+		"powerlaw":    must(RandomBipartitePowerLaw(80, 300, 2.5, 60, rng)),
+		"biregular":   must(RandomBipartiteBiregular(50, 75, 6, rng)),
+		"star":        must(SubdividedStar(8)),
+		"tree":        must(HighGirthTree(4, 3)),
+		"pending-only": func() *Bipartite {
+			b := NewBipartite(2, 3) // edges still buffered: transforms normalize first
+			b.addEdgeUnchecked(1, 2)
+			b.addEdgeUnchecked(0, 2)
+			return b
+		}(),
 	}
 }
 
