@@ -13,6 +13,7 @@ package coloring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -28,9 +29,10 @@ type Result struct {
 
 // linialStep holds the per-iteration parameters of Linial's color reduction:
 // colors in [K) are re-encoded as degree-(L-1) polynomials over GF(q) and
-// mapped into [q²).
+// mapped into [q²). top = q^(L-1) is the place value of a color's highest
+// digit.
 type linialStep struct {
-	k, q, l int
+	k, q, l, top int
 }
 
 // linialSchedule precomputes the (globally known) iteration parameters,
@@ -43,7 +45,11 @@ func linialSchedule(n, maxDeg int) []linialStep {
 		if q*q >= k {
 			return steps
 		}
-		steps = append(steps, linialStep{k: k, q: q, l: l})
+		top := 1
+		for i := 1; i < l; i++ {
+			top *= q
+		}
+		steps = append(steps, linialStep{k: k, q: q, l: l, top: top})
 		k = q * q
 	}
 }
@@ -117,7 +123,8 @@ type colorNode struct {
 	linial []linialStep
 	kw     []kwPass
 	color  int
-	cache  []int // cache[p] = last color heard on port p
+	cache  []int    // cache[p] = last color heard on port p
+	used   []uint64 // palette bitmap of greedyPick when Δ+1 > smallPalette
 	out    *[]int
 	idx    int
 }
@@ -133,6 +140,10 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 		c.cache = make([]int, c.view.Deg)
 		for p := range c.cache {
 			c.cache[p] = -1
+		}
+		if c.maxDeg+1 > smallPalette {
+			//lint:alloc one-time lazy init, only on graphs whose palette outgrows greedyPick's stack bitmap
+			c.used = make([]uint64, (c.maxDeg+64)/64)
 		}
 	}
 	for p, m := range recv {
@@ -166,7 +177,12 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 		// agree mod s and hence lie in different groups with disjoint
 		// palettes, so properness is an invariant.
 		if group, j := c.color/s, c.color%s; j == sub {
-			if nc := greedyPick(group*target, target, c.cache); nc != c.color {
+			var small [smallPalette / 64]uint64
+			used := small[:]
+			if c.used != nil {
+				used = c.used
+			}
+			if nc := greedyPick(group*target, target, c.cache, used); nc != c.color {
 				c.color, changed = nc, true
 			}
 		}
@@ -207,16 +223,17 @@ func kwLocate(round int, passes []kwPass, maxDeg int) (pass, sub, total int) {
 // linialRecolor performs one Linial step: encode the color as a polynomial
 // over GF(q) and find an evaluation point x whose value differs from every
 // neighbor's polynomial at x.
+//
+//splitlint:zeroalloc
 func linialRecolor(color int, nbrColors []int, st linialStep) int {
-	own := polyDigits(color, st.q, st.l)
 	for x := 0; x < st.q; x++ {
 		ok := true
-		vx := polyEval(own, x, st.q)
+		vx := st.eval(color, x)
 		for _, nc := range nbrColors {
 			if nc == color {
 				continue // improper input would break Linial; IDs are proper
 			}
-			if polyEval(polyDigits(nc, st.q, st.l), x, st.q) == vx {
+			if st.eval(nc, x) == vx {
 				ok = false
 				break
 			}
@@ -229,33 +246,41 @@ func linialRecolor(color int, nbrColors []int, st linialStep) int {
 	return color % (st.q * st.q)
 }
 
-func polyDigits(c, q, l int) []int {
-	d := make([]int, l)
-	for i := 0; i < l; i++ {
-		d[i] = c % q
-		c /= q
-	}
-	return d
-}
-
-func polyEval(digits []int, x, q int) int {
+// eval evaluates at x, over GF(q), the polynomial whose coefficients are
+// c's L low base-q digits (the lowest digit is the constant term), by
+// Horner's rule from the highest digit down. The digits are read off c
+// directly, so a recoloring allocates nothing.
+func (st linialStep) eval(c, x int) int {
 	v := 0
-	for i := len(digits) - 1; i >= 0; i-- {
-		v = (v*x + digits[i]) % q
+	for div := st.top; div > 0; div /= st.q {
+		v = (v*x + c/div%st.q) % st.q
 	}
 	return v
 }
 
+// smallPalette is the largest palette greedyPick marks in a stack bitmap;
+// nodes of graphs with Δ+1 above it carry their own bitmap.
+const smallPalette = 256
+
 // greedyPick returns the smallest color in [base, base+size) not present in
-// taken.
-func greedyPick(base, size int, taken []int) int {
-	used := make(map[int]struct{}, len(taken))
-	for _, t := range taken {
-		used[t] = struct{}{}
+// taken. used is its scratch bitmap, at least size bits long; it is cleared
+// before use.
+//
+//splitlint:zeroalloc
+func greedyPick(base, size int, taken []int, used []uint64) int {
+	used = used[:(size+63)/64]
+	clear(used)
+	for _, c := range taken {
+		if i := c - base; i >= 0 && i < size {
+			used[i>>6] |= 1 << (i & 63)
+		}
 	}
-	for c := base; c < base+size; c++ {
-		if _, bad := used[c]; !bad {
-			return c
+	for w, bs := range used {
+		if bs != ^uint64(0) {
+			if free := 64*w + bits.TrailingZeros64(^bs); free < size {
+				return base + free
+			}
+			break
 		}
 	}
 	// Unreachable: palette has Δ+1 slots and ≤ Δ neighbors.

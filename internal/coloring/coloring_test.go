@@ -1,6 +1,8 @@
 package coloring
 
 import (
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -154,6 +156,25 @@ func TestKWSchedule(t *testing.T) {
 	}
 }
 
+// polyDigits and polyEval are the digit-slice form of linialStep.eval: the
+// L low base-q digits of c, and Horner evaluation of that digit vector.
+func polyDigits(c, q, l int) []int {
+	d := make([]int, l)
+	for i := 0; i < l; i++ {
+		d[i] = c % q
+		c /= q
+	}
+	return d
+}
+
+func polyEval(digits []int, x, q int) int {
+	v := 0
+	for i := len(digits) - 1; i >= 0; i-- {
+		v = (v*x + digits[i]) % q
+	}
+	return v
+}
+
 func TestPolyEval(t *testing.T) {
 	// p(x) = 2 + 3x + x² over GF(5); p(2) = 2+6+4 = 12 mod 5 = 2.
 	if got := polyEval([]int{2, 3, 1}, 2, 5); got != 2 {
@@ -163,14 +184,41 @@ func TestPolyEval(t *testing.T) {
 	if d[0] != 1 || d[1] != 2 || d[2] != 0 {
 		t.Errorf("polyDigits(7,3) = %v", d)
 	}
+	// eval reads the digits off the color itself; it must agree with the
+	// digit-slice form on every step of real schedules, including the -1 an
+	// unheard port leaves in a node's cache and colors wider than L digits.
+	for _, sh := range []struct{ n, maxDeg int }{{1000, 3}, {100000, 10}, {1 << 20, 6}} {
+		for _, st := range linialSchedule(sh.n, sh.maxDeg) {
+			for c := -1; c < 3*st.k; c += 1 + c/50 {
+				for x := 0; x < st.q; x++ {
+					if got, want := st.eval(c, x), polyEval(polyDigits(c, st.q, st.l), x, st.q); got != want {
+						t.Fatalf("step %+v: eval(%d, %d) = %d, digit form %d", st, c, x, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestGreedyPick(t *testing.T) {
-	if got := greedyPick(10, 3, []int{10, 11}); got != 12 {
+	used := make([]uint64, 8)
+	if got := greedyPick(10, 3, []int{10, 11}, used); got != 12 {
 		t.Errorf("greedyPick = %d, want 12", got)
 	}
-	if got := greedyPick(0, 2, nil); got != 0 {
+	if got := greedyPick(0, 2, nil, used); got != 0 {
 		t.Errorf("greedyPick = %d, want 0", got)
+	}
+	// Palettes past one bitmap word, with the scratch left dirty by the
+	// previous call, colors outside the palette and an unheard port (-1).
+	taken := []int{-1, 5, 1000}
+	for c := 300; c < 300+130; c++ {
+		taken = append(taken, c)
+	}
+	if got := greedyPick(300, 200, taken, used); got != 430 {
+		t.Errorf("greedyPick = %d, want 430", got)
+	}
+	if got := greedyPick(300, 130, taken[:len(taken)-1], used); got != 429 {
+		t.Errorf("greedyPick = %d, want 429", got)
 	}
 }
 
@@ -274,6 +322,72 @@ func TestGreedySequentialAllocs(t *testing.T) {
 		g := graph.RandomSparseGraph(n, 4*n, prob.NewSource(43).Rand())
 		if allocs := testing.AllocsPerRun(10, func() { GreedySequential(g) }); allocs > 4 {
 			t.Errorf("GreedySequential allocated %.0f times on %d nodes; want at most 4", allocs, n)
+		}
+	}
+}
+
+// hubGraph is a star of hub leaves with a path of tail nodes hanging off
+// one leaf: Δ+1 exceeds smallPalette, and n exceeds Δ+1, so the schedule
+// has Kuhn–Wattenhofer passes whose picks use the per-node bitmap.
+func hubGraph(t *testing.T, hub, tail int) *graph.Graph {
+	t.Helper()
+	var edges [][2]int
+	for v := 1; v <= hub+tail; v++ {
+		u := 0
+		if v > hub {
+			u = v - 1
+		}
+		edges = append(edges, [2]int{u, v})
+	}
+	g, err := graph.FromEdges(1+hub+tail, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDeltaPlusOneZeroAllocsPerRound pins the coloring program's rounds,
+// Linial steps and Kuhn–Wattenhofer picks alike, at zero heap allocations:
+// the same run cut off by two MaxRounds budgets allocates the same (GC
+// off, as in internal/local's marginal pins). Each
+// graph is also colored to completion, which self-checks properness. The
+// slack absorbs runtime-internal noise; a per-round allocation per node
+// would cost thousands here.
+func TestDeltaPlusOneZeroAllocsPerRound(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"sparse", graph.RandomSparseGraph(2000, 6000, prob.NewSource(5).Rand())},
+		{"hub", hubGraph(t, 300, 400)},
+	}
+	engines := []struct {
+		name string
+		eng  local.Engine
+	}{{"seq", local.SequentialEngine{}}, {"pool", local.WorkerPoolEngine{Workers: 2}}}
+	const slack = 16
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, gc := range graphs {
+		total := EstimateRounds(gc.g.N(), gc.g.MaxDeg())
+		lo, hi := 2, total-2
+		for _, e := range engines {
+			if _, err := DeltaPlusOne(gc.g, e.eng, local.Options{}); err != nil {
+				t.Fatalf("%s/%s: %v", gc.name, e.name, err)
+			}
+			allocs := func(rounds int) uint64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				if _, err := DeltaPlusOne(gc.g, e.eng, local.Options{MaxRounds: rounds}); err == nil {
+					t.Fatalf("%s/%s: a %d-round budget of a %d-round schedule did not cut the run", gc.name, e.name, rounds, total)
+				}
+				runtime.ReadMemStats(&m1)
+				return m1.Mallocs - m0.Mallocs
+			}
+			runtime.GC()
+			if short, long := allocs(lo), allocs(hi); long > short+slack {
+				t.Errorf("%s/%s: %d allocations at %d rounds, %d at %d; want ≈ 0 per round",
+					gc.name, e.name, long, hi, short, lo)
+			}
 		}
 	}
 }

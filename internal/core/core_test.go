@@ -222,6 +222,22 @@ func TestSixRSplitLargeDegrees(t *testing.T) {
 	}
 }
 
+// TestShatterAllocs pins that Shatter draws its per-variable coins without
+// per-variable objects: its allocations (the outcome and its slices) do not
+// grow with NV. A stream per variable (two heap objects) would cost 40,000
+// allocations at NV 20,000; the slack of 4 absorbs the runtime's own.
+func TestShatterAllocs(t *testing.T) {
+	measure := func(nv int) float64 {
+		b := instance(t, nv/4, nv, 24, 16)
+		src := prob.NewSource(17)
+		return testing.AllocsPerRun(5, func() { Shatter(b, src) })
+	}
+	small, large := measure(400), measure(20000)
+	if large > small+4 {
+		t.Errorf("Shatter allocated %.0f times at NV 20000, %.0f at NV 400; want no growth", large, small)
+	}
+}
+
 func TestSixRSplitRejectsBadRatio(t *testing.T) {
 	b := instance(t, 20, 10, 6, 15) // rank will exceed δ/6
 	if b.MinDegU() >= 6*b.Rank() {

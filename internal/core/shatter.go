@@ -38,7 +38,7 @@ func Shatter(b *graph.Bipartite, src *prob.Source) *ShatterOutcome {
 	// Coloring phase. Randomness is keyed per variable node id, as a LOCAL
 	// node program would do.
 	for v := 0; v < b.NV(); v++ {
-		switch x := src.Node(v).Float64(); {
+		switch x := src.NodeFloat64(v); {
 		case x < 0.25:
 			out.Colors[v] = Red
 		case x < 0.5:

@@ -271,12 +271,13 @@ func TestBoxedPathStillAllocates(t *testing.T) {
 // with no worker machinery. The one-inline-worker batch path must not pay
 // for the multi-worker pool (its goroutine, channels, barrier and the
 // variables they capture), which cost 8 more allocations per run when they
-// were declared in the shared path (73 per run before, 65 after).
+// were declared in the shared path (73 per run before, 65 after). Building
+// views by value from one view set instead of a []View saved one more (64).
 func TestSequentialRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
-	const ceiling = 65
+	const ceiling = 64
 	topo := local.NewTopology(graph.Cycle(20))
 	out := make([]uint64, 20)
 	got := testing.AllocsPerRun(50, func() {
@@ -287,4 +288,77 @@ func TestSequentialRunAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("a 20-node sequential word run allocates %v times, want ≤ %d", got, ceiling)
 	}
+}
+
+// castOnce is a stateless fused broadcaster: every node casts 1 in round 1
+// and stops in round 2. Its zero-size value is stored in an interface
+// without allocating, so a run of it allocates only the engine's own
+// per-node setup.
+type castOnce struct{}
+
+func (castOnce) CastB(r int, recv local.BitRow) (uint64, bool, bool) { return 1, r == 1, r >= 2 }
+
+func (c castOnce) RoundB(r int, recv, send local.BitRow) bool {
+	v, cast, done := c.CastB(r, recv)
+	if cast {
+		send.Broadcast(v)
+	}
+	return done
+}
+
+// TestSetupFootprint pins the heap bytes a bit-plane run allocates per node,
+// setup included, on a graph of sim-1m's shape (average degree 6): views,
+// random streams, adapters, node slices, active sets and planes. The
+// program allocates nothing itself. Bytes per node were 406 for one run and
+// 1,239 for the 4-trial batch while every adapter carried its word and
+// boxed fallback state and the views were materialized as a []View; the
+// ceilings sit just above the lazy-shim, view-set layout's 190 and 591.
+func TestSetupFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	const n = 20000
+	topo := local.NewTopology(graph.RandomSparseGraph(n, 3*n, prob.NewSource(8).Rand()))
+	f := func(local.View) local.Node { return local.BitProgram(castOnce{}) }
+	cases := []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"run", 200, func() {
+			if _, err := (local.SequentialEngine{}).Run(topo, f, local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"batch4", 620, func() {
+			trials := make([]local.Trial, 4)
+			for i := range trials {
+				trials[i] = local.Trial{Factory: f, Opts: local.Options{Source: prob.NewSource(uint64(i + 1))}}
+			}
+			_, errs := local.BatchRun(topo, trials, local.BatchOptions{Workers: 2})
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		got := bytesPerNode(n, c.run)
+		if got > c.ceiling {
+			t.Errorf("%s: a bit-plane run allocates %.0f bytes per node, want ≤ %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// bytesPerNode reports the heap bytes run allocates, divided by n. GC is
+// disabled around the measurement, as in marginalAllocs.
+func bytesPerNode(n int, run func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
 }

@@ -206,8 +206,8 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	// sharing is invisible to programs.
 	all := make([]batchTrial, nTrials)
 	var live []*batchTrial
-	var sharedBase []View
-	var sharedIDs []int
+	var shared viewSet
+	haveShared := false
 	bitWidth := 0
 	pulls := false // some bit trial pulls, so workers need gather blocks
 	for s := range trials {
@@ -219,25 +219,25 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			continue
 		}
 		opts := trials[s].Opts
-		var vs []View
-		var ids []int
+		var vs viewSet
 		if opts.IDs == nil && opts.Inputs == nil {
-			if sharedBase == nil {
+			if !haveShared {
 				var err error
-				if sharedBase, sharedIDs, err = baseViews(t, opts); err != nil {
+				if shared, err = baseViews(t, opts); err != nil {
 					errsOut[s] = err
 					continue
 				}
+				haveShared = true
 			}
-			vs, ids = sharedBase, sharedIDs
+			vs = shared
 		} else {
 			var err error
-			if vs, ids, err = baseViews(t, opts); err != nil {
+			if vs, err = baseViews(t, opts); err != nil {
 				errsOut[s] = err
 				continue
 			}
 		}
-		nodes, err := buildNodes(trials[s].Factory, vs, opts.Source, ids)
+		nodes, err := buildNodes(trials[s].Factory, vs, opts.Source)
 		if err != nil {
 			errsOut[s] = err
 			continue

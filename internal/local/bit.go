@@ -308,24 +308,28 @@ const bitMsgTag = 1
 // run boxes those same words.
 func BitProgram(b BitNode) Node {
 	if b2, ok := b.(Bit2Node); ok {
-		a := &bit2Adapter{bitAdapter: bitAdapter{b: b2, width: 2}}
-		a.wa.w = a
-		return a
+		return &bit2Adapter{bitAdapter{b: b2, width: 2}}
 	}
-	a := &bitAdapter{b: b, width: 1}
-	a.wa.w = a
-	return a
+	return &bitAdapter{b: b, width: 1}
 }
 
 // bitAdapter implements Node, WordNode and BitNode over an underlying
-// BitNode. The word shim reuses private scratch rows across rounds, so even
-// the fallback paths allocate only what boxing itself requires.
+// BitNode. Every node of every trial carries one, so it holds only what
+// the bit path reads: the word and boxed fallbacks keep their state in a
+// bitShim allocated on their first round, and a bit-plane run never
+// allocates one.
 type bitAdapter struct {
 	b     BitNode
 	width uint32
-	recv  BitRow // scratch rows for the word/boxed shims, allocated on first use
-	send  BitRow
-	wa    wordAdapter // boxed shim: decodes boxed Words, then calls RoundW below
+	shim  *bitShim // fallback state, nil until RoundW or Round first runs
+}
+
+// bitShim is a bitAdapter's word/boxed fallback state. The scratch rows are
+// reused across rounds, so even the fallback paths allocate only what
+// boxing itself requires.
+type bitShim struct {
+	recv, send BitRow
+	wa         wordAdapter // boxed shim: decodes boxed Words, then calls RoundW
 }
 
 // bit2Adapter marks the adapter of a Bit2Node so asBitNodes sizes the
@@ -348,34 +352,44 @@ func (a *bitAdapter) RoundB(r int, recv, send BitRow) bool {
 	return a.b.RoundB(r, recv, send)
 }
 
+// fallback returns the adapter's shim, allocating it with deg-port scratch
+// rows on first use.
+func (a *bitAdapter) fallback(deg int) *bitShim {
+	if a.shim == nil {
+		a.shim = &bitShim{
+			recv: newBitScratch(deg, int(a.width)),
+			send: newBitScratch(deg, int(a.width)),
+		}
+		a.shim.wa.w = a
+	}
+	return a.shim
+}
+
 // RoundW implements WordNode: it unpacks received words into a scratch recv
 // row, runs the bit program, and re-encodes the staged values as words.
 func (a *bitAdapter) RoundW(r int, recv []Word, send []Word) bool {
 	deg := len(recv)
-	if a.recv.lanes == nil {
-		a.recv = newBitScratch(deg, int(a.width))
-		a.send = newBitScratch(deg, int(a.width))
-	}
+	sh := a.fallback(deg)
 	for p, m := range recv {
 		if m != NilWord {
-			a.recv.Set(p, m.Payload())
+			sh.recv.Set(p, m.Payload())
 		}
 	}
-	done := a.b.RoundB(r, a.recv.ports(deg), a.send.ports(deg))
-	a.recv.ports(deg).clear(false)
+	done := a.b.RoundB(r, sh.recv.ports(deg), sh.send.ports(deg))
+	sh.recv.ports(deg).clear(false)
 	for p := 0; p < deg; p++ {
-		if a.send.Has(p) {
-			send[p] = MakeWord(bitMsgTag, a.send.Get(p))
+		if sh.send.Has(p) {
+			send[p] = MakeWord(bitMsgTag, sh.send.Get(p))
 		}
 	}
-	a.send.ports(deg).clear(false)
+	sh.send.ports(deg).clear(false)
 	return done
 }
 
 // Round implements Node via the boxed word shim: boxed Words in, boxed
 // Words out, with RoundW above in the middle.
 func (a *bitAdapter) Round(r int, recv []Message) ([]Message, bool) {
-	return a.wa.Round(r, recv)
+	return a.fallback(len(recv)).wa.Round(r, recv)
 }
 
 // asBitNodes returns the nodes viewed as BitNodes when every one of them

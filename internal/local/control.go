@@ -119,14 +119,14 @@ func newPanicError(node, round int, v any) *PanicError {
 }
 
 // buildNodes instantiates the per-node programs on the (possibly shared)
-// base views, attaching each node's random stream from src (none when src
-// is nil), and converts a factory panic into a *PanicError (round 0): a
+// view set, attaching each node's random stream from src (none when src is
+// nil), and converts a factory panic into a *PanicError (round 0): a
 // per-trial error in BatchRun, where sibling trials are untouched, and so
 // the run's error on either engine.
-func buildNodes(f Factory, vs []View, src *prob.Source, ids []int) (nodes []Node, err error) {
+func buildNodes(f Factory, vs viewSet, src *prob.Source) (nodes []Node, err error) {
 	var rngs []*rand.Rand
 	if src != nil {
-		rngs = src.NodeStreams(ids)
+		rngs = src.NodeStreams(vs.ids)
 	}
 	cur := -1
 	defer func() {
@@ -134,10 +134,10 @@ func buildNodes(f Factory, vs []View, src *prob.Source, ids []int) (nodes []Node
 			nodes, err = nil, newPanicError(cur, 0, p)
 		}
 	}()
-	nodes = make([]Node, len(vs))
-	for v := range vs {
+	nodes = make([]Node, len(vs.ids))
+	for v := range nodes {
 		cur = v
-		view := vs[v]
+		view := vs.view(v)
 		if rngs != nil {
 			view.Rand = rngs[v]
 		}

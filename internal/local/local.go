@@ -358,11 +358,39 @@ type Engine interface {
 	Run(t *Topology, f Factory, opts Options) (Stats, error)
 }
 
-// baseViews prepares the per-node Views minus their random streams, and
-// returns the effective ID assignment: buildNodes attaches the streams.
-// The split exists for the batch runner: trials with identity IDs and no
-// inputs share one base view set and differ only in their streams.
-func baseViews(t *Topology, opts Options) ([]View, []int, error) {
+// viewSet is what a run's per-node Views are built from: the effective ID
+// assignment, every node's NbrIDs row in one flat array (the topology's arc
+// layout) and the inputs. view builds a node's View by value when its
+// program is created, so a run never holds a per-node []View — at batch
+// scale (trials × nodes) such an array is pointer-bearing memory the GC
+// scans for the whole run. Trials with identity IDs and no inputs share one
+// set and differ only in the random streams buildNodes attaches.
+type viewSet struct {
+	t      *Topology
+	ids    []int
+	nbrIDs []int
+	inputs []any
+}
+
+// view returns node v's View minus its random stream.
+func (vs viewSet) view(v int) View {
+	lo, hi := vs.t.off[v], vs.t.off[v+1]
+	var input any
+	if vs.inputs != nil {
+		input = vs.inputs[v]
+	}
+	return View{
+		ID:     vs.ids[v],
+		Deg:    int(hi - lo),
+		NbrIDs: vs.nbrIDs[lo:hi:hi],
+		N:      len(vs.ids),
+		Input:  input,
+	}
+}
+
+// baseViews validates opts' IDs and inputs against t and returns the view
+// set of a run on t.
+func baseViews(t *Topology, opts Options) (viewSet, error) {
 	n := t.N()
 	ids := opts.IDs
 	if ids == nil {
@@ -371,46 +399,26 @@ func baseViews(t *Topology, opts Options) ([]View, []int, error) {
 			ids[i] = i
 		}
 	} else if len(ids) != n {
-		return nil, nil, fmt.Errorf("local: got %d IDs for %d nodes", len(ids), n)
+		return viewSet{}, fmt.Errorf("local: got %d IDs for %d nodes", len(ids), n)
 	} else {
 		// Identity IDs (the nil case above) cannot collide; only explicit
 		// assignments need the duplicate check.
 		seen := make(map[int]struct{}, n)
 		for _, id := range ids {
 			if _, dup := seen[id]; dup {
-				return nil, nil, fmt.Errorf("local: duplicate ID %d", id)
+				return viewSet{}, fmt.Errorf("local: duplicate ID %d", id)
 			}
 			seen[id] = struct{}{}
 		}
 	}
 	if opts.Inputs != nil && len(opts.Inputs) != n {
-		return nil, nil, fmt.Errorf("local: got %d inputs for %d nodes", len(opts.Inputs), n)
+		return viewSet{}, fmt.Errorf("local: got %d inputs for %d nodes", len(opts.Inputs), n)
 	}
-	vs := make([]View, n)
-	// All NbrIDs rows share one flat backing array (the topology's arc
-	// layout) and the random streams come from one bulk allocation, so view
-	// construction costs O(1) allocations instead of O(n) — at batch scale
-	// (trials × nodes) the difference is GC-visible.
-	flatNbrIDs := make([]int, len(t.adj))
-	for v := 0; v < n; v++ {
-		row := t.row(v)
-		nbrIDs := flatNbrIDs[t.off[v]:t.off[v+1]:t.off[v+1]]
-		for p, w := range row {
-			nbrIDs[p] = ids[w]
-		}
-		var input any
-		if opts.Inputs != nil {
-			input = opts.Inputs[v]
-		}
-		vs[v] = View{
-			ID:     ids[v],
-			Deg:    len(row),
-			NbrIDs: nbrIDs,
-			N:      n,
-			Input:  input,
-		}
+	nbrIDs := make([]int, len(t.adj))
+	for arc, w := range t.adj {
+		nbrIDs[arc] = ids[w]
 	}
-	return vs, ids, nil
+	return viewSet{t: t, ids: ids, nbrIDs: nbrIDs, inputs: opts.Inputs}, nil
 }
 
 // SequentialEngine runs every node on the calling goroutine: a run is the

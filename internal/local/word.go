@@ -118,11 +118,18 @@ func WordProgram(w WordNode) Node { return &wordAdapter{w: w} }
 
 // wordAdapter implements both Node and WordNode over an underlying
 // WordNode. The boxed Round reuses per-node scratch buffers across rounds,
-// so even the fallback path allocates only the messages it must box.
+// so even the fallback path allocates only the messages it must box; the
+// buffers sit behind a pointer allocated on the first Round, so word-plane
+// runs carry only w.
 type wordAdapter struct {
-	w    WordNode
-	recv []Word
-	send []Word
+	w   WordNode
+	box *wordBox
+}
+
+// wordBox is a wordAdapter's boxed-path scratch: decoded recv words and
+// staged send words, one slot per port.
+type wordBox struct {
+	recv, send []Word
 }
 
 var (
@@ -140,26 +147,27 @@ func (a *wordAdapter) RoundW(r int, recv []Word, send []Word) bool {
 // buffer, runs the word program, and boxes the non-nil sends.
 func (a *wordAdapter) Round(r int, recv []Message) ([]Message, bool) {
 	deg := len(recv)
-	if a.recv == nil {
-		a.recv = make([]Word, deg)
-		a.send = make([]Word, deg)
+	if a.box == nil {
+		buf := make([]Word, 2*deg)
+		a.box = &wordBox{recv: buf[:deg:deg], send: buf[deg:]}
 	}
+	box := a.box
 	for p, m := range recv {
 		if m != nil {
-			a.recv[p] = m.(Word)
+			box.recv[p] = m.(Word)
 		} else {
-			a.recv[p] = NilWord
+			box.recv[p] = NilWord
 		}
 	}
-	done := a.w.RoundW(r, a.recv, a.send)
+	done := a.w.RoundW(r, box.recv, box.send)
 	var out []Message
-	for p, w := range a.send {
+	for p, w := range box.send {
 		if w != NilWord {
 			if out == nil {
 				out = make([]Message, deg)
 			}
 			out[p] = w
-			a.send[p] = NilWord
+			box.send[p] = NilWord
 		}
 	}
 	return out, done

@@ -42,6 +42,16 @@ func (s *Source) Node(id int) *rand.Rand {
 	return rand.New(rand.NewPCG(h, splitmix64(h)))
 }
 
+// NodeFloat64 returns Node(id).Float64(), the first float draw of the
+// node's stream, without allocating the stream: callers that draw once per
+// node (centralized simulations of a one-round coin) stay allocation-free.
+func (s *Source) NodeFloat64(id int) float64 {
+	h := s.nodeSeed(id)
+	pcg := rand.NewPCG(h, splitmix64(h))
+	// rand.Rand.Float64's mapping: the top 53 bits, scaled into [0, 1).
+	return float64(pcg.Uint64()<<11>>11) / (1 << 53)
+}
+
 // NodeStreams returns the streams Node would yield for every id, backed by
 // two bulk allocations instead of two per node. At sweep scale
 // (trials × nodes) per-stream allocation is GC-visible; the engines build

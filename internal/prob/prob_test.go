@@ -50,6 +50,21 @@ func TestNodeStreamsMatchNode(t *testing.T) {
 	}
 }
 
+func TestNodeFloat64MatchesNode(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42} {
+		s := NewSource(seed)
+		for id := -3; id < 2000; id++ {
+			if got, want := s.NodeFloat64(id), s.Node(id).Float64(); got != want {
+				t.Fatalf("seed %d id %d: NodeFloat64 %v, Node.Float64 %v", seed, id, got, want)
+			}
+		}
+	}
+	s := NewSource(7)
+	if allocs := testing.AllocsPerRun(100, func() { s.NodeFloat64(12345) }); allocs != 0 {
+		t.Errorf("NodeFloat64 allocates %v times, want 0", allocs)
+	}
+}
+
 func TestForkChangesStream(t *testing.T) {
 	s := NewSource(1)
 	if s.Fork(1).Node(0).Uint64() == s.Fork(2).Node(0).Uint64() {
