@@ -363,26 +363,40 @@ func PowerColoring(g *graph.Graph, k int, eng local.Engine, opts local.Options) 
 // GreedySequential is the centralized reference: color nodes in index order
 // with the smallest free color. Used as a test oracle and for tiny
 // components where simulating the full pipeline is pointless.
-func GreedySequential(g *graph.Graph) *Result {
-	n := g.N()
+func GreedySequential(g *graph.Graph) *Result { return Greedy(g, g.MaxDeg()) }
+
+// Rows is a graph read one neighbour row at a time: Neighbors(v) lists v's
+// distinct neighbours in any order, valid until the next call. Both
+// *graph.Graph and the implicit power graph *graph.PowerRows are Rows.
+type Rows interface {
+	N() int
+	Neighbors(v int) []int32
+}
+
+// Greedy colors nodes in index order with the smallest color free among
+// their neighbours, reading each row once, so rows may be computed on the
+// fly. maxDeg must bound every row's length; colors then fit in
+// [0, maxDeg].
+func Greedy(rows Rows, maxDeg int) *Result {
+	n := rows.N()
 	colors := make([]int, n)
 	for i := range colors {
 		colors[i] = -1
 	}
 	// Every color is at most its node's degree, so colors fit in
-	// MaxDeg+1 slots; used[c] == v+1 marks color c taken around v, and the
-	// stamp never needs clearing.
-	used := make([]int32, g.MaxDeg()+1)
+	// maxDeg+1 slots; used[c+1] == v+1 marks color c taken around v, and
+	// the stamp never needs clearing. Slot 0 takes the marks of uncolored
+	// neighbours (color −1): an unsorted row mixes them with colored ones
+	// at random, which a branch would mispredict.
+	used := make([]int32, maxDeg+2)
 	maxC := 0
 	for v := 0; v < n; v++ {
 		stamp := int32(v + 1)
-		for _, w := range g.Neighbors(v) {
-			if c := colors[w]; c >= 0 {
-				used[c] = stamp
-			}
+		for _, w := range rows.Neighbors(v) {
+			used[colors[w]+1] = stamp
 		}
 		c := 0
-		for used[c] == stamp {
+		for used[c+1] == stamp {
 			c++
 		}
 		colors[v] = c

@@ -30,8 +30,7 @@ func BasicDerandomized(b *graph.Bipartite, eng local.Engine) (*Result, error) {
 	}
 	// Color the conflict graph B² on the variable side; one round on B²
 	// costs two rounds on B.
-	conflict := b.VPower(1)
-	colors, num, err := ConflictColoring(conflict, eng, &res.Trace, "B2-coloring", 2)
+	colors, num, err := ConflictColoring(b, 1, eng, &res.Trace, "B2-coloring", 2)
 	if err != nil {
 		return nil, err
 	}

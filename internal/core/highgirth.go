@@ -138,8 +138,7 @@ func HighGirthDeterministic(b *graph.Bipartite, eng local.Engine) (*Result, erro
 	res := &Result{}
 
 	// Color B⁴ (distance-4 conflict graph on variables): SLOCAL(4) compile.
-	conflict := b.VPower(2)
-	colors, num, err := ConflictColoring(conflict, eng, &res.Trace, "B4-coloring", 4)
+	colors, num, err := ConflictColoring(b, 2, eng, &res.Trace, "B4-coloring", 4)
 	if err != nil {
 		return nil, err
 	}

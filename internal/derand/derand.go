@@ -109,9 +109,28 @@ func NewWeakSplitEstimator(varToCons [][]int32, degrees []int) *WeakSplitEstimat
 	return e
 }
 
+// exp2NegTable holds 2^-k for k in [0, 1075]: every power of two down to
+// the smallest subnormal, 2^-1074, and the first k that underflows to 0.
+var exp2NegTable = func() (t [1076]float64) {
+	for k := range t {
+		t[k] = math.Exp2(-float64(k))
+	}
+	return t
+}()
+
+// exp2Neg returns 2^-k, bit-identical to math.Exp2(-float64(k)), from the
+// table when k is in range: the estimator's terms need it for every
+// constraint of every candidate label, and math.Exp2 dominated its cost.
+func exp2Neg(k int) float64 {
+	if uint(k) < uint(len(exp2NegTable)) {
+		return exp2NegTable[k]
+	}
+	return math.Exp2(-float64(k))
+}
+
 // term is Φ_u under the current partial assignment.
 func (e *WeakSplitEstimator) term(u int) float64 {
-	p := math.Exp2(-float64(e.undec[u]))
+	p := exp2Neg(e.undec[u])
 	var t float64
 	if !e.hasRed[u] {
 		t += p
@@ -124,8 +143,7 @@ func (e *WeakSplitEstimator) term(u int) float64 {
 
 // termIf is Φ_u if one more undecided neighbor were fixed to label x.
 func (e *WeakSplitEstimator) termIf(u, x int) float64 {
-	undec := e.undec[u] - 1
-	p := math.Exp2(-float64(undec))
+	p := exp2Neg(e.undec[u] - 1)
 	var t float64
 	if !e.hasRed[u] && x != Red {
 		t += p

@@ -1,6 +1,8 @@
 package derand
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -60,6 +62,13 @@ func TestWeakSplitGreedySolves(t *testing.T) {
 	}
 }
 
+// weakSplitPotentialsDigest is the FNV-1a digest of every potential
+// TestWeakSplitPotentialMonotone reads (Cost before the run, then CostIf
+// of both labels and Cost after each Fix), recorded when the estimator
+// still called math.Exp2 for every term: the 2^-k table must leave each
+// value bit-identical.
+const weakSplitPotentialsDigest = 0xfcfc9ac8e8cffd48
+
 func TestWeakSplitPotentialMonotone(t *testing.T) {
 	rng := prob.NewSource(2).Rand()
 	b, err := graph.RandomBipartiteLeftRegular(30, 50, 14, rng)
@@ -68,7 +77,14 @@ func TestWeakSplitPotentialMonotone(t *testing.T) {
 	}
 	vtc, degs := varToCons(b)
 	est := NewWeakSplitEstimator(vtc, degs)
+	digest := fnv.New64a()
+	record := func(x float64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		digest.Write(buf[:])
+	}
 	prev := est.Cost()
+	record(prev)
 	for v := 0; v < b.NV(); v++ {
 		// Greedy choice never increases the potential.
 		c0, c1 := est.CostIf(v, Red), est.CostIf(v, Blue)
@@ -81,6 +97,12 @@ func TestWeakSplitPotentialMonotone(t *testing.T) {
 			t.Fatalf("potential increased at step %d: %v -> %v", v, prev, est.Cost())
 		}
 		prev = est.Cost()
+		record(c0)
+		record(c1)
+		record(prev)
+	}
+	if got := digest.Sum64(); got != weakSplitPotentialsDigest {
+		t.Errorf("potentials digest %#016x, want %#016x", got, uint64(weakSplitPotentialsDigest))
 	}
 }
 
@@ -387,5 +409,20 @@ func TestDefectiveSplitEstimatorMartingale(t *testing.T) {
 	est2 := NewDefectiveSplitEstimator(adj, 10, 0.3)
 	if _, err := Greedy(est2, order); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExp2NegMatchesMathExp2 pins the 2^-k table bit for bit against
+// math.Exp2 over the whole table, the subnormal range (k > 1022), the
+// underflow to 0 (k ≥ 1075) and the fallback past the table's end and
+// below 0.
+func TestExp2NegMatchesMathExp2(t *testing.T) {
+	for k := -3; k <= 1200; k++ {
+		if got, want := exp2Neg(k), math.Exp2(-float64(k)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("exp2Neg(%d) = %v (%#x), want %v (%#x)", k, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if exp2Neg(1074) == 0 || exp2Neg(1075) != 0 {
+		t.Errorf("2^-1074 must be the smallest subnormal and 2^-1075 underflow to 0, got %v and %v", exp2Neg(1074), exp2Neg(1075))
 	}
 }

@@ -378,63 +378,136 @@ func (b *Bipartite) Girth() int { return b.AsGraph().Girth() }
 // used to compile SLOCAL(2) algorithms; VPower(2) is the "B⁴" graph used by
 // Theorem 5.2.
 //
-// Row s is emitted directly: the stamp arrays already make every w within
-// k hops appear once, so each row needs only a sort (see sortDistinct).
-// For k = 1 the edge array is sized up front from Σ_u deg(u)·(deg(u)−1),
-// capped at the complete graph's nv·(nv−1) and at the int32 layout limit.
+// Row s is the PowerRows walk of s appended straight into the edge array:
+// the walk already lists every w within k hops once, so each row needs only
+// a sort (see sortDistinct). For k = 1 the edge array is sized up front from
+// VPowerBound, capped at the int32 layout limit.
 func (b *Bipartite) VPower(k int) *Graph {
-	b.Normalize()
-	nv := b.v.N()
+	walk := b.PowerRows(k)
+	nv := walk.N()
 	off := make([]int32, nv+1)
 	var edges []int32
 	if k == 1 {
-		var bound int
-		for u := 0; u < b.u.N(); u++ {
-			d := b.u.Deg(u)
-			bound += d * (d - 1)
-		}
-		edges = make([]int32, 0, min(bound, nv*(nv-1), maxCSRArcs))
+		arcs, _ := b.VPowerBound(1)
+		edges = make([]int32, 0, min(arcs, maxCSRArcs))
 	}
-	visitedV := make([]int32, nv)
-	visitedU := make([]int32, b.u.N())
 	mark := make([]uint64, (nv+63)/64)
-	for i := range visitedV {
-		visitedV[i] = -1
-	}
-	for i := range visitedU {
-		visitedU[i] = -1
-	}
-	var seed [1]int32
 	for s := 0; s < nv; s++ {
-		visitedV[s] = int32(s)
-		seed[0] = int32(s)
-		frontier := seed[:]
 		lo := len(edges)
-		for hop := 0; hop < k; hop++ {
-			at := len(edges)
-			for _, v := range frontier {
-				for _, u := range b.v.Row(int(v)) {
-					if visitedU[u] == int32(s) {
-						continue
-					}
-					visitedU[u] = int32(s)
-					for _, w := range b.u.Row(int(u)) {
-						if visitedV[w] != int32(s) {
-							visitedV[w] = int32(s)
-							edges = append(edges, w)
-						}
-					}
-				}
-			}
-			// The V nodes this hop reached are the next hop's frontier (a
-			// view: growing edges later leaves its values intact).
-			frontier = edges[at:]
-		}
+		edges = walk.appendRow(edges, s)
 		checkArcs(len(edges))
 		sortDistinct(edges[lo:], mark)
 		off[s+1] = int32(len(edges))
 	}
 	return fromCSR(CSR{Off: off, Edges: edges})
+}
+
+// VPowerBound returns upper bounds on the directed arcs and the maximum
+// degree of VPower(k), read off the degrees of B in O(|E|) without walking
+// B's 2k-hop neighbourhoods. From any variable, one hop reaches at most
+// h = max_s Σ_{u∋s} (deg(u)−1) other variables, so k hops reach at most
+// h + h² + … + h^k; for k = 1 the arcs are also at most Σ_u deg(u)·(deg(u)−1).
+// Both bounds are capped at the complete graph's.
+func (b *Bipartite) VPowerBound(k int) (arcs, maxDeg int) {
+	b.Normalize()
+	nv := b.v.N()
+	if k < 1 || nv == 0 {
+		return 0, 0
+	}
+	var sum, hop int
+	for s := 0; s < nv; s++ {
+		var r int
+		for _, u := range b.v.Row(s) {
+			r += b.u.Deg(int(u)) - 1
+		}
+		sum += r
+		hop = max(hop, r)
+	}
+	for reach, hops := 1, 0; hops < k && maxDeg < nv-1; hops++ {
+		reach *= hop
+		maxDeg += reach
+	}
+	maxDeg = min(maxDeg, nv-1)
+	arcs = nv * maxDeg
+	if k == 1 {
+		arcs = min(arcs, sum)
+	}
+	return arcs, maxDeg
+}
+
+// PowerRows walks the rows of VPower(k) one at a time without building the
+// power graph: each row is the implicit 2k-hop neighbourhood of a variable
+// in B, found by a stamp walk over B's two CSR sides. Rows come out
+// duplicate-free but unsorted, in a buffer reused from row to row, so a
+// consumer that reads each row once (the greedy conflict coloring) needs
+// neither B^2k's edge array nor its row sorts.
+type PowerRows struct {
+	u, v  CSR
+	k     int
+	epoch int32   // stamp of the row being walked
+	seenU []int32 // seenU[u] == epoch: u was expanded in this row
+	seenV []int32 // seenV[w] == epoch: w is the source or already listed
+	buf   []int32
+}
+
+// PowerRows returns a walker over the rows of VPower(k).
+func (b *Bipartite) PowerRows(k int) *PowerRows {
+	b.Normalize()
+	return &PowerRows{
+		u: b.u, v: b.v, k: k,
+		seenU: make([]int32, b.u.N()),
+		seenV: make([]int32, b.v.N()),
+	}
+}
+
+// N returns the number of rows, the number of variable nodes.
+func (p *PowerRows) N() int { return p.v.N() }
+
+// Neighbors returns row s of VPower(k): every other variable within
+// distance 2k of s in B, once each, in the order the walk reaches them. The
+// row is valid until the next call.
+func (p *PowerRows) Neighbors(s int) []int32 {
+	if p.buf == nil {
+		// A row lists distinct variables other than s.
+		p.buf = make([]int32, 0, max(p.v.N()-1, 0))
+	}
+	p.buf = p.appendRow(p.buf[:0], s)
+	return p.buf
+}
+
+// appendRow appends row s to dst. Each hop expands the variables the
+// previous hop reached, a view of dst that later appends leave intact.
+func (p *PowerRows) appendRow(dst []int32, s int) []int32 {
+	uc, vc, seenU, seenV := p.u, p.v, p.seenU, p.seenV
+	if p.epoch == math.MaxInt32 {
+		clear(seenU)
+		clear(seenV)
+		p.epoch = 0
+	}
+	p.epoch++
+	e := p.epoch
+	seenV[s] = e
+	seed := [1]int32{int32(s)}
+	frontier := seed[:]
+	for hop := 0; hop < p.k; hop++ {
+		at := len(dst)
+		for _, v := range frontier {
+			for _, u := range vc.Row(int(v)) {
+				if seenU[u] == e {
+					continue
+				}
+				seenU[u] = e
+				for _, w := range uc.Row(int(u)) {
+					if seenV[w] != e {
+						seenV[w] = e
+						dst = append(dst, w)
+					}
+				}
+			}
+		}
+		frontier = dst[at:]
+	}
+	return dst
 }
 
 // UGraph returns the graph on U-nodes where two constraints are adjacent iff

@@ -10,6 +10,7 @@ package graph
 // fuzzed edge lists.
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -480,4 +481,44 @@ func FuzzBipartiteTransforms(f *testing.F) {
 		}
 		sameBipartite(t, "RandomBipartiteLeftRegular", got, refLeftRegular(n, m, dd, rand.New(rand.NewPCG(seed, 1))))
 	})
+}
+
+// TestPowerRowsMatchVPower pins the implicit walk against the reference
+// construction: for k = 0..3 every PowerRows row, sorted, is the
+// reference's VPower(k) row, and VPowerBound bounds its arcs and maximum
+// degree. Rows are read out of order and twice, which must not change
+// them, and again right after the stamp counter wraps to the stamp the
+// walker's first row left behind.
+func TestPowerRowsMatchVPower(t *testing.T) {
+	for name, b := range transformInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			for k := 0; k <= 3; k++ {
+				want := refVPower(b, k)
+				rows := b.PowerRows(k)
+				if rows.N() != want.N() {
+					t.Fatalf("k=%d: %d rows, reference %d", k, rows.N(), want.N())
+				}
+				check := func(s int) {
+					got := slices.Sorted(slices.Values(rows.Neighbors(s)))
+					if !slices.Equal(got, want.Neighbors(s)) {
+						t.Fatalf("k=%d: row %d = %v, reference %v", k, s, got, want.Neighbors(s))
+					}
+				}
+				for s := rows.N() - 1; s >= 0; s-- {
+					check(s)
+					check(s)
+				}
+				for s := range min(rows.N(), 4) {
+					rows = b.PowerRows(k)
+					rows.Neighbors(s)
+					rows.epoch = math.MaxInt32
+					check(s)
+				}
+				arcs, maxDeg := b.VPowerBound(k)
+				if arcs < 2*want.M() || maxDeg < want.MaxDeg() {
+					t.Fatalf("k=%d: VPowerBound = (%d arcs, degree %d) below the exact (%d, %d)", k, arcs, maxDeg, 2*want.M(), want.MaxDeg())
+				}
+			}
+		})
+	}
 }

@@ -90,8 +90,7 @@ func CLambdaDerandomized(b *graph.Bipartite, p CLambdaParams, eng local.Engine) 
 	res := &Result{Palette: p.Palette}
 	cw := p.workColors()
 	vtc, degs, _ := constrainedRefs(b, p.MinDeg)
-	conflict := b.VPower(1)
-	colors, num, err := core.ConflictColoring(conflict, eng, &res.Trace, "B2-coloring", 2)
+	colors, num, err := core.ConflictColoring(b, 1, eng, &res.Trace, "B2-coloring", 2)
 	if err != nil {
 		return nil, err
 	}

@@ -135,8 +135,7 @@ func CoverDerandomized(b *graph.Bipartite, p CoverParams, eng local.Engine) (*Re
 			}
 		}
 	}
-	conflict := b.VPower(1)
-	colors, num, err := core.ConflictColoring(conflict, eng, &res.Trace, "B2-coloring", 2)
+	colors, num, err := core.ConflictColoring(b, 1, eng, &res.Trace, "B2-coloring", 2)
 	if err != nil {
 		return nil, err
 	}

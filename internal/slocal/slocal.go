@@ -11,8 +11,9 @@
 package slocal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/derand"
 	"repro/internal/graph"
@@ -21,18 +22,40 @@ import (
 // Order returns the node processing order induced by a coloring: ascending
 // by (color, index). Nodes of equal color commute when the coloring is
 // proper on the t-th power of the conflict graph.
+//
+// Conflict colorings use fewer colors than nodes, so the order is a
+// counting sort by color, which keeps each class in index order; colors
+// spread over a range more than twice the node count fall back to a stable
+// comparison sort.
 func Order(colors []int) []int {
 	order := make([]int, len(colors))
-	for i := range order {
-		order[i] = i
+	if len(colors) == 0 {
+		return order
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := colors[order[a]], colors[order[b]]
-		if ca != cb {
-			return ca < cb
+	lo, hi := colors[0], colors[0]
+	for _, c := range colors[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	// hi−lo as unsigned is the exact span even where int would overflow.
+	if uint(hi-lo) > 2*uint(len(colors)) {
+		for i := range order {
+			order[i] = i
 		}
-		return order[a] < order[b]
-	})
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(colors[a], colors[b]) })
+		return order
+	}
+	// next[c−lo] is where the next node of color c goes.
+	next := make([]int, hi-lo+2)
+	for _, c := range colors {
+		next[c-lo+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	for v, c := range colors {
+		order[next[c-lo]] = v
+		next[c-lo]++
+	}
 	return order
 }
 

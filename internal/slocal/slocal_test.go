@@ -1,6 +1,10 @@
 package slocal
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/coloring"
@@ -16,6 +20,55 @@ func TestOrderSortsByColorThenIndex(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// refOrder is Order as a comparison sort: ascending by (color, index).
+func refOrder(colors []int) []int {
+	order := make([]int, len(colors))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ca, cb := colors[order[a]], colors[order[b]]
+		if ca != cb {
+			return ca < cb
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+// TestOrderMatchesSortReference pins the counting sort against the
+// comparison sort: random colorings with many ties, one class, an empty
+// input, and colors spread wider than the counting sort's range (negative
+// and extreme values), which take the stable-sort fallback.
+func TestOrderMatchesSortReference(t *testing.T) {
+	rng := prob.NewSource(31).Rand()
+	cases := map[string][]int{
+		"empty":     {},
+		"single":    {7},
+		"one class": {3, 3, 3, 3, 3},
+		"wide":      {1 << 40, -5, 0, 1 << 40, -5, math.MaxInt, math.MinInt, 0},
+	}
+	for i, n := range []int{2, 10, 100, 1000} {
+		for _, palette := range []int{1, 2, n / 2, n} {
+			colors := make([]int, n)
+			for v := range colors {
+				colors[v] = rng.IntN(max(palette, 1))
+			}
+			cases[fmt.Sprintf("random-%d/n%d/palette%d", i, n, palette)] = colors
+		}
+		shifted := make([]int, n)
+		for v := range shifted {
+			shifted[v] = rng.IntN(n) - n/2
+		}
+		cases[fmt.Sprintf("negative/n%d", n)] = shifted
+	}
+	for name, colors := range cases {
+		if got, want := Order(colors), refOrder(colors); !slices.Equal(got, want) {
+			t.Errorf("%s: Order(%v) = %v, want %v", name, colors, got, want)
 		}
 	}
 }
