@@ -19,7 +19,8 @@ const (
 
 // WeakSplit verifies Definition 1.1 with a degree threshold: every left node
 // u with deg(u) ≥ minDeg must have at least one neighbor of each color.
-// Colors apply to the V side; every V node must be colored.
+// Colors apply to the V side; every V node must be colored. A constraint's
+// scan stops at its first neighbor of the second color.
 func WeakSplit(b *graph.Bipartite, colors []int, minDeg int) error {
 	if len(colors) != b.NV() {
 		return fmt.Errorf("check: %d colors for %d variable nodes", len(colors), b.NV())
@@ -41,6 +42,9 @@ func WeakSplit(b *graph.Bipartite, colors []int, minDeg int) error {
 				red = true
 			case Blue:
 				blue = true
+			}
+			if red && blue {
+				break
 			}
 		}
 		if !red || !blue {

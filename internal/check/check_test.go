@@ -1,6 +1,8 @@
 package check
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,6 +34,74 @@ func TestWeakSplit(t *testing.T) {
 	}
 	if err := WeakSplit(b, []int{Red, 5, Blue}, 0); err == nil {
 		t.Error("invalid color accepted")
+	}
+}
+
+// fullScanWeakSplit is WeakSplit reading every color of every checked
+// constraint before its verdict: the reference for the early-exit scan.
+func fullScanWeakSplit(b *graph.Bipartite, colors []int, minDeg int) error {
+	if len(colors) != b.NV() {
+		return fmt.Errorf("check: %d colors for %d variable nodes", len(colors), b.NV())
+	}
+	for v, c := range colors {
+		if c != Red && c != Blue {
+			return fmt.Errorf("check: variable %d has invalid color %d", v, c)
+		}
+	}
+	for u := 0; u < b.NU(); u++ {
+		if b.DegU(u) < minDeg {
+			continue
+		}
+		var red, blue bool
+		for _, v := range b.NbrU(u) {
+			red = red || colors[v] == Red
+			blue = blue || colors[v] == Blue
+		}
+		if !red || !blue {
+			lack := "blue"
+			if !red {
+				lack = "red"
+			}
+			return fmt.Errorf("check: constraint %d (degree %d) lacks a %s neighbor", u, b.DegU(u), lack)
+		}
+	}
+	return nil
+}
+
+// TestWeakSplitMatchesFullScan runs WeakSplit against the full-scan
+// reference on seeded random instances with degrees from 1 to 40, under
+// colorings from monochromatic to fair and thresholds below, inside and
+// above the degree range: both must return nil or the same error text.
+func TestWeakSplitMatchesFullScan(t *testing.T) {
+	var failures, passes int
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		b, err := graph.RandomBipartitePowerLaw(60, 200, 2.2, 40, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pBlue := range []float64{0, 0.01, 0.05, 0.2, 0.5, 1} {
+			colors := make([]int, b.NV())
+			for v := range colors {
+				if rng.Float64() < pBlue {
+					colors[v] = Blue
+				}
+			}
+			for _, minDeg := range []int{0, 1, 2, b.MinDegU() + 1, 10, b.MaxDegU(), b.MaxDegU() + 1} {
+				got, want := WeakSplit(b, colors, minDeg), fullScanWeakSplit(b, colors, minDeg)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d, P(blue) %.2f, minDeg %d: WeakSplit = %v, full scan = %v", seed, pBlue, minDeg, got, want)
+				}
+				if want == nil {
+					passes++
+				} else {
+					failures++
+				}
+			}
+		}
+	}
+	if failures == 0 || passes == 0 {
+		t.Fatalf("%d rejected and %d accepted colorings: want both verdicts covered", failures, passes)
 	}
 }
 

@@ -39,19 +39,24 @@ type linialStep struct {
 // starting from K = n colors, until the palette stops shrinking.
 func linialSchedule(n, maxDeg int) []linialStep {
 	var steps []linialStep
-	k := n
-	for {
-		q, l := linialParams(k, maxDeg)
-		if q*q >= k {
-			return steps
-		}
-		top := 1
-		for i := 1; i < l; i++ {
-			top *= q
-		}
-		steps = append(steps, linialStep{k: k, q: q, l: l, top: top})
-		k = q * q
+	for st, ok := linialNext(n, maxDeg); ok; st, ok = linialNext(st.q*st.q, maxDeg) {
+		steps = append(steps, st)
 	}
+	return steps
+}
+
+// linialNext returns the Linial step that reduces a palette of k colors to
+// q², or false when that would not shrink the palette.
+func linialNext(k, maxDeg int) (linialStep, bool) {
+	q, l := linialParams(k, maxDeg)
+	if q*q >= k {
+		return linialStep{}, false
+	}
+	top := 1
+	for i := 1; i < l; i++ {
+		top *= q
+	}
+	return linialStep{k: k, q: q, l: l, top: top}, true
 }
 
 // linialParams returns the smallest prime q with q ≥ Δ·L+1 where
@@ -96,13 +101,18 @@ type kwPass struct {
 
 func kwSchedule(k, maxDeg int) []kwPass {
 	var passes []kwPass
-	target := maxDeg + 1
-	for k > target {
+	for ; k > maxDeg+1; k = kwNext(k, maxDeg) {
 		passes = append(passes, kwPass{k: k})
-		groups := (k + 2*target - 1) / (2 * target)
-		k = groups * target
 	}
 	return passes
+}
+
+// kwNext returns the palette size after one pass from k colors: each block
+// of 2(Δ+1) colors, the last one possibly partial, shrinks to Δ+1.
+func kwNext(k, maxDeg int) int {
+	target := maxDeg + 1
+	groups := (k + 2*target - 1) / (2 * target)
+	return groups * target
 }
 
 // colorNode is the per-node LOCAL program: Linial iterations followed by KW
@@ -411,17 +421,20 @@ func Greedy(rows Rows, maxDeg int) *Result {
 // on a graph with n nodes and maximum degree maxDeg, without running it.
 // Pipelines use it to account rounds honestly when they substitute the
 // centralized greedy coloring for the simulated one on very large conflict
-// graphs.
+// graphs. It counts the two schedules with their step functions and
+// allocates nothing.
 func EstimateRounds(n, maxDeg int) int {
 	if n == 0 {
 		return 0
 	}
-	lin := linialSchedule(n, maxDeg)
-	k := n
-	if len(lin) > 0 {
-		last := lin[len(lin)-1]
-		k = last.q * last.q
+	lin, k := 0, n
+	for st, ok := linialNext(k, maxDeg); ok; st, ok = linialNext(k, maxDeg) {
+		lin++
+		k = st.q * st.q
 	}
-	kw := kwSchedule(k, maxDeg)
-	return 1 + len(lin) + 2*(maxDeg+1)*len(kw) + 1
+	kw := 0
+	for ; k > maxDeg+1; k = kwNext(k, maxDeg) {
+		kw++
+	}
+	return 1 + lin + 2*(maxDeg+1)*kw + 1
 }

@@ -156,6 +156,36 @@ func TestKWSchedule(t *testing.T) {
 	}
 }
 
+// estimateSink keeps the compiler from dropping the pinned call.
+var estimateSink int
+
+// TestEstimateRoundsZeroAllocs pins EstimateRounds at zero allocations and
+// at the length of the schedules DeltaPlusOne builds as slices, from a
+// one-node graph to Δ ≥ n and across Linial-only, KW-only and mixed
+// schedules.
+func TestEstimateRoundsZeroAllocs(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 100, 4000, 1 << 20} {
+		for _, maxDeg := range []int{0, 1, 2, 5, 24, 150, 5000} {
+			lin := linialSchedule(n, maxDeg)
+			k := n
+			if len(lin) > 0 {
+				last := lin[len(lin)-1]
+				k = last.q * last.q
+			}
+			want := 1 + len(lin) + 2*(maxDeg+1)*len(kwSchedule(k, maxDeg)) + 1
+			if got := EstimateRounds(n, maxDeg); got != want {
+				t.Errorf("EstimateRounds(%d, %d) = %d, schedules say %d", n, maxDeg, got, want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { estimateSink = EstimateRounds(n, maxDeg) }); allocs != 0 {
+				t.Errorf("EstimateRounds(%d, %d) allocated %.0f times; want 0", n, maxDeg, allocs)
+			}
+		}
+	}
+	if got := EstimateRounds(0, 3); got != 0 {
+		t.Errorf("EstimateRounds(0, 3) = %d, want 0 on an empty graph", got)
+	}
+}
+
 // polyDigits and polyEval are the digit-slice form of linialStep.eval: the
 // L low base-q digits of c, and Horner evaluation of that digit vector.
 func polyDigits(c, q, l int) []int {

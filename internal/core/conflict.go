@@ -28,7 +28,8 @@ const simulationBudget = 50_000_000
 // colors it greedily and measures it exactly: the decision, the palette and
 // the trace note read the exact figures, and the rare graph whose bound
 // overshoots but whose work fits is built after all and simulated, the
-// greedy colors discarded.
+// greedy colors discarded. For B² the walk reads only each row's part below
+// its variable, all the index-order greedy reads (see lowerRows).
 func ConflictColoring(b *graph.Bipartite, k int, eng local.Engine, trace *Trace, name string, hopFactor int) ([]int, int, error) {
 	n := b.NV()
 	var conflict *graph.Graph
@@ -39,9 +40,7 @@ func ConflictColoring(b *graph.Bipartite, k int, eng local.Engine, trace *Trace,
 		conflict = b.VPower(k)
 		arcs, maxDeg = 2*conflict.M(), conflict.MaxDeg()
 	} else {
-		rows := &measuredRows{Rows: b.PowerRows(k)}
-		greedy = coloring.Greedy(rows, boundDeg)
-		arcs, maxDeg = rows.arcs, rows.maxDeg
+		greedy, arcs, maxDeg = greedyMeasured(b, k, boundDeg)
 	}
 	est := coloring.EstimateRounds(n, maxDeg)
 	if conflictWork(n, arcs, est) <= simulationBudget {
@@ -68,6 +67,23 @@ func ConflictColoring(b *graph.Bipartite, k int, eng local.Engine, trace *Trace,
 // coloring on a conflict graph with n nodes and the given directed arcs.
 func conflictWork(n, arcs, est int) int64 { return int64(arcs+n) * int64(est) }
 
+// greedyMeasured colors VPower(k) of b greedily from its implicit rows and
+// returns the colors with the power graph's exact directed arcs and maximum
+// degree, measured by the same walk. maxDeg bounds every row's length.
+func greedyMeasured(b *graph.Bipartite, k, maxDeg int) (*coloring.Result, int, int) {
+	if k != 1 {
+		rows := &measuredRows{Rows: b.PowerRows(k)}
+		return coloring.Greedy(rows, maxDeg), rows.arcs, rows.maxDeg
+	}
+	rows := &lowerRows{rows: b.PowerRows(1), deg: make([]int32, b.NV())}
+	greedy := coloring.Greedy(rows, maxDeg)
+	exact := 0
+	for _, d := range rows.deg {
+		exact = max(exact, int(d))
+	}
+	return greedy, rows.arcs, exact
+}
+
 // measuredRows passes rows through while totalling their lengths, so the
 // greedy's one walk of an implicit conflict graph also measures it.
 type measuredRows struct {
@@ -80,5 +96,29 @@ func (m *measuredRows) Neighbors(v int) []int32 {
 	row := m.Rows.Neighbors(v)
 	m.arcs += len(row)
 	m.maxDeg = max(m.maxDeg, len(row))
+	return row
+}
+
+// lowerRows hands the greedy the part of each B² row below its variable,
+// the only neighbours an index-order greedy reads. Every B² edge is listed
+// once, in the row of its higher endpoint, so counting it in both
+// endpoints' degrees gives B²'s exact degrees and twice its edges.
+type lowerRows struct {
+	rows *graph.PowerRows
+	deg  []int32
+	arcs int
+}
+
+// N implements coloring.Rows.
+func (l *lowerRows) N() int { return l.rows.N() }
+
+// Neighbors implements coloring.Rows with the lower part of row s only.
+func (l *lowerRows) Neighbors(s int) []int32 {
+	row := l.rows.Below(s)
+	l.deg[s] += int32(len(row))
+	for _, w := range row {
+		l.deg[w]++
+	}
+	l.arcs += 2 * len(row)
 	return row
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -165,12 +166,18 @@ func TestConflictColoringMatchesReference(t *testing.T) {
 // materializes the conflict graph, so its allocations are a small constant
 // and its bytes grow with the nodes of B, not with B²'s arcs. Both sizes
 // (10× apart) take the greedy path with ~150 B² arcs per variable, 600
-// bytes per variable as an int32 edge array; the walk's stamp rows, the
-// row buffer, the colors and the palette take under 20. The allocations
-// (22 and 24 measured) are the walk's and the greedy's eight or nine, the
-// trace's, and the round estimate's schedule slices, which gain a pass
-// every doubling of the palette.
+// bytes per variable as an int32 edge array; the walk's stamp row, the
+// row buffer, the degree counts, the colors and the palette take 21–23.
+// The allocations, 16 at both sizes with the collector off, are the
+// walk's, the greedy's and the trace's; the round estimate allocates
+// none. Under -race the trace note's fmt call reads 1–6 allocations
+// instead of 1, so the ceiling there has room for that.
 func TestConflictColoringAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ceiling := 16.0
+	if raceEnabled {
+		ceiling += 8
+	}
 	for _, nu := range []int{400, 4000} {
 		b := graph.TruncateLeftDegrees(instance(t, nu, 4*nu, 32, 9), 25)
 		var trace Trace
@@ -190,8 +197,8 @@ func TestConflictColoringAllocs(t *testing.T) {
 		run()
 		runtime.ReadMemStats(&after)
 		perVar := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.NV())
-		if allocs > 26 {
-			t.Errorf("NU %d: greedy conflict coloring allocated %.0f times; want at most 26", nu, allocs)
+		if allocs > ceiling {
+			t.Errorf("NU %d: greedy conflict coloring allocated %.0f times; want at most %.0f", nu, allocs, ceiling)
 		}
 		if perVar > 24 {
 			t.Errorf("NU %d: greedy conflict coloring allocated %.1f bytes per variable; want at most 24", nu, perVar)

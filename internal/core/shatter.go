@@ -71,7 +71,8 @@ func Shatter(b *graph.Bipartite, src *prob.Source) *ShatterOutcome {
 			out.Colors[v] = Uncolored
 		}
 	}
-	// Satisfaction check.
+	// Satisfaction check: a constraint is settled at its first neighbor of
+	// the second color.
 	for u := 0; u < b.NU(); u++ {
 		var red, blue bool
 		for _, v := range b.NbrU(u) {
@@ -80,6 +81,9 @@ func Shatter(b *graph.Bipartite, src *prob.Source) *ShatterOutcome {
 				red = true
 			case Blue:
 				blue = true
+			}
+			if red && blue {
+				break
 			}
 		}
 		out.UnsatU[u] = !(red && blue)

@@ -445,7 +445,7 @@ type PowerRows struct {
 	u, v  CSR
 	k     int
 	epoch int32   // stamp of the row being walked
-	seenU []int32 // seenU[u] == epoch: u was expanded in this row
+	seenU []int32 // seenU[u] == epoch: u was expanded in this row (made by the first full row)
 	seenV []int32 // seenV[w] == epoch: w is the source or already listed
 	buf   []int32
 }
@@ -453,11 +453,7 @@ type PowerRows struct {
 // PowerRows returns a walker over the rows of VPower(k).
 func (b *Bipartite) PowerRows(k int) *PowerRows {
 	b.Normalize()
-	return &PowerRows{
-		u: b.u, v: b.v, k: k,
-		seenU: make([]int32, b.u.N()),
-		seenV: make([]int32, b.v.N()),
-	}
+	return &PowerRows{u: b.u, v: b.v, k: k, seenV: make([]int32, b.v.N())}
 }
 
 // N returns the number of rows, the number of variable nodes.
@@ -467,25 +463,69 @@ func (p *PowerRows) N() int { return p.v.N() }
 // distance 2k of s in B, once each, in the order the walk reaches them. The
 // row is valid until the next call.
 func (p *PowerRows) Neighbors(s int) []int32 {
+	p.buf = p.appendRow(p.rowBuf(), s)
+	return p.buf
+}
+
+// Below returns the variables of row s of VPower(1) that are below s: every
+// w < s sharing a constraint with s, once each, in the order the walk
+// reaches them. B's U rows are sorted, so the walk stops each one at the
+// first variable ≥ s and reads about half the edges Neighbors does. An
+// index-order greedy coloring reads nothing else, and counting each listed
+// pair in both endpoints' degrees yields VPower(1)'s exact arcs and degrees.
+// The row is valid until the next call; Below panics on a walker with
+// k ≠ 1.
+func (p *PowerRows) Below(s int) []int32 {
+	if p.k != 1 {
+		panic(fmt.Sprintf("graph: PowerRows.Below on a k = %d walker", p.k))
+	}
+	uc, seenV, e := p.u, p.seenV, p.stamp()
+	dst := p.rowBuf()
+	// The source's V row lists each constraint once, so no seenU is needed.
+	for _, u := range p.v.Row(s) {
+		for _, w := range uc.Row(int(u)) {
+			if int(w) >= s {
+				break
+			}
+			if seenV[w] != e {
+				seenV[w] = e
+				dst = append(dst, w)
+			}
+		}
+	}
+	p.buf = dst
+	return dst
+}
+
+// rowBuf returns the reused row buffer, emptied.
+func (p *PowerRows) rowBuf() []int32 {
 	if p.buf == nil {
 		// A row lists distinct variables other than s.
 		p.buf = make([]int32, 0, max(p.v.N()-1, 0))
 	}
-	p.buf = p.appendRow(p.buf[:0], s)
-	return p.buf
+	return p.buf[:0]
+}
+
+// stamp starts a new row and returns its stamp, clearing the stamp arrays
+// when the counter wraps.
+func (p *PowerRows) stamp() int32 {
+	if p.epoch == math.MaxInt32 {
+		clear(p.seenU)
+		clear(p.seenV)
+		p.epoch = 0
+	}
+	p.epoch++
+	return p.epoch
 }
 
 // appendRow appends row s to dst. Each hop expands the variables the
 // previous hop reached, a view of dst that later appends leave intact.
 func (p *PowerRows) appendRow(dst []int32, s int) []int32 {
-	uc, vc, seenU, seenV := p.u, p.v, p.seenU, p.seenV
-	if p.epoch == math.MaxInt32 {
-		clear(seenU)
-		clear(seenV)
-		p.epoch = 0
+	if p.seenU == nil {
+		p.seenU = make([]int32, p.u.N())
 	}
-	p.epoch++
-	e := p.epoch
+	uc, vc, seenU, seenV := p.u, p.v, p.seenU, p.seenV
+	e := p.stamp()
 	seenV[s] = e
 	seed := [1]int32{int32(s)}
 	frontier := seed[:]

@@ -226,6 +226,8 @@ func TestTransformAllocs(t *testing.T) {
 			}},
 			// offsets, origin, the transpose (2), the result (2).
 			{"NormalizeLeftDegrees", 8, func() { _, _ = NormalizeLeftDegrees(b, 5) }},
+			// No node splits: origin and the result (2), b's arrays shared.
+			{"NormalizeLeftDegrees(no split)", 5, func() { _, _ = NormalizeLeftDegrees(b, d) }},
 			// offsets, edges, the transpose (2), the result.
 			{"TruncateLeftDegrees", 7, func() { TruncateLeftDegrees(b, 13) }},
 			// offsets, edges, two stamp arrays, the bitmap, the result.

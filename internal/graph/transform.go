@@ -41,7 +41,9 @@ type VirtualSplit struct {
 // sorted row, and the pieces are laid out in order, so the result's U side
 // reuses b's U edge array under new offsets: the two instances share that
 // array, which is safe because CSR arrays are never modified once built.
-// The V side is the transpose.
+// The V side is the transpose. When no node splits (Δ ≤ 2δ, the nearly
+// regular case) the virtual instance is b itself: it shares both of b's
+// sides under an identity Origin, with no transpose.
 func NormalizeLeftDegrees(b *Bipartite, delta int) (*VirtualSplit, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("graph: delta must be positive, got %d", delta)
@@ -60,6 +62,13 @@ func NormalizeLeftDegrees(b *Bipartite, delta int) (*VirtualSplit, error) {
 	var nuVirtual int
 	for u := 0; u < cu.N(); u++ {
 		nuVirtual += partsOf(cu.Deg(u))
+	}
+	if nuVirtual == cu.N() {
+		origin := make([]int, nuVirtual)
+		for u := range origin {
+			origin[u] = u
+		}
+		return &VirtualSplit{B: &Bipartite{u: cu, v: b.CSRV()}, Origin: origin}, nil
 	}
 	off := make([]int32, 1, nuVirtual+1)
 	origin := make([]int, 0, nuVirtual)

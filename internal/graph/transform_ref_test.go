@@ -298,6 +298,9 @@ func checkTransformsMatch(t *testing.T, b *Bipartite, rng *rand.Rand) {
 		if !slices.Equal(got.Origin, want.Origin) {
 			t.Fatalf("NormalizeLeftDegrees(δ=%d) origin %v, reference %v", delta, got.Origin, want.Origin)
 		}
+		if maxDeg <= 2*delta {
+			checkNoSplit(t, b, got, delta)
+		}
 	}
 
 	for _, keep := range []int{0, 1, 2, minDeg, maxDeg - 1, maxDeg, maxDeg + 1} {
@@ -312,6 +315,7 @@ func checkTransformsMatch(t *testing.T, b *Bipartite, rng *rand.Rand) {
 			t.Fatalf("VPower(%d) differs from the reference\n got %v\nwant %v", k, got, want)
 		}
 	}
+	checkBelow(t, b, b.PowerRows(1), refVPower(b, 1))
 
 	us, vs := b.ConnectedComponents()
 	rus, rvs := refConnectedComponents(b)
@@ -345,6 +349,60 @@ func checkTransformsMatch(t *testing.T, b *Bipartite, rng *rand.Rand) {
 		if !slices.Equal(origU, usKeep) || !slices.Equal(origV, vsKeep) {
 			t.Fatalf("InducedSubgraph mappings %v %v, want the keep lists %v %v", origU, origV, usKeep, vsKeep)
 		}
+	}
+}
+
+// checkNoSplit fails t unless a normalization in which no node splits is b
+// itself: b's own CSR arrays under an identity Origin, with the V side equal
+// to the transpose the splitting path builds.
+func checkNoSplit(t *testing.T, b *Bipartite, got *VirtualSplit, delta int) {
+	t.Helper()
+	cu, cv := b.CSRU(), b.CSRV()
+	gu, gv := got.B.CSRU(), got.B.CSRV()
+	if !sameCSR(gv, transposeRows(cu, b.NV())) {
+		t.Fatalf("NormalizeLeftDegrees(δ=%d) without splits: V side differs from the transpose of U", delta)
+	}
+	same := func(x, y []int32) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
+	if !same(gu.Off, cu.Off) || !same(gu.Edges, cu.Edges) || !same(gv.Off, cv.Off) || !same(gv.Edges, cv.Edges) {
+		t.Fatalf("NormalizeLeftDegrees(δ=%d) without splits copied b's arrays instead of sharing them", delta)
+	}
+	for u, o := range got.Origin {
+		if o != u {
+			t.Fatalf("NormalizeLeftDegrees(δ=%d) without splits: Origin[%d] = %d, want the identity", delta, u, o)
+		}
+	}
+}
+
+// checkBelow fails t unless every Below(s) of the k = 1 walker rows is,
+// as a set, the part of want's row s below s, and unless counting each
+// listed pair in both endpoints' degrees gives want's arcs and maximum
+// degree. Rows are read in index order, as the greedy coloring reads them.
+func checkBelow(t *testing.T, b *Bipartite, rows *PowerRows, want *Graph) {
+	t.Helper()
+	deg := make([]int, b.NV())
+	arcs, maxDeg := 0, 0
+	for s := 0; s < rows.N(); s++ {
+		got := slices.Sorted(slices.Values(rows.Below(s)))
+		var lower []int32
+		for _, w := range want.Neighbors(s) {
+			if int(w) < s {
+				lower = append(lower, w)
+			}
+		}
+		if !slices.Equal(got, lower) {
+			t.Fatalf("Below(%d) = %v, reference %v", s, got, lower)
+		}
+		deg[s] += len(got)
+		for _, w := range got {
+			deg[w]++
+		}
+		arcs += 2 * len(got)
+	}
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	if arcs != 2*want.M() || maxDeg != want.MaxDeg() {
+		t.Fatalf("Below's counted (%d arcs, Δ %d), VPower(1) has (%d, %d)", arcs, maxDeg, 2*want.M(), want.MaxDeg())
 	}
 }
 
@@ -460,6 +518,10 @@ func FuzzBipartiteTransforms(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{1, 2}, uint64(3), uint8(0))
 	f.Add(uint8(1), uint8(30), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8}, uint64(4), uint8(30))
 	f.Add(uint8(6), uint8(6), []byte{0, 1, 1, 0, 2, 3, 3, 2, 4, 5, 5, 4, 0, 5, 5, 0}, uint64(5), uint8(3))
+	// Degrees 2 and 3: no node splits at any valid δ.
+	f.Add(uint8(3), uint8(5), []byte{0, 0, 0, 1, 1, 1, 1, 2, 1, 4, 2, 3, 2, 4}, uint64(6), uint8(2))
+	// Degrees 1 and 7: the degree-7 node splits at δ = 1.
+	f.Add(uint8(2), uint8(8), []byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 7}, uint64(7), uint8(1))
 	f.Fuzz(func(t *testing.T, nu, nv uint8, pairs []byte, seed uint64, d uint8) {
 		n, m := int(nu%33), int(nv%65)
 		if len(pairs) > 4096 {
@@ -488,7 +550,8 @@ func FuzzBipartiteTransforms(f *testing.F) {
 // reference's VPower(k) row, and VPowerBound bounds its arcs and maximum
 // degree. Rows are read out of order and twice, which must not change
 // them, and again right after the stamp counter wraps to the stamp the
-// walker's first row left behind.
+// walker's first row left behind. For k = 1 the lower rows (Below) are
+// also read after a wrap; other walkers must refuse Below.
 func TestPowerRowsMatchVPower(t *testing.T) {
 	for name, b := range transformInstances(t) {
 		t.Run(name, func(t *testing.T) {
@@ -513,6 +576,22 @@ func TestPowerRowsMatchVPower(t *testing.T) {
 					rows.Neighbors(s)
 					rows.epoch = math.MaxInt32
 					check(s)
+				}
+				if k != 1 && rows.N() > 0 {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("k=%d: Below did not panic", k)
+							}
+						}()
+						rows.Below(0)
+					}()
+				}
+				if k == 1 && rows.N() > 0 {
+					// Below after a wrap, on a walker whose full rows
+					// left stamps behind.
+					rows.epoch = math.MaxInt32
+					checkBelow(t, b, rows, want)
 				}
 				arcs, maxDeg := b.VPowerBound(k)
 				if arcs < 2*want.M() || maxDeg < want.MaxDeg() {
