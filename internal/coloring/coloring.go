@@ -115,6 +115,18 @@ func kwNext(k, maxDeg int) int {
 	return groups * target
 }
 
+// colorRun is what every node of one DeltaPlusOne run shares: the
+// (globally known) schedule, the port caches and the output. Nodes keep
+// only their own few words, so a round streams less memory.
+type colorRun struct {
+	maxDeg int
+	linial []linialStep
+	kw     []kwPass
+	last   int     // the final round: 1 + len(linial) + 2(Δ+1)·len(kw)
+	cache  []int32 // the last color heard on each port, node by node (-1: none yet)
+	out    []int
+}
+
 // colorNode is the per-node LOCAL program: Linial iterations followed by KW
 // reduction subrounds. Every node follows the same globally precomputed
 // schedule, so all nodes terminate in the same round.
@@ -127,16 +139,28 @@ func kwNext(k, maxDeg int) int {
 // Colors are exchanged on the word plane (local.WordNode): a message is one
 // tagged word carrying the color, so engine rounds move flat uint64s
 // instead of boxing every announcement onto the heap.
+//
+// The KW phase runs without a division per round: sub counts the subrounds
+// of the current pass, wrapping at s = 2(Δ+1), and the color's group and
+// in-group index are cached whenever the color changes (setColor). Colors
+// are below n, which fits int32 as every CSR node index does.
 type colorNode struct {
-	view   local.View
-	maxDeg int
-	linial []linialStep
-	kw     []kwPass
-	color  int
-	cache  []int    // cache[p] = last color heard on port p
-	used   []uint64 // palette bitmap of greedyPick when Δ+1 > smallPalette
-	out    *[]int
-	idx    int
+	run   *colorRun
+	used  []uint64 // palette bitmap of greedyPick when Δ+1 > smallPalette
+	lo    int32    // the node's ports cache at run.cache[lo : lo+deg]
+	deg   int32
+	color int32
+	base  int32 // first color of the group's Δ+1 palette: (color/s)·(Δ+1)
+	j     int32 // color mod s: the KW subround in which the node recolors
+	sub   int32 // the current KW subround, in [0, s)
+	idx   int32
+}
+
+// setColor sets the node's color and caches its KW group and index.
+func (c *colorNode) setColor(color int) {
+	target := c.run.maxDeg + 1
+	s := 2 * target
+	c.color, c.base, c.j = int32(color), int32(color/s*target), int32(color%s)
 }
 
 var _ local.WordNode = (*colorNode)(nil)
@@ -145,67 +169,64 @@ var _ local.WordNode = (*colorNode)(nil)
 //
 //splitlint:zeroalloc
 func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
-	if c.cache == nil {
-		//lint:alloc one-time lazy init: the cache is built on the node's first round and reused for the rest of the run
-		c.cache = make([]int, c.view.Deg)
-		for p := range c.cache {
-			c.cache[p] = -1
-		}
-		if c.maxDeg+1 > smallPalette {
-			//lint:alloc one-time lazy init, only on graphs whose palette outgrows greedyPick's stack bitmap
-			c.used = make([]uint64, (c.maxDeg+64)/64)
-		}
-	}
+	run := c.run
+	cache := run.cache[c.lo : c.lo+c.deg]
 	for p, m := range recv {
 		if m != local.NilWord {
-			c.cache[p] = m.Int()
+			cache[p] = int32(m.Int())
 		}
 	}
 	changed := false
 	switch {
 	case r == 1:
 		changed = true // announce the initial color (the ID)
-	case r <= 1+len(c.linial):
-		st := c.linial[r-2]
-		if nc := linialRecolor(c.color, c.cache, st); nc != c.color {
-			c.color, changed = nc, true
+		if run.maxDeg+1 > smallPalette {
+			//lint:alloc one-time init on the node's first round, only on graphs whose palette outgrows greedyPick's stack bitmap
+			c.used = make([]uint64, (run.maxDeg+64)/64)
+		}
+	case r <= 1+len(run.linial):
+		st := run.linial[r-2]
+		if nc := linialRecolor(int(c.color), cache, st); nc != int(c.color) {
+			c.setColor(nc)
+			changed = true
 		}
 	default:
-		// KW reduction: figure out which pass/subround this round is.
-		kwRound := r - 2 - len(c.linial) // 0-based within the KW phase
-		_, sub, total := kwLocate(kwRound, c.kw, c.maxDeg)
-		if kwRound >= total {
-			// Schedule exhausted (only happens when kw is empty).
-			(*c.out)[c.idx] = c.color
+		// KW reduction, at subround c.sub of its pass.
+		if len(run.kw) == 0 {
+			// No KW pass: the schedule is exhausted.
+			run.out[c.idx] = int(c.color)
 			return true
 		}
-		target := c.maxDeg + 1
-		s := 2 * target
-		// Group and in-group index are recomputed from the current color
-		// each subround; every node's index comes up exactly once per pass,
-		// and simultaneous recolorers in the same subround have colors that
+		target := run.maxDeg + 1
+		// Group and in-group index follow the current color (setColor);
+		// every node's index comes up exactly once per pass, and
+		// simultaneous recolorers in the same subround have colors that
 		// agree mod s and hence lie in different groups with disjoint
 		// palettes, so properness is an invariant.
-		if group, j := c.color/s, c.color%s; j == sub {
+		if c.j == c.sub {
 			var small [smallPalette / 64]uint64
 			used := small[:]
 			if c.used != nil {
 				used = c.used
 			}
-			if nc := greedyPick(group*target, target, c.cache, used); nc != c.color {
-				c.color, changed = nc, true
+			if nc := greedyPick(int(c.base), target, cache, used); nc != int(c.color) {
+				c.setColor(nc)
+				changed = true
 			}
 		}
-		if kwRound == total-1 {
-			(*c.out)[c.idx] = c.color
+		if c.sub++; int(c.sub) == 2*target {
+			c.sub = 0
+		}
+		if r == run.last {
+			run.out[c.idx] = int(c.color)
 			if changed {
 				c.broadcast(send)
 			}
 			return true
 		}
 	}
-	if len(c.linial) == 0 && len(c.kw) == 0 {
-		(*c.out)[c.idx] = c.color
+	if len(run.linial) == 0 && len(run.kw) == 0 {
+		run.out[c.idx] = int(c.color)
 		return true
 	}
 	if changed {
@@ -216,18 +237,7 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 
 //splitlint:zeroalloc
 func (c *colorNode) broadcast(send []local.Word) {
-	local.Broadcast(send, local.MakeIntWord(1, c.color))
-}
-
-// kwLocate maps a 0-based KW round index to (pass, subround); total is the
-// total number of KW rounds.
-func kwLocate(round int, passes []kwPass, maxDeg int) (pass, sub, total int) {
-	s := 2 * (maxDeg + 1)
-	total = s * len(passes)
-	if round >= total {
-		return -1, 0, total
-	}
-	return round / s, round % s, total
+	local.Broadcast(send, local.MakeIntWord(1, int(c.color)))
 }
 
 // linialRecolor performs one Linial step: encode the color as a polynomial
@@ -235,11 +245,12 @@ func kwLocate(round int, passes []kwPass, maxDeg int) (pass, sub, total int) {
 // neighbor's polynomial at x.
 //
 //splitlint:zeroalloc
-func linialRecolor(color int, nbrColors []int, st linialStep) int {
+func linialRecolor(color int, nbrColors []int32, st linialStep) int {
 	for x := 0; x < st.q; x++ {
 		ok := true
 		vx := st.eval(color, x)
-		for _, nc := range nbrColors {
+		for _, c := range nbrColors {
+			nc := int(c)
 			if nc == color {
 				continue // improper input would break Linial; IDs are proper
 			}
@@ -277,11 +288,11 @@ const smallPalette = 256
 // before use.
 //
 //splitlint:zeroalloc
-func greedyPick(base, size int, taken []int, used []uint64) int {
+func greedyPick(base, size int, taken []int32, used []uint64) int {
 	used = used[:(size+63)/64]
 	clear(used)
 	for _, c := range taken {
-		if i := c - base; i >= 0 && i < size {
+		if i := int(c) - base; i >= 0 && i < size {
 			used[i>>6] |= 1 << (i & 63)
 		}
 	}
@@ -314,19 +325,25 @@ func DeltaPlusOne(g *graph.Graph, eng local.Engine, opts local.Options) (*Result
 	} else {
 		kw = kwSchedule(n, maxDeg)
 	}
-	out := make([]int, n)
-	idx := 0
+	run := &colorRun{
+		maxDeg: maxDeg,
+		linial: lin,
+		kw:     kw,
+		last:   1 + len(lin) + 2*(maxDeg+1)*len(kw),
+		cache:  make([]int32, 2*g.M()),
+		out:    make([]int, n),
+	}
+	for i := range run.cache {
+		run.cache[i] = -1
+	}
+	// The engine calls the factory once per node, in node order: node idx
+	// takes the next deg cache slots.
+	idx, lo := 0, 0
 	factory := func(v local.View) local.Node {
-		node := &colorNode{
-			view:   v,
-			maxDeg: maxDeg,
-			linial: lin,
-			kw:     kw,
-			color:  v.ID,
-			out:    &out,
-			idx:    idx,
-		}
+		node := &colorNode{run: run, lo: int32(lo), deg: int32(v.Deg), idx: int32(idx)}
+		node.setColor(v.ID)
 		idx++
+		lo += v.Deg
 		return local.WordProgram(node)
 	}
 	topo := local.NewTopology(g)
@@ -334,7 +351,7 @@ func DeltaPlusOne(g *graph.Graph, eng local.Engine, opts local.Options) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("coloring: %w", err)
 	}
-	res := &Result{Colors: out, Num: maxDeg + 1, Stats: stats}
+	res := &Result{Colors: run.out, Num: maxDeg + 1, Stats: stats}
 	if err := Verify(g, res.Colors); err != nil {
 		return nil, fmt.Errorf("coloring: self-check failed: %w", err)
 	}

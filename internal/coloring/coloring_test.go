@@ -232,7 +232,7 @@ func TestPolyEval(t *testing.T) {
 
 func TestGreedyPick(t *testing.T) {
 	used := make([]uint64, 8)
-	if got := greedyPick(10, 3, []int{10, 11}, used); got != 12 {
+	if got := greedyPick(10, 3, []int32{10, 11}, used); got != 12 {
 		t.Errorf("greedyPick = %d, want 12", got)
 	}
 	if got := greedyPick(0, 2, nil, used); got != 0 {
@@ -240,8 +240,8 @@ func TestGreedyPick(t *testing.T) {
 	}
 	// Palettes past one bitmap word, with the scratch left dirty by the
 	// previous call, colors outside the palette and an unheard port (-1).
-	taken := []int{-1, 5, 1000}
-	for c := 300; c < 300+130; c++ {
+	taken := []int32{-1, 5, 1000}
+	for c := int32(300); c < 300+130; c++ {
 		taken = append(taken, c)
 	}
 	if got := greedyPick(300, 200, taken, used); got != 430 {

@@ -35,12 +35,52 @@ func marginalAllocs(t *testing.T, lo, hi int, run func(rounds int)) int64 {
 	return int64(m2.Mallocs-m1.Mallocs) - int64(m1.Mallocs-m0.Mallocs)
 }
 
+// staggerStop spreads fifty stop rounds evenly over a run of the given
+// length: about every other round retires part of the active set, each
+// retiree group weighing more than a test compaction unit, so the pool
+// compacts on its workers and the one-worker pool inline.
+func staggerStop(idx, rounds int) int { return 1 + idx%50*rounds/50 }
+
+// staggerWordEchoFactory is wordEchoFactory with node budgets spread by
+// staggerStop (a wordEcho stops the round after its budget).
+func staggerWordEchoFactory(rounds int, out []uint64) local.Factory {
+	idx := 0
+	return func(v local.View) local.Node {
+		n := &wordEcho{v: v, rounds: staggerStop(idx, rounds) - 1, out: out, idx: idx}
+		idx++
+		return local.WordProgram(n)
+	}
+}
+
+// staggerBitEchoFactory is staggerWordEchoFactory for bitEcho.
+func staggerBitEchoFactory(rounds int, out []uint64) local.Factory {
+	idx := 0
+	return func(v local.View) local.Node {
+		n := &bitEcho{v: v, rounds: staggerStop(idx, rounds) - 1, out: out, idx: idx}
+		idx++
+		return local.BitProgram(n)
+	}
+}
+
+// staggerCastFactory is castEchoFactory with stops spread by staggerStop:
+// its dense rounds pull while they retire part of the active set.
+func staggerCastFactory(rounds int, out []uint64) local.Factory {
+	idx := 0
+	return func(v local.View) local.Node {
+		n := &castTail{v: v, stop: staggerStop(idx, rounds), out: out, idx: idx}
+		idx++
+		return local.BitProgram(n)
+	}
+}
+
 // TestWordPathZeroAllocsPerRound pins steady-state 0 allocs/round for a
 // word program on every execution path. The slack of a few mallocs per
 // hundred extra rounds absorbs runtime-internal noise (e.g. a goroutine
 // stack growth) without letting a real per-round or per-node allocation —
 // which would cost hundreds to hundreds of thousands of mallocs here —
-// slip through.
+// slip through. The stagger rows retire part of the active set in about
+// every other round: compaction, inline or on the pool, allocates nothing
+// either.
 func TestWordPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -79,6 +119,18 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 				}
 			}
 		}},
+		{"seq-stagger", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.SequentialEngine{}).Run(topo, staggerWordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pool-stagger", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, staggerWordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, pt := range paths {
 		pt := pt
@@ -100,7 +152,9 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 // their dense rounds pull (see castSlots) beside pushing trials. The
 // seq-nofuse row runs that caster through unfused: the scratch-row
 // reference schedule TestFusedCasterEquivalence checks the fused paths
-// against.
+// against. The stagger rows retire part of the active set in about every
+// other round, pushing and (the cast rows) pulling, as
+// TestWordPathZeroAllocsPerRound's do.
 func TestBitPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -151,6 +205,30 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+			}
+		}},
+		{"seq-stagger", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.SequentialEngine{}).Run(topo, staggerBitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pool-stagger", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, staggerBitEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"seq-stagger-cast", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.SequentialEngine{}).Run(topo, staggerCastFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pool-stagger-cast", func(rounds int) {
+			out := make([]uint64, n)
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, staggerCastFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	}

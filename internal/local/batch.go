@@ -35,6 +35,12 @@ import (
 //     boxed loop, runSeqBoxed, during setup, on the coordinator.
 //   - A pool of one worker runs its units inline on the coordinator, with
 //     no goroutines and no atomics: that is SequentialEngine.
+//   - Compaction costs what a round retired. A trial none of whose nodes
+//     finished skips it; otherwise the round's own units retire the
+//     finished nodes of their shards and pack their survivors to the front
+//     of the shard, on the pool when the retirees weigh a unit or more
+//     (compactUnit), and the coordinator slides the packed shards down in
+//     order, so the active set keeps the order a serial scan would give.
 //
 // Trials are observationally independent: per-node randomness is keyed by
 // (seed, ID) only, so every trial's message trace, outputs and Stats are
@@ -63,7 +69,8 @@ type BatchOptions struct {
 
 // batchMinShard is the smallest (trial, shard) unit weight — in the 1+deg
 // units of carveByWeight — the scheduler hands to a worker; below this the
-// wakeup costs more than the work. A variable only so that tests can lower
+// wakeup costs more than the work. A compaction whose retirees weigh less
+// runs inline for the same reason. A variable only so that tests can lower
 // it: their fixtures weigh less than one unit.
 var batchMinShard int64 = 1024
 
@@ -94,7 +101,7 @@ type batchTrial struct {
 	bnodes    []BitNode  // non-nil when the trial takes the bit fast path
 	active    []int32    // indices of still-running nodes; first `remaining` valid
 	done      []bool     // terminated (set by workers mid-round)
-	dead      []bool     // terminated in a strictly earlier round (coordinator-only writes)
+	dead      []bool     // terminated in a strictly earlier round (written at compaction)
 	remaining int
 	weight    int64   // active-set weight (1+deg per node) for unit carving
 	bounds    []int32 // per-round shard boundaries, reused
@@ -113,10 +120,15 @@ type batchTrial struct {
 	err             error
 	// Bit trials run their units through pass (see bitPass), which the
 	// coordinator drives round by round.
-	pass      bitPass
-	bdead     deadDeliver // bit trial: delivery-table view with dead arcs marked
-	roundMsgs int64       // bit trial: this round's delivered count, summed over units
-	finished  int         // bit trial: nodes that finished this round, summed over units
+	pass  bitPass
+	bdead deadDeliver // bit trial: delivery-table view with dead arcs marked
+	// This round's delivered count, finished nodes and their weight, summed
+	// over units.
+	roundMsgs      int64
+	finished       int
+	finishedWeight int64
+	compact        bool // the round retired part of the active set
+	slide          int  // compaction: survivors packed so far
 }
 
 // batchPlanes bundles the double-buffered plane pairs of one batch run, one
@@ -148,16 +160,24 @@ func (pl *batchPlanes) bitTrial(s int) (inbox, next bitPlane) {
 
 // batchUnit is one (trial, shard) work item: shard [lo, hi) of the trial's
 // active set, executed at round r. Workers record their message count and
-// first error here; the coordinator merges after the round barrier.
+// first error here; the coordinator merges after the round barrier. The
+// same unit then compacts its shard (compactUnit).
 type batchUnit struct {
-	trial   *batchTrial
-	lo, hi  int
-	r       int
-	msgs    int64
-	retired int // nodes of the unit that finished this round
-	err     error
-	errNode int
+	trial    *batchTrial
+	lo, hi   int
+	r        int
+	msgs     int64
+	retired  int   // nodes of the unit that finished this round
+	retiredW int64 // their weight, 1+deg each
+	err      error
+	errNode  int
+	at       int   // compaction: the unit's first retiree slot in the trial's list
+	drop     int64 // compaction: messages delivered to the unit's retirees
 }
+
+// compacts reports whether the unit retires nodes at this round's
+// compaction.
+func (u *batchUnit) compacts() bool { return u.retired > 0 && u.trial.compact }
 
 // BatchRun executes len(trials) independent trials of LOCAL node programs
 // over one shared Topology in a single batched pass and returns one Stats
@@ -325,7 +345,7 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 	}
 	runRound := func() {
 		if workers != nil {
-			workers.run(&pl, unitBuf)
+			workers.run(&pl, unitBuf, false, len(unitBuf))
 			return
 		}
 		// A single inline worker owns every plane word mid-round, so the
@@ -334,10 +354,36 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			runBatchUnit(t, &pl, &inline, &unitBuf[i])
 		}
 	}
+	// compact runs the compacting units: on the pool, unless there is no
+	// pool or the retirees weigh less than one unit.
+	compact := func(weight int64) {
+		if workers != nil && weight >= batchMinShard {
+			busy := 0
+			for i := range unitBuf {
+				if unitBuf[i].compacts() {
+					busy++
+				}
+			}
+			workers.run(&pl, unitBuf, true, busy)
+			return
+		}
+		for i := range unitBuf {
+			if unitBuf[i].compacts() {
+				compactUnit(t, &pl, &unitBuf[i])
+			}
+		}
+	}
 
-	// clearTrial zeroes a retired trial's rows in whichever plane pair it
-	// uses, so no stale word or bit outlives the trial within a long-running
-	// batch.
+	// clearNext zeroes a trial's rows of the next plane; clearTrial zeroes
+	// its rows of both planes, so no stale word or bit outlives a retired
+	// trial within a long-running batch.
+	clearNext := func(tr *batchTrial) {
+		if tr.bnodes != nil {
+			tr.pass.next.clearAll()
+			return
+		}
+		clear(pl.wnext[tr.base : tr.base+arcs])
+	}
 	clearTrial := func(tr *batchTrial) {
 		if tr.bnodes != nil {
 			bi, bn := pl.bitTrial(tr.idx)
@@ -408,8 +454,8 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 			if tr.bnodes != nil {
 				bi, bn := pl.bitTrial(tr.idx)
 				tr.pass.begin(r, bi, bn, &tr.bdead, tr.weight)
-				tr.roundMsgs, tr.finished = 0, 0
 			}
+			tr.roundMsgs, tr.finished, tr.finishedWeight, tr.compact = 0, 0, 0, false
 			// Memoized unit carve: reuse the previous bounds while the trial's
 			// active prefix is unchanged and the batch-wide unit target has
 			// not drifted 2× (trials retiring shifts totalWeight, which would
@@ -443,22 +489,26 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 
 		// Merge unit results deterministically: message counts sum (order
 		// cannot matter) and the reported error is the one at the smallest
-		// node index, whatever the schedule.
+		// node index, whatever the schedule. A unit's retirees get the next
+		// slots of its trial's retiree list, in unit order.
 		for i := range unitBuf {
 			u := &unitBuf[i]
 			tr := u.trial
 			tr.stats.Messages += u.msgs
 			tr.roundMsgs += u.msgs
+			u.at = tr.finished
 			tr.finished += u.retired
+			tr.finishedWeight += u.retiredW
 			if u.err != nil && (tr.errNode < 0 || u.errNode < tr.errNode) {
 				tr.err = u.err
 				tr.errNode = u.errNode
 			}
 		}
 
-		// Per-trial compaction: drop undeliverable messages to nodes that
-		// terminated this round, clear their rows, and retire finished or
-		// failed trials so they stop contributing units.
+		// Settle each trial's round: retire failed trials and trials whose
+		// whole active set stopped, and mark the trials that retired part of
+		// their active set for compaction.
+		retiring := int64(0)
 		keepLive = live[:0]
 		for _, tr := range live {
 			s := tr.idx
@@ -468,45 +518,57 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				clearTrial(tr)
 				continue
 			}
-			if tr.bnodes != nil && tr.faults == nil && tr.finished == tr.remaining {
+			if tr.faults == nil && tr.finished == tr.remaining {
 				// The whole active set stopped: every message of this
 				// round went to a node that is now retiring, so uncount
 				// them all and drop them wholesale — no per-row count,
 				// clear or kill.
 				tr.stats.Messages -= tr.roundMsgs
-				tr.pass.next.clearAll()
+				clearNext(tr)
 				statsOut[s] = tr.stats
 				continue
 			}
 			if tr.bnodes != nil {
-				tr.pass.startCompaction()
+				tr.pass.startCompaction(tr.finished)
 			}
-			keep := tr.active[:0]
-			for _, v := range tr.active[:tr.remaining] {
-				if !tr.done[v] {
-					keep = append(keep, v)
-					continue
-				}
-				lo, hi := t.off[v], t.off[v+1]
+			tr.compact = tr.finished > 0
+			if tr.compact {
+				retiring += tr.finishedWeight
 				if tr.bnodes != nil {
-					tr.stats.Messages -= tr.pass.retire(v)
-					tr.bdead.kill(v)
-				} else {
-					row := pl.wnext[tr.base+int(lo) : tr.base+int(hi)]
-					for i := range row {
-						if row[i] != NilWord {
-							row[i] = NilWord
-							tr.stats.Messages--
-						}
-					}
-				}
-				tr.weight -= 1 + int64(hi-lo)
-				tr.dead[v] = true
-				if tr.faults != nil {
-					tr.faults.markDown(v)
+					tr.bdead.own()
 				}
 			}
-			tr.remaining = len(keep)
+			keepLive = append(keepLive, tr)
+		}
+		live = keepLive
+		if retiring > 0 {
+			compact(retiring)
+		}
+
+		// Per-trial compaction: slide the units' packed survivors down in
+		// unit order and uncount the messages to their retirees; then run
+		// the fault boundary and retire finished trials so they stop
+		// contributing units.
+		for i := range unitBuf {
+			u := &unitBuf[i]
+			tr := u.trial
+			if !tr.compact {
+				continue
+			}
+			kept := u.hi - u.lo - u.retired
+			if tr.slide != u.lo {
+				copy(tr.active[tr.slide:tr.slide+kept], tr.active[u.lo:u.lo+kept])
+			}
+			tr.slide += kept
+			tr.stats.Messages -= u.drop
+		}
+		keepLive = live[:0]
+		for _, tr := range live {
+			s := tr.idx
+			if tr.compact {
+				tr.remaining, tr.slide = tr.slide, 0
+				tr.weight -= tr.finishedWeight
+			}
 			if tr.faults != nil {
 				var crashed []int32
 				if tr.bnodes != nil {
@@ -514,16 +576,19 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				} else {
 					crashed = tr.faults.boundaryWord(r, pl.wnext, tr.base, &tr.stats)
 				}
-				for _, v := range crashed {
-					tr.done[v] = true
-					tr.dead[v] = true
-					if tr.bnodes != nil {
-						tr.bdead.kill(v)
-					}
-					tr.weight -= 1 + int64(t.off[v+1]-t.off[v])
-				}
 				if len(crashed) > 0 {
-					keep = tr.active[:0]
+					if tr.bnodes != nil {
+						tr.bdead.own()
+					}
+					for _, v := range crashed {
+						tr.done[v] = true
+						tr.dead[v] = true
+						if tr.bnodes != nil {
+							tr.bdead.kill(v)
+						}
+						tr.weight -= 1 + int64(t.off[v+1]-t.off[v])
+					}
+					keep := tr.active[:0]
 					for _, v := range tr.active[:tr.remaining] {
 						if !tr.done[v] {
 							keep = append(keep, v)
@@ -553,11 +618,14 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 // S trials into one round barrier is the whole point of the batch — S
 // per-trial pool runs pay S barriers per round-equivalent, this pays one.
 type batchWorkers struct {
-	// pl and units are the round's planes and units, written by the
-	// coordinator before it wakes the workers (the start send orders the
-	// writes before every worker's reads) and left alone until the barrier.
+	// pl and units are the round's planes and units, and compact selects
+	// the phase the workers run them through — the round, or its
+	// compaction. The coordinator writes them before it wakes the workers
+	// (the start send orders the writes before every worker's reads) and
+	// leaves them alone until the barrier.
 	pl       batchPlanes
 	units    []batchUnit
+	compact  bool
 	cursor   atomic.Int64
 	start    []chan struct{}
 	barrier  sync.WaitGroup
@@ -583,7 +651,13 @@ func startBatchWorkers(t *Topology, nw, bitWidth int, pulls, hasWord, hasBit boo
 					if i >= len(bw.units) {
 						break
 					}
-					runBatchUnit(t, &bw.pl, &sc, &bw.units[i])
+					u := &bw.units[i]
+					switch {
+					case !bw.compact:
+						runBatchUnit(t, &bw.pl, &sc, u)
+					case u.compacts():
+						compactUnit(t, &bw.pl, u)
+					}
 				}
 				bw.barrier.Done()
 			}
@@ -592,12 +666,13 @@ func startBatchWorkers(t *Topology, nw, bitWidth int, pulls, hasWord, hasBit boo
 	return bw
 }
 
-// run executes one round's units on the pool and returns after the
-// barrier, when every woken worker has finished.
-func (bw *batchWorkers) run(pl *batchPlanes, units []batchUnit) {
-	bw.pl, bw.units = *pl, units
+// run executes one round's units, or their compaction, on the pool and
+// returns after the barrier, when every woken worker has finished. busy is
+// the number of units with work in the phase: no more workers are woken.
+func (bw *batchWorkers) run(pl *batchPlanes, units []batchUnit, compact bool, busy int) {
+	bw.pl, bw.units, bw.compact = *pl, units, compact
 	bw.cursor.Store(0)
-	wake := min(len(bw.start), len(units))
+	wake := min(len(bw.start), busy)
 	bw.barrier.Add(wake)
 	for w := 0; w < wake; w++ {
 		bw.start[w] <- struct{}{}
@@ -664,6 +739,7 @@ func runBatchUnit(t *Topology, pl *batchPlanes, sc *unitScratch, u *batchUnit) {
 func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 	tr := u.trial
 	msgs := int64(0)
+	retired, retiredW := 0, int64(0)
 	curV := -1
 	defer func() {
 		if p := recover(); p != nil {
@@ -681,13 +757,15 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 		send := wsend[:hi-lo]
 		if tr.wnodes[v].RoundW(u.r, recv, send) {
 			tr.done[v] = true
+			retired++
+			retiredW += 1 + int64(hi-lo)
 		}
 		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send)
 		for p := range recv {
 			recv[p] = NilWord
 		}
 	}
-	u.msgs = msgs
+	u.msgs, u.retired, u.retiredW = msgs, retired, retiredW
 }
 
 // runBatchUnitBit is runBatchUnitWord for a bit trial: the trial's bitPass
@@ -704,5 +782,44 @@ func runBatchUnitBit(sc *unitScratch, u *batchUnit) {
 		}
 	}()
 	u.trial.pass.run(u.trial.active, u.lo, u.hi, sc.bsend, sc.gbuf, &c)
-	u.msgs, u.retired = c.msgs, c.retired
+	u.msgs, u.retired, u.retiredW = c.msgs, c.retired, c.retiredW
+}
+
+// compactUnit retires the nodes of unit u's shard that finished this round
+// and packs the shard's survivors, in order, to its front. Per retiree it
+// drops the messages this round delivered to it (counted into u.drop for
+// the coordinator to uncount), clears its row, kills its arcs on the bit
+// plane and marks it dead. Every write is to the retiree's own row, slots
+// and flags, or to the shard's range of the active set and of the bit
+// pass's retiree list, so the units of a compaction run concurrently; the
+// shared words of adjacent bit rows are read and cleared atomically.
+func compactUnit(t *Topology, pl *batchPlanes, u *batchUnit) {
+	tr := u.trial
+	keep, at := u.lo, u.at
+	drop := int64(0)
+	for _, v := range tr.active[u.lo:u.hi] {
+		if !tr.done[v] {
+			tr.active[keep] = v
+			keep++
+			continue
+		}
+		if tr.bnodes != nil {
+			drop += tr.pass.retire(v, at)
+			at++
+			tr.bdead.kill(v)
+		} else {
+			row := pl.wnext[tr.base+int(t.off[v]) : tr.base+int(t.off[v+1])]
+			for i := range row {
+				if row[i] != NilWord {
+					row[i] = NilWord
+					drop++
+				}
+			}
+		}
+		tr.dead[v] = true
+		if tr.faults != nil {
+			tr.faults.markDown(v)
+		}
+	}
+	u.drop = drop
 }

@@ -47,6 +47,7 @@ package local
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -551,12 +552,19 @@ func (d *deadDeliver) table() []int32 {
 	return d.t.deliver
 }
 
-// kill marks every arc pointing at v dead. Called by coordinators between
-// rounds, exactly where the boxed/word paths set dead[v].
-func (d *deadDeliver) kill(v int32) {
+// own copies the shared table into the run's own on first use; the
+// coordinator calls it before any kill, so kills on the pool never race on
+// the copy.
+func (d *deadDeliver) own() {
 	if d.dlv == nil {
 		d.dlv = append([]int32(nil), d.t.deliver...)
 	}
+}
+
+// kill marks every arc pointing at v dead, in the table own made: exactly
+// where the boxed/word paths set dead[v]. Kills of distinct nodes write
+// distinct slots, so a compaction's units kill concurrently.
+func (d *deadDeliver) kill(v int32) {
 	// The reverse arc of arc i (v → w) is deliver[i] itself: the slot of
 	// w's row that points back at v.
 	for i := d.t.off[v]; i < d.t.off[v+1]; i++ {
@@ -688,7 +696,9 @@ func andNot(w *uint64, mask uint64, atomically bool) {
 
 // countPatternRange returns the population count of bits [lo, hi) of ws
 // restricted to the (word-aligned, lane-periodic) pattern — with the
-// presence pattern, the number of present messages in a lane range.
+// presence pattern, the number of present messages in a lane range. The
+// head and tail words, which the range may share with its neighbours, are
+// read through atomic loads (see clearBitRange).
 func countPatternRange(ws []uint64, lo, hi int, pat uint64) int64 {
 	if lo >= hi {
 		return 0
@@ -697,9 +707,9 @@ func countPatternRange(ws []uint64, lo, hi int, pat uint64) int64 {
 	head := ^uint64(0) << (lo & 63) & pat
 	tail := ^uint64(0) >> (63 - (hi-1)&63) & pat
 	if loW == hiW {
-		return int64(bits.OnesCount64(ws[loW] & head & tail))
+		return int64(bits.OnesCount64(atomic.LoadUint64(&ws[loW]) & head & tail))
 	}
-	c := bits.OnesCount64(ws[loW]&head) + bits.OnesCount64(ws[hiW]&tail)
+	c := bits.OnesCount64(atomic.LoadUint64(&ws[loW])&head) + bits.OnesCount64(atomic.LoadUint64(&ws[hiW])&tail)
 	for w := loW + 1; w < hiW; w++ {
 		c += bits.OnesCount64(ws[w] & pat)
 	}
@@ -840,9 +850,9 @@ func bitsAt(ws []uint64, b uint64, n uint) uint64 {
 
 // bitPass is a bit trial's run state in the throughput loop, as its units
 // and its coordinator see it. BatchRun's bit units run their nodes through
-// bitPass.run, and its coordinator drives the round through begin,
-// clearConsumed, retire and end, so push, pull, gather and the pull-side
-// accounting live in one place. The coordinator sets the per-round fields
+// bitPass.run and retire them through retire, and its coordinator drives
+// the round through begin, clearConsumed, startCompaction and end, so push,
+// pull, gather and the pull-side accounting live in one place. The coordinator sets the per-round fields
 // between rounds; the wakeup publishes them.
 type bitPass struct {
 	t       *Topology
@@ -854,7 +864,9 @@ type bitPass struct {
 	// mixed: some nodes lack CastB and push even in pull rounds.
 	pulls, mixed bool
 	slots        castSlots // allocated when pulls
-	retired      []int32   // the last pull round's retirees (see castSlots.retire)
+	// retired lists the last pull round's retirees (see castSlots.retire).
+	// A compaction's units fill disjoint segments of it, one per unit.
+	retired []int32
 
 	// Per round, set by begin.
 	r           int
@@ -907,33 +919,36 @@ func (p *bitPass) clearConsumed() {
 }
 
 // startCompaction gives the last pull round's retirees their second slot
-// clear; the coordinator calls it before retiring this round's nodes.
-func (p *bitPass) startCompaction() {
+// clear and, in a pull round, makes room in retired for this round's
+// finished retirees. The coordinator calls it every round, before any
+// retire: a round that retires nobody still owes the last one's clears.
+func (p *bitPass) startCompaction(finished int) {
 	if !p.pull {
 		return
 	}
 	for _, v := range p.retired {
 		p.slots.retire(v)
 	}
-	p.retired = p.retired[:0]
+	p.retired = slices.Grow(p.retired[:0], finished)[:finished]
 }
 
 // retire drops the messages this round delivered to v, a node finishing
-// this round, and returns their count for the coordinator to uncount: its
-// row of the next plane when pushes may have landed there, and in a pull
-// round the casts its neighbors' slots hold for it. The caller kills v's
-// arcs.
-func (p *bitPass) retire(v int32) int64 {
+// this round, and returns their count for the caller to uncount: its row of
+// the next plane when pushes may have landed there, and in a pull round the
+// casts its neighbors' slots hold for it, recording v at retired[at]. The
+// caller kills v's arcs. Retires of distinct nodes may run concurrently:
+// the row clear is atomic at the words shared with neighbouring rows.
+func (p *bitPass) retire(v int32, at int) int64 {
 	lo, hi := p.t.off[v], p.t.off[v+1]
 	drop := int64(0)
 	if !p.pull || p.mixed {
 		drop = p.next.countRow(lo, hi)
-		p.next.clearRow(lo, hi, false)
+		p.next.clearRow(lo, hi, p.par)
 	}
 	if p.pull {
 		drop += p.slots.uncount(p.t, v)
 		p.slots.retire(v)
-		p.retired = append(p.retired, v)
+		p.retired[at] = v
 	}
 	return drop
 }
@@ -958,11 +973,13 @@ func (p *bitPass) liveArcs(lo, hi int32) int64 {
 }
 
 // bitCursor is a shard's progress: the node in flight (for panic
-// attribution), the messages delivered so far and the nodes that finished.
+// attribution), the messages delivered so far, and the nodes that finished
+// and their weight (1+deg each).
 type bitCursor struct {
-	v       int
-	msgs    int64
-	retired int
+	v        int
+	msgs     int64
+	retired  int
+	retiredW int64
 }
 
 // run executes round p.r for the nodes active[i:end], accumulating into c.
@@ -1010,6 +1027,7 @@ func (p *bitPass) run(active []int32, i, end int, send BitRow, gbuf []uint64, c 
 			if fin {
 				p.done[v] = true
 				c.retired++
+				c.retiredW += 1 + int64(hi-lo)
 			}
 			if p.rowClear {
 				p.inbox.clearRow(lo, hi, p.par)

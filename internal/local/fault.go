@@ -16,7 +16,8 @@ package local
 //     sequential stream state that scheduling could reorder.
 //   - Faults are applied only at round boundaries, in the engines'
 //     single-threaded coordinator sections, where the next plane is already
-//     bit-identical across engines. Workers never see the fault state.
+//     bit-identical across engines. Workers touch the fault state only to
+//     mark their own shard's retirees down at compaction (markDown).
 //
 // Per boundary (after round r has executed and nodes that terminated in
 // round r have been retired) the pass runs in a fixed order:
@@ -119,8 +120,10 @@ type heldMsg struct {
 }
 
 // faultState is the per-run (per-trial, under BatchRun) fault machinery. It
-// is touched only by the coordinator between rounds; a run without active
-// faults carries a nil *faultState and pays one nil check per boundary.
+// is touched only between rounds: by the coordinator, except that the units
+// of a compaction mark their own retirees down (markDown writes one node's
+// flag). A run without active faults carries a nil *faultState and pays one
+// nil check per boundary.
 type faultState struct {
 	t          *Topology
 	dropK      uint64 // prob.KeyedStream(seed, faultKindDrop)
@@ -129,7 +132,7 @@ type faultState struct {
 	dropT      uint64 // drop iff keyed bits < dropT
 	crashT     uint64
 	delay      int
-	down       []bool // nodes that terminated or crashed (coordinator-only)
+	down       []bool // nodes that terminated or crashed
 	buckets    [][]heldMsg
 	crashedBuf []int32
 }

@@ -93,7 +93,8 @@ type pullCase struct {
 	name    string
 	pusher  func(idx int) bool // which nodes lack CastB
 	width   uint
-	uniform int // > 0: every node stops at this round (the all-retire path)
+	uniform int               // > 0: every node stops at this round (the all-retire path)
+	stop    func(idx int) int // nil: pullStop
 }
 
 // pullStop staggers the stops: most nodes retire in rounds 2–5, while the
@@ -114,6 +115,9 @@ func (pc pullCase) factory(out []uint64, gathered *atomic.Bool, plane, cancelAt 
 	idx := 0
 	return func(View) Node {
 		stop := pullStop(idx)
+		if pc.stop != nil {
+			stop = pc.stop(idx)
+		}
 		if pc.uniform > 0 {
 			stop = pc.uniform
 		}

@@ -177,7 +177,9 @@ func (a *wordAdapter) Round(r int, recv []Message) ([]Message, bool) {
 // implements the fast path, and nil otherwise (the engines then use the
 // boxed path for the whole run — word and boxed programs never share a
 // plane). The check runs before the slice is allocated, so a boxed-path
-// run costs no allocation here.
+// run costs no allocation here. A WordProgram adapter is unwrapped: the
+// round loop calls the program itself, one indirect call and one heap
+// object fewer per node-round.
 func asWordNodes(nodes []Node) []WordNode {
 	for _, n := range nodes {
 		if _, ok := n.(WordNode); !ok {
@@ -186,6 +188,10 @@ func asWordNodes(nodes []Node) []WordNode {
 	}
 	ws := make([]WordNode, len(nodes))
 	for i, n := range nodes {
+		if a, ok := n.(*wordAdapter); ok {
+			ws[i] = a.w
+			continue
+		}
 		ws[i] = n.(WordNode)
 	}
 	return ws
