@@ -122,6 +122,7 @@ type colorRun struct {
 	maxDeg int
 	linial []linialStep
 	kw     []kwPass
+	kw0    int     // the first KW round: 2 + len(linial)
 	last   int     // the final round: 1 + len(linial) + 2(Δ+1)·len(kw)
 	cache  []int32 // the last color heard on each port, node by node (-1: none yet)
 	out    []int
@@ -140,8 +141,12 @@ type colorRun struct {
 // tagged word carrying the color, so engine rounds move flat uint64s
 // instead of boxing every announcement onto the heap.
 //
-// The KW phase runs without a division per round: sub counts the subrounds
-// of the current pass, wrapping at s = 2(Δ+1), and the color's group and
+// A KW node is idle in most rounds: it recolors only in its own subround
+// j, and otherwise just caches what its neighbours announce. It sleeps
+// (local.WordSleeper) until its next subround or the final round, and the
+// word loop wakes it early when a neighbour's new color arrives. The
+// subround is derived from r, so a node called every round (the boxed
+// oracle, faulty runs) gives the same result. The color's group and
 // in-group index are cached whenever the color changes (setColor). Colors
 // are below n, which fits int32 as every CSR node index does.
 type colorNode struct {
@@ -152,7 +157,6 @@ type colorNode struct {
 	color int32
 	base  int32 // first color of the group's Δ+1 palette: (color/s)·(Δ+1)
 	j     int32 // color mod s: the KW subround in which the node recolors
-	sub   int32 // the current KW subround, in [0, s)
 	idx   int32
 }
 
@@ -163,7 +167,7 @@ func (c *colorNode) setColor(color int) {
 	c.color, c.base, c.j = int32(color), int32(color/s*target), int32(color%s)
 }
 
-var _ local.WordNode = (*colorNode)(nil)
+var _ local.WordSleeper = (*colorNode)(nil)
 
 // RoundW implements local.WordNode.
 //
@@ -191,7 +195,7 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 			changed = true
 		}
 	default:
-		// KW reduction, at subround c.sub of its pass.
+		// KW reduction, at subround (r-kw0) mod s of its pass.
 		if len(run.kw) == 0 {
 			// No KW pass: the schedule is exhausted.
 			run.out[c.idx] = int(c.color)
@@ -203,7 +207,7 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 		// simultaneous recolorers in the same subround have colors that
 		// agree mod s and hence lie in different groups with disjoint
 		// palettes, so properness is an invariant.
-		if c.j == c.sub {
+		if (r-run.kw0)%(2*target) == int(c.j) {
 			var small [smallPalette / 64]uint64
 			used := small[:]
 			if c.used != nil {
@@ -213,9 +217,6 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 				c.setColor(nc)
 				changed = true
 			}
-		}
-		if c.sub++; int(c.sub) == 2*target {
-			c.sub = 0
 		}
 		if r == run.last {
 			run.out[c.idx] = int(c.color)
@@ -233,6 +234,20 @@ func (c *colorNode) RoundW(r int, recv, send []local.Word) bool {
 		c.broadcast(send)
 	}
 	return false
+}
+
+// WakeW implements local.WordSleeper: every Linial round, then in KW the
+// node's next subround j or the final round, whichever comes first.
+//
+//splitlint:zeroalloc
+func (c *colorNode) WakeW(r int) int {
+	run := c.run
+	next := r + 1
+	if next < run.kw0 || len(run.kw) == 0 {
+		return next
+	}
+	s := 2 * (run.maxDeg + 1)
+	return min(next+(int(c.j)-(next-run.kw0)%s+s)%s, run.last)
 }
 
 //splitlint:zeroalloc
@@ -329,6 +344,7 @@ func DeltaPlusOne(g *graph.Graph, eng local.Engine, opts local.Options) (*Result
 		maxDeg: maxDeg,
 		linial: lin,
 		kw:     kw,
+		kw0:    2 + len(lin),
 		last:   1 + len(lin) + 2*(maxDeg+1)*len(kw),
 		cache:  make([]int32, 2*g.M()),
 		out:    make([]int, n),

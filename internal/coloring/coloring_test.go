@@ -81,24 +81,40 @@ func TestDeltaPlusOneEdgeless(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnColoring runs the coloring on the word loop, where KW
+// nodes sleep between their subrounds, and on the boxed oracle, which calls
+// every node every round: colors and Stats must agree. Under a fault plan
+// the word loop calls every node every round too, and the outcome — colors
+// or the self-check's error — must agree with the oracle's.
 func TestEnginesAgreeOnColoring(t *testing.T) {
 	g := graph.RandomGraph(60, 0.15, prob.NewSource(12).Rand())
 	ids := local.PermutationIDs(g.N(), prob.NewSource(13))
-	seqRes, err := DeltaPlusOne(g, local.SequentialEngine{}, local.Options{IDs: ids})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poolRes, err := DeltaPlusOne(g, local.WorkerPoolEngine{Workers: 3}, local.Options{IDs: ids})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seqRes.Colors {
-		if seqRes.Colors[v] != poolRes.Colors[v] {
-			t.Fatalf("engines disagree at node %d", v)
+	oracle := local.Overlay{Plane: local.PlaneBoxed}.On(local.SequentialEngine{})
+	faults := &local.FaultPlan{Seed: 5, Drop: 0.05, Delay: 3}
+	for _, fp := range []*local.FaultPlan{nil, faults} {
+		ref, refErr := DeltaPlusOne(g, oracle, local.Options{IDs: ids, Faults: fp})
+		if fp == nil && refErr != nil {
+			t.Fatal(refErr)
 		}
-	}
-	if seqRes.Stats != poolRes.Stats {
-		t.Errorf("stats differ: %+v vs %+v", seqRes.Stats, poolRes.Stats)
+		engines := []struct {
+			name string
+			eng  local.Engine
+		}{{"seq", local.SequentialEngine{}}, {"pool-2", local.WorkerPoolEngine{Workers: 2}}, {"pool-3", local.WorkerPoolEngine{Workers: 3}}}
+		for _, e := range engines {
+			res, err := DeltaPlusOne(g, e.eng, local.Options{IDs: ids, Faults: fp})
+			if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+				t.Fatalf("%s (faults %v): err %v, oracle %v", e.name, fp != nil, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !slices.Equal(res.Colors, ref.Colors) {
+				t.Errorf("%s (faults %v): colors differ from the oracle's", e.name, fp != nil)
+			}
+			if res.Stats != ref.Stats {
+				t.Errorf("%s (faults %v): stats %+v, oracle %+v", e.name, fp != nil, res.Stats, ref.Stats)
+			}
+		}
 	}
 }
 

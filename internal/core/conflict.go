@@ -9,10 +9,15 @@ import (
 )
 
 // simulationBudget caps the edge·round product for which the conflict-graph
-// coloring is executed as a real message-passing simulation (the per-round
-// cost of the engine is Θ(m) for inbox scanning); beyond it the centralized
-// greedy coloring stands in, with rounds accounted by the same formula the
-// simulation would charge (the palette bound Δ+1 is identical).
+// coloring is executed as a real message-passing simulation; beyond it the
+// centralized greedy coloring stands in, with rounds accounted by the same
+// formula the simulation would charge (the palette bound Δ+1 is identical).
+// The product is an upper bound on the simulation's work: a Linial round
+// touches every arc, but in a Kuhn–Wattenhofer round only the nodes that
+// recolor or hear a new color run (the rest sleep, see local.WordSleeper),
+// so the round costs a scan of the active set plus their arcs. The value
+// stays as it is because it decides which path runs, and with it the trace
+// notes.
 const simulationBudget = 50_000_000
 
 // ConflictColoring produces a proper coloring of the conflict graph

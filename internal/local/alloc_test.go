@@ -73,6 +73,35 @@ func staggerCastFactory(rounds int, out []uint64) local.Factory {
 	}
 }
 
+// napWord is a WordSleeper for the allocation pins: node idx broadcasts in
+// the rounds ≡ idx mod 3 and sleeps in between, until its budget runs out.
+// Its neighbours' words wake it early, so a round runs some sleepers and
+// skips the rest.
+type napWord struct{ idx, rounds int }
+
+func (n napWord) RoundW(r int, recv, send []local.Word) bool {
+	if r > n.rounds {
+		return true
+	}
+	if r%3 == n.idx%3 {
+		local.Broadcast(send, local.MakeWord(1, uint64(r)))
+	}
+	return false
+}
+
+func (n napWord) WakeW(r int) int {
+	return min(r+1+(n.idx%3-(r+1)%3+3)%3, n.rounds+1)
+}
+
+func napWordFactory(rounds int) local.Factory {
+	idx := 0
+	return func(local.View) local.Node {
+		n := napWord{idx: idx, rounds: rounds}
+		idx++
+		return local.WordProgram(n)
+	}
+}
+
 // TestWordPathZeroAllocsPerRound pins steady-state 0 allocs/round for a
 // word program on every execution path. The slack of a few mallocs per
 // hundred extra rounds absorbs runtime-internal noise (e.g. a goroutine
@@ -80,7 +109,8 @@ func staggerCastFactory(rounds int, out []uint64) local.Factory {
 // which would cost hundreds to hundreds of thousands of mallocs here —
 // slip through. The stagger rows retire part of the active set in about
 // every other round: compaction, inline or on the pool, allocates nothing
-// either.
+// either. The sleep rows run a WordSleeper, whose rounds skip idle nodes
+// and stamp their mail.
 func TestWordPathZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -128,6 +158,16 @@ func TestWordPathZeroAllocsPerRound(t *testing.T) {
 		{"pool-stagger", func(rounds int) {
 			out := make([]uint64, n)
 			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, staggerWordEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"seq-sleep", func(rounds int) {
+			if _, err := (local.SequentialEngine{}).Run(topo, napWordFactory(rounds), local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pool-sleep", func(rounds int) {
+			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, napWordFactory(rounds), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -384,13 +424,30 @@ func (c castOnce) RoundB(r int, recv, send local.BitRow) bool {
 	return done
 }
 
-// TestSetupFootprint pins the heap bytes a bit-plane run allocates per node,
-// setup included, on a graph of sim-1m's shape (average degree 6): views,
+// napOnce is castOnce for the word plane, as a WordSleeper: every node
+// broadcasts in round 1, sleeps until round 3 unless mail wakes it, and
+// stops there.
+type napOnce struct{}
+
+func (napOnce) RoundW(r int, recv, send []local.Word) bool {
+	if r == 1 {
+		local.Broadcast(send, local.MakeWord(1, 1))
+	}
+	return r >= 3
+}
+
+func (napOnce) WakeW(int) int { return 3 }
+
+// TestSetupFootprint pins the heap bytes a run allocates per node — a
+// bit-plane run, a 4-trial bit batch and a sleeping word run — setup
+// included, on a graph of sim-1m's shape (average degree 6): views,
 // random streams, adapters, node slices, active sets and planes. The
 // program allocates nothing itself. Bytes per node were 406 for one run and
 // 1,239 for the 4-trial batch while every adapter carried its word and
 // boxed fallback state and the views were materialized as a []View; the
 // ceilings sit just above the lazy-shim, view-set layout's 190 and 591.
+// A sleeping word run reads 269: its word planes (16 B per arc) and 12 B
+// per node of wake rounds and mail stamps.
 func TestSetupFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -405,6 +462,11 @@ func TestSetupFootprint(t *testing.T) {
 	}{
 		{"run", 200, func() {
 			if _, err := (local.SequentialEngine{}).Run(topo, f, local.Options{Source: prob.NewSource(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"word-sleep", 280, func() {
+			if _, err := (local.SequentialEngine{}).Run(topo, func(local.View) local.Node { return local.WordProgram(napOnce{}) }, local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -424,7 +486,7 @@ func TestSetupFootprint(t *testing.T) {
 	for _, c := range cases {
 		got := bytesPerNode(n, c.run)
 		if got > c.ceiling {
-			t.Errorf("%s: a bit-plane run allocates %.0f bytes per node, want ≤ %.0f", c.name, got, c.ceiling)
+			t.Errorf("%s: a run allocates %.0f bytes per node, want ≤ %.0f", c.name, got, c.ceiling)
 		}
 	}
 }

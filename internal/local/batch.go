@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -129,6 +130,13 @@ type batchTrial struct {
 	finishedWeight int64
 	compact        bool // the round retired part of the active set
 	slide          int  // compaction: survivors packed so far
+	// A word trial whose nodes are all WordSleepers and which injects no
+	// faults lets idle nodes sleep (nil otherwise): wake[v] is the round
+	// node v asked to run next, and mail[(r&1)·n+v] == r marks that v got
+	// mail for round r. Delivery in round r stamps the other half, so a
+	// round reads one half while its units write the other.
+	wake []int32
+	mail []atomic.Int32
 }
 
 // batchPlanes bundles the double-buffered plane pairs of one batch run, one
@@ -295,6 +303,9 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 		}
 		tr.done = make([]bool, n)
 		tr.dead = make([]bool, n)
+		if tr.wnodes != nil && tr.faults == nil && allSleep(tr.wnodes) {
+			tr.wake, tr.mail = make([]int32, n), make([]atomic.Int32, 2*n)
+		}
 		if tr.bnodes != nil {
 			tr.bdead = deadDeliver{t: t}
 			// A single inline worker owns every plane word (see runRound).
@@ -730,12 +741,15 @@ func runBatchUnit(t *Topology, pl *batchPlanes, sc *unitScratch, u *batchUnit) {
 }
 
 // runBatchUnitWord is runBatchUnit for a word trial, over the pointer-free
-// word planes with the worker's reused send scratch. Panic isolation: a
-// panic in one trial's node program becomes that unit's error — merged like
-// any per-round error, retiring only this trial — while sibling trials and
-// the worker pool keep running. The guard's defer sits outside the marked
-// loop (defers are banned inside) and is open-coded — the steady state
-// still allocates nothing.
+// word planes with the worker's reused send scratch. In a sleeping trial
+// (tr.wake non-nil) a node whose wake round lies ahead and that got no mail
+// is skipped outright: its inbox row is silent and its send row empty, so
+// nothing is read, called or cleared. Only the slots that got mail are
+// cleared. Panic isolation: a panic in one trial's node program becomes
+// that unit's error — merged like any per-round error, retiring only this
+// trial — while sibling trials and the worker pool keep running. The
+// guard's defer sits outside the marked loop (defers are banned inside)
+// and is open-coded — the steady state still allocates nothing.
 func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 	tr := u.trial
 	msgs := int64(0)
@@ -748,9 +762,18 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 			u.msgs = msgs
 		}
 	}()
+	r := int32(u.r)
+	var mail, nextMail []atomic.Int32
+	if n := len(tr.wake); n > 0 {
+		half := int(r&1) * n
+		mail, nextMail = tr.mail[half:half+n], tr.mail[n-half:2*n-half]
+	}
 	//splitlint:zeroalloc
 	for i := u.lo; i < u.hi; i++ {
 		v := int(tr.active[i])
+		if mail != nil && tr.wake[v] > r && mail[v].Load() != r {
+			continue
+		}
 		curV = v
 		lo, hi := int(t.off[v]), int(t.off[v+1])
 		recv := inbox[tr.base+lo : tr.base+hi : tr.base+hi]
@@ -759,10 +782,14 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 			tr.done[v] = true
 			retired++
 			retiredW += 1 + int64(hi-lo)
+		} else if mail != nil {
+			tr.wake[v] = int32(min(max(tr.wnodes[v].(WordSleeper).WakeW(u.r), 0), math.MaxInt32))
 		}
-		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send)
-		for p := range recv {
-			recv[p] = NilWord
+		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send, nextMail, r+1)
+		for p, m := range recv {
+			if m != NilWord {
+				recv[p] = NilWord
+			}
 		}
 	}
 	u.msgs, u.retired, u.retiredW = msgs, retired, retiredW

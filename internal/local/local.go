@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
@@ -311,17 +312,30 @@ func (t *Topology) deliverBoxed(next []Message, dead []bool, lo int32, send []Me
 
 // deliverWords is deliverBoxed for a word send row. The row is
 // engine-owned scratch, so it is cleared as it is scattered — after the
-// call it is all-NilWord and ready for the next node.
+// call it is all-NilWord and ready for the next node. An all-NilWord row
+// returns before the per-slot loop. With mail non-nil (a sleeping trial)
+// each live receiver is stamped with r, the round it reads the message in;
+// the stamp is atomic because pool workers may stamp the same receiver.
 //
 //splitlint:zeroalloc
-func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word) int64 {
+func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word, mail []atomic.Int32, r int32) int64 {
+	sent := NilWord
+	for _, msg := range send {
+		sent |= msg
+	}
+	if sent == NilWord {
+		return 0
+	}
 	var msgs int64
 	for p, msg := range send {
 		if msg != NilWord {
 			arc := lo + int32(p)
-			if !dead[t.adj[arc]] {
+			if w := t.adj[arc]; !dead[w] {
 				next[base+int(t.deliver[arc])] = msg
 				msgs++
+				if mail != nil && mail[w].Load() != r {
+					mail[w].Store(r)
+				}
 			}
 			send[p] = NilWord
 		}

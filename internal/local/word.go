@@ -90,6 +90,33 @@ type WordNode interface {
 	RoundW(r int, recv []Word, send []Word) (done bool)
 }
 
+// WordSleeper is a WordNode that can sleep through rounds in which it has
+// nothing to do. After a RoundW(r, …) that returned false, WakeW(r) reports
+// the next round in which the node must run even if no message arrives;
+// returning r+1 (or less) never sleeps. A node with mail always runs.
+//
+// The contract: skipping the node in a round whose inbox is silent must be
+// the same as calling RoundW with an all-NilWord recv, in which the node
+// sends nothing and does not finish. The word loop skips sleeping nodes
+// only when every node of a trial is a WordSleeper and the trial injects
+// no faults; the boxed loop and faulty trials call every node every round,
+// so a sleeper must give the same result either way.
+type WordSleeper interface {
+	WordNode
+	WakeW(r int) int
+}
+
+// allSleep reports whether every word node is a WordSleeper. The batch
+// runs it once per trial: sleeping is all-or-nothing, like the plane.
+func allSleep(ws []WordNode) bool {
+	for _, w := range ws {
+		if _, ok := w.(WordSleeper); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // WordFunc adapts a closure to WordNode, for programs without per-node
 // state. Wrap it with WordProgram to obtain a Node for a Factory.
 type WordFunc func(r int, recv []Word, send []Word) bool
