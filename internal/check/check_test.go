@@ -220,11 +220,9 @@ func TestMIS(t *testing.T) {
 }
 
 func TestDegreeSplitting(t *testing.T) {
-	m := graph.NewMultigraph(2)
-	for i := 0; i < 4; i++ {
-		if _, err := m.AddEdge(0, 1); err != nil {
-			t.Fatal(err)
-		}
+	m, err := graph.MultigraphFromEdges(2, [][2]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	balanced := &graph.Orientation{Toward: []bool{true, true, false, false}}
 	if err := DegreeSplitting(m, balanced, func(int) float64 { return 0 }); err != nil {

@@ -23,19 +23,18 @@ func decodeBipartite(data []byte) (*graph.Bipartite, int, []byte) {
 	nv := 1 + int(data[1])%12
 	minDeg := int(data[2]) % 4
 	data = data[3:]
-	b := graph.NewBipartite(nu, nv)
 	nEdges := len(data) / 2
 	if nEdges > 64 {
 		nEdges = 64
 	}
-	for i := 0; i < nEdges; i++ {
-		u := int(data[2*i]) % nu
-		v := int(data[2*i+1]) % nv
-		if err := b.AddEdge(u, v); err != nil {
-			return nil, 0, nil
-		}
+	edges := make([][2]int, nEdges)
+	for i := range edges {
+		edges[i] = [2]int{int(data[2*i]) % nu, int(data[2*i+1]) % nv}
 	}
-	b.Normalize()
+	b, err := graph.BipartiteFromEdges(nu, nv, edges)
+	if err != nil {
+		return nil, 0, nil
+	}
 	return b, minDeg, data[2*nEdges:]
 }
 
@@ -146,22 +145,22 @@ func FuzzTwoColoring(f *testing.F) {
 		}
 		n := 1 + int(data[0])%16
 		data = data[1:]
-		g := graph.NewGraph(n)
 		nEdges := len(data) / 2
 		if nEdges > 48 {
 			nEdges = 48
 		}
+		var edges [][2]int
 		for i := 0; i < nEdges; i++ {
 			u := int(data[2*i]) % n
 			v := int(data[2*i+1]) % n
-			if u == v {
-				continue
-			}
-			if err := g.AddEdge(u, v); err != nil {
-				t.Fatalf("in-range AddEdge failed: %v", err)
+			if u != v {
+				edges = append(edges, [2]int{u, v})
 			}
 		}
-		g.Normalize()
+		g, err := graph.FromEdges(n, edges)
+		if err != nil {
+			t.Fatalf("in-range FromEdges failed: %v", err)
+		}
 
 		// BFS layering and an odd-cycle witness check, independent of the
 		// verifier's own traversal.
@@ -191,7 +190,7 @@ func FuzzTwoColoring(f *testing.F) {
 			}
 		}
 
-		err := check.ProperColoring(g, colors, 2)
+		err = check.ProperColoring(g, colors, 2)
 		if (err == nil) != bipartite {
 			t.Fatalf("verifier says err=%v but graph bipartite=%v", err, bipartite)
 		}

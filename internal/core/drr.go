@@ -33,17 +33,18 @@ func DegreeRankReductionI(b *graph.Bipartite, iterations int, eps float64, kind 
 		Ranks:   []int{b.Rank()},
 	}
 	for it := 0; it < iterations; it++ {
+		// Multigraph edge e is the e-th bipartite edge in U-row order, with
+		// V-node v relabelled nu+v.
 		nu := cur.NU()
-		m := graph.NewMultigraph(cur.N())
-		type edgeRef struct{ u, v int32 }
-		refs := make([]edgeRef, 0, cur.M())
+		edges := make([][2]int, 0, cur.M())
 		for u := 0; u < nu; u++ {
 			for _, v := range cur.NbrU(u) {
-				if _, err := m.AddEdge(u, nu+int(v)); err != nil {
-					return nil, fmt.Errorf("core: DRR-I multigraph: %w", err)
-				}
-				refs = append(refs, edgeRef{u: int32(u), v: v})
+				edges = append(edges, [2]int{u, nu + int(v)})
 			}
+		}
+		m, err := graph.MultigraphFromEdges(cur.N(), edges)
+		if err != nil {
+			return nil, fmt.Errorf("core: DRR-I multigraph: %w", err)
 		}
 		var itSrc *prob.Source
 		if src != nil {
@@ -53,17 +54,17 @@ func DegreeRankReductionI(b *graph.Bipartite, iterations int, eps float64, kind 
 		}
 		sp := split(kind, m, eps, itSrc)
 		res.Trace.Add(fmt.Sprintf("drr1-iter%d-split(%s)", it, kind), sp.Rounds)
-		// Keep exactly the edges oriented from U towards V (edge id order
-		// matches refs order).
-		next := graph.NewBipartite(cur.NU(), cur.NV())
-		for e, ref := range refs {
+		// Keep exactly the edges oriented from U towards V.
+		kept := edges[:0]
+		for e, uv := range edges {
 			if sp.O.Toward[e] { // tail(u) → head(v): v keeps an incoming edge
-				if err := next.AddEdge(int(ref.u), int(ref.v)); err != nil {
-					return nil, fmt.Errorf("core: DRR-I rebuild: %w", err)
-				}
+				kept = append(kept, [2]int{uv[0], uv[1] - nu})
 			}
 		}
-		next.Normalize()
+		next, err := graph.BipartiteFromEdges(nu, cur.NV(), kept)
+		if err != nil {
+			return nil, fmt.Errorf("core: DRR-I rebuild: %w", err)
+		}
 		cur = next
 		res.MinDegs = append(res.MinDegs, cur.MinDegU())
 		res.Ranks = append(res.Ranks, cur.Rank())
@@ -104,28 +105,30 @@ func DegreeRankReductionII(b *graph.Bipartite, iterations int) (*DRRIIResult, er
 		MinDegs: []int{b.MinDegU()},
 	}
 	for it := 0; it < iterations; it++ {
-		m := graph.NewMultigraph(cur.NU())
-		type pairRef struct{ u1, u2, v int32 }
-		refs := make([]pairRef, 0, cur.M()/2)
+		// Multigraph edge e pairs two constraint neighbours of variable vOf[e].
+		edges := make([][2]int, 0, cur.M()/2)
+		vOf := make([]int32, 0, cur.M()/2)
 		for v := 0; v < cur.NV(); v++ {
 			nbrs := cur.NbrV(v)
 			for i := 0; i+1 < len(nbrs); i += 2 {
-				if _, err := m.AddEdge(int(nbrs[i]), int(nbrs[i+1])); err != nil {
-					return nil, fmt.Errorf("core: DRR-II multigraph: %w", err)
-				}
-				refs = append(refs, pairRef{u1: nbrs[i], u2: nbrs[i+1], v: int32(v)})
+				edges = append(edges, [2]int{int(nbrs[i]), int(nbrs[i+1])})
+				vOf = append(vOf, int32(v))
 			}
+		}
+		m, err := graph.MultigraphFromEdges(cur.NU(), edges)
+		if err != nil {
+			return nil, fmt.Errorf("core: DRR-II multigraph: %w", err)
 		}
 		sp := split(SplitterEulerian, m, 0, nil)
 		res.Trace.Add(fmt.Sprintf("drr2-iter%d-split", it), sp.Rounds)
 		// Deletion rule: edge u1→u2 deletes (u2, v); u2→u1 deletes (u1, v).
-		deleted := make(map[[2]int32]struct{}, len(refs))
-		for e, ref := range refs {
+		deleted := make(map[[2]int32]struct{}, len(edges))
+		for e, pair := range edges {
+			gone := pair[0]
 			if sp.O.Toward[e] {
-				deleted[[2]int32{ref.u2, ref.v}] = struct{}{}
-			} else {
-				deleted[[2]int32{ref.u1, ref.v}] = struct{}{}
+				gone = pair[1]
 			}
+			deleted[[2]int32{int32(gone), vOf[e]}] = struct{}{}
 		}
 		cur = cur.SubgraphKeepEdges(func(u, v int) bool {
 			_, gone := deleted[[2]int32{int32(u), int32(v)}]

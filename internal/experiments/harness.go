@@ -152,8 +152,8 @@ type Grid struct {
 	// Workers bounds the trial concurrency (<= 0 = GOMAXPROCS).
 	Workers int
 	// Batch routes the Fixed graphs of the grid through the batched trial
-	// path: each Fixed instance is built and normalized once and shared
-	// read-only by all of its (algorithm, seed) cells, and algorithms that
+	// path: each Fixed instance is built once and shared (graphs are
+	// immutable) by all of its (algorithm, seed) cells, and algorithms that
 	// provide SolveBatch run all seeds of an instance in one batched pass.
 	// Cell results are bit-identical to the unbatched path; only wall-clock
 	// time (and the per-trial Elapsed attribution, which becomes the batched
@@ -207,15 +207,14 @@ func (g Grid) Run() []TrialResult {
 	}
 	if n == 0 {
 		// No cells: match the unbatched path exactly and in particular do not
-		// build (or Normalize) any Fixed instance — an empty Seeds slice used
+		// build any Fixed instance — an empty Seeds slice used
 		// to trigger eager builds seeded with a silently-substituted seed 0.
 		return nil
 	}
 
-	// Batched path. Build every Fixed instance once up front (Normalize
-	// eagerly: lazily-merged CSR state must not be raced by the concurrent
-	// readers below), then run the SolveBatch groups, then fan the remaining
-	// cells over the worker pool against the shared instances.
+	// Batched path. Build every Fixed instance once up front, then run the
+	// SolveBatch groups, then fan the remaining cells over the worker pool
+	// against the shared (immutable) instances.
 	results := make([]TrialResult, n)
 	type builtGraph struct {
 		b   *graph.Bipartite
@@ -228,9 +227,6 @@ func (g Grid) Run() []TrialResult {
 		}
 		bg := &builtGraph{}
 		bg.b, bg.err = gs.Build(prob.NewSource(g.Seeds[0]))
-		if bg.err == nil {
-			bg.b.Normalize()
-		}
 		built[gi] = bg
 	}
 	var rest []int // flat cell indices not covered by a SolveBatch group

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,65 +188,9 @@ func TestE14BatchAblation(t *testing.T) {
 	}
 }
 
-// TestGridBatchIsolatesMutatingSolvers is the regression test for the
-// shared-instance aliasing bug: under Batch, cells of a Fixed graph whose
-// algorithm lacks SolveBatch used to receive the single shared *Bipartite
-// concurrently, so a solver that mutates its input raced with its siblings.
-// The solver below mutates and reports the edge counts it observed; with
-// per-trial rebuilds every cell sees the pristine instance (and under -race
-// the old sharing is a detected write-write race).
-func TestGridBatchIsolatesMutatingSolvers(t *testing.T) {
-	t.Parallel()
-	pristine, err := graph.SubdividedStar(24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An edge absent from the pristine instance, so adding it is observable
-	// through M() (Normalize dedups parallel edges).
-	uAdd, vAdd := 0, -1
-	onRow := make(map[int32]bool)
-	for _, v := range pristine.NbrU(uAdd) {
-		onRow[v] = true
-	}
-	for v := 0; v < pristine.NV(); v++ {
-		if !onRow[int32(v)] {
-			vAdd = v
-			break
-		}
-	}
-	if vAdd < 0 {
-		t.Fatal("no absent edge found on row 0")
-	}
-	grid := Grid{
-		Graphs: []GraphSpec{
-			{Name: "star", Fixed: true, Build: func(src *prob.Source) (*graph.Bipartite, error) {
-				return graph.SubdividedStar(24)
-			}},
-		},
-		Algos: []AlgoSpec{
-			{Name: "mutator", Solve: func(b *graph.Bipartite, src *prob.Source, eng local.Engine) (*core.Result, error) {
-				m0 := b.M()
-				if err := b.AddEdge(uAdd, vAdd); err != nil {
-					return nil, err
-				}
-				return nil, fmt.Errorf("m %d->%d", m0, b.M())
-			}},
-		},
-		Seeds:   []uint64{1, 2, 3, 4, 5, 6, 7, 8},
-		Workers: 4,
-		Batch:   true,
-	}
-	want := fmt.Sprintf("solve: m %d->%d", pristine.M(), pristine.M()+1)
-	for i, tr := range grid.Run() {
-		if tr.Err != want {
-			t.Errorf("cell %d observed %q, want %q — solvers are sharing an instance", i, tr.Err, want)
-		}
-	}
-}
-
 // TestGridEmptySeeds pins that a grid with no cells does no work on either
-// path: no results, and — the regression — no eager build/Normalize of Fixed
-// graphs under Batch.
+// path: no results, and — the regression — no eager build of Fixed graphs
+// under Batch.
 func TestGridEmptySeeds(t *testing.T) {
 	t.Parallel()
 	for _, batch := range []bool{false, true} {

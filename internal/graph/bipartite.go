@@ -13,73 +13,60 @@ import (
 // degree of nodes in V.
 //
 // U-nodes are indexed 0..NU()-1 and V-nodes 0..NV()-1, independently. Each
-// side has its own CSR row set; edges are stored once in a flat pending
-// buffer until Normalize (or any read accessor) merges them into both
-// sides — call Normalize after the last AddEdge before sharing an instance
-// across goroutines (see the package comment).
+// side has its own CSR row set, sorted and duplicate-free, and each is the
+// transpose of the other.
 type Bipartite struct {
-	u, v    CSR     // u rows hold V-neighbors of U-nodes; v rows the reverse
-	pending []int32 // flat (u, v) pairs awaiting a merge into both sides
+	u, v CSR // u rows hold V-neighbors of U-nodes; v rows the reverse
 }
 
-// NewBipartite returns an empty bipartite graph with nu left and nv right
+// NewBipartite returns an edgeless bipartite graph with nu left and nv right
 // nodes.
 func NewBipartite(nu, nv int) *Bipartite {
 	return &Bipartite{u: emptyCSR(nu), v: emptyCSR(nv)}
 }
 
-// BipartiteFromEdges builds a bipartite graph from (u, v) pairs.
+// BipartiteFromEdges builds a bipartite graph from (u, v) pairs, merging
+// repeated pairs. An endpoint outside U=[0,nu) or V=[0,nv) is an error.
 func BipartiteFromEdges(nu, nv int, edges [][2]int) (*Bipartite, error) {
-	b := NewBipartite(nu, nv)
+	pairs := make([]int32, 0, 2*len(edges))
 	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
+		if err := checkBipartiteEdge(nu, nv, e[0], e[1]); err != nil {
 			return nil, err
 		}
+		pairs = append(pairs, int32(e[0]), int32(e[1]))
 	}
-	b.Normalize()
-	return b, nil
+	return bipartiteFromPairs(nu, nv, pairs), nil
 }
 
-// AddEdge inserts the edge (u ∈ U, v ∈ V). Call Normalize after bulk
-// insertion.
-func (b *Bipartite) AddEdge(u, v int) error {
-	if u < 0 || u >= b.NU() || v < 0 || v >= b.NV() {
-		return fmt.Errorf("bipartite: edge (%d,%d) out of range U=[0,%d) V=[0,%d)",
-			u, v, b.NU(), b.NV())
+// checkBipartiteEdge reports an edge (u, v) outside U=[0,nu) × V=[0,nv).
+func checkBipartiteEdge(nu, nv, u, v int) error {
+	if u < 0 || u >= nu || v < 0 || v >= nv {
+		return fmt.Errorf("bipartite: edge (%d,%d) out of range U=[0,%d) V=[0,%d)", u, v, nu, nv)
 	}
-	b.pending = append(b.pending, int32(u), int32(v))
 	return nil
 }
 
-// addEdgeUnchecked buffers an in-range edge without validation; internal
-// constructions that derive edges from an existing graph use it.
-func (b *Bipartite) addEdgeUnchecked(u, v int32) {
-	b.pending = append(b.pending, u, v)
-}
-
-// Normalize merges buffered edges into both CSR sides, sorting rows and
-// removing parallel edges. Read accessors call it implicitly.
-func (b *Bipartite) Normalize() {
-	if b.pending == nil {
-		return
-	}
-	b.u = mergeCSR(b.NU(), b.u, b.pending)
-	b.v = mergeCSRFlipped(b.NV(), b.v, b.pending)
-	b.pending = nil
+// bipartiteFromPairs builds a bipartite graph from flat, in-range (u, v)
+// pairs: a counting fill of each side, then a per-row sort that drops
+// repeated pairs.
+func bipartiteFromPairs(nu, nv int, pairs []int32) *Bipartite {
+	u := fillCSR(nu, pairs, false)
+	sortDedupRows(&u)
+	v := fillCSR(nv, pairs, true)
+	sortDedupRows(&v)
+	return &Bipartite{u: u, v: v}
 }
 
 // CSRU exposes the left side's flat offset/edge arrays (zero-copy; do not
 // modify): row u lists the V-neighbors of U-node u. Hot loops over many
 // left nodes (the verifiers in internal/check) iterate these directly.
 func (b *Bipartite) CSRU() CSR {
-	b.Normalize()
 	return b.u
 }
 
 // CSRV exposes the right side's flat offset/edge arrays (zero-copy; do not
 // modify): row v lists the U-neighbors of V-node v.
 func (b *Bipartite) CSRV() CSR {
-	b.Normalize()
 	return b.v
 }
 
@@ -95,39 +82,33 @@ func (b *Bipartite) N() int { return b.NU() + b.NV() }
 
 // M returns the number of edges.
 func (b *Bipartite) M() int {
-	b.Normalize()
 	return b.u.Arcs()
 }
 
 // DegU returns the degree of left node u.
 func (b *Bipartite) DegU(u int) int {
-	b.Normalize()
 	return b.u.Deg(u)
 }
 
 // DegV returns the degree of right node v.
 func (b *Bipartite) DegV(v int) int {
-	b.Normalize()
 	return b.v.Deg(v)
 }
 
 // NbrU returns the sorted V-neighbors of u (a view into the flat edge
 // array; do not modify).
 func (b *Bipartite) NbrU(u int) []int32 {
-	b.Normalize()
 	return b.u.Row(u)
 }
 
 // NbrV returns the sorted U-neighbors of v (a view into the flat edge
 // array; do not modify).
 func (b *Bipartite) NbrV(v int) []int32 {
-	b.Normalize()
 	return b.v.Row(v)
 }
 
 // MinDegU returns δ, the minimum degree on the left side (0 if U is empty).
 func (b *Bipartite) MinDegU() int {
-	b.Normalize()
 	nu := b.u.N()
 	if nu == 0 {
 		return 0
@@ -143,7 +124,6 @@ func (b *Bipartite) MinDegU() int {
 
 // MaxDegU returns Δ, the maximum degree on the left side.
 func (b *Bipartite) MaxDegU() int {
-	b.Normalize()
 	var d int
 	for u := 0; u < b.u.N(); u++ {
 		if du := b.u.Deg(u); du > d {
@@ -156,7 +136,6 @@ func (b *Bipartite) MaxDegU() int {
 // Rank returns r, the maximum degree on the right side (the rank of the
 // corresponding hypergraph).
 func (b *Bipartite) Rank() int {
-	b.Normalize()
 	var d int
 	for v := 0; v < b.v.N(); v++ {
 		if dv := b.v.Deg(v); dv > d {
@@ -166,18 +145,8 @@ func (b *Bipartite) Rank() int {
 	return d
 }
 
-// Clone returns a deep copy.
-func (b *Bipartite) Clone() *Bipartite {
-	return &Bipartite{
-		u:       b.u.clone(),
-		v:       b.v.clone(),
-		pending: append([]int32(nil), b.pending...),
-	}
-}
-
 // Edges returns all (u, v) pairs.
 func (b *Bipartite) Edges() [][2]int {
-	b.Normalize()
 	edges := make([][2]int, 0, b.M())
 	for u := 0; u < b.u.N(); u++ {
 		for _, v := range b.u.Row(u) {
@@ -190,17 +159,15 @@ func (b *Bipartite) Edges() [][2]int {
 // SubgraphKeepEdges returns a new bipartite graph on the same node sets
 // containing exactly the edges for which keep returns true.
 func (b *Bipartite) SubgraphKeepEdges(keep func(u, v int) bool) *Bipartite {
-	b.Normalize()
-	c := NewBipartite(b.NU(), b.NV())
+	var pairs []int32
 	for u := 0; u < b.u.N(); u++ {
 		for _, v := range b.u.Row(u) {
 			if keep(u, int(v)) {
-				c.addEdgeUnchecked(int32(u), v)
+				pairs = append(pairs, int32(u), v)
 			}
 		}
 	}
-	c.Normalize()
-	return c
+	return bipartiteFromPairs(b.NU(), b.NV(), pairs)
 }
 
 // InducedSubgraph returns the bipartite subgraph induced by the given U and
@@ -214,7 +181,6 @@ func (b *Bipartite) SubgraphKeepEdges(keep func(u, v int) bool) *Bipartite {
 // proportional to the kept rows and lists, never to b's size, so carving a
 // graph into many small components costs no more than the components.
 func (b *Bipartite) InducedSubgraph(usKeep, vsKeep []int) (*Bipartite, []int, []int) {
-	b.Normalize()
 	newV := newKeepIndex(vsKeep)
 	arcs := 0
 	for _, u := range usKeep {
@@ -291,7 +257,6 @@ func (k keepIndex) lookup(v int32) (int32, bool) {
 // one never writes into another), so the allocations do not grow with the
 // number of components.
 func (b *Bipartite) ConnectedComponents() (us [][]int, vs [][]int) {
-	b.Normalize()
 	nu, nv := b.u.N(), b.v.N()
 	seenU := make([]bool, nu)
 	seenV := make([]bool, nv)
@@ -358,7 +323,6 @@ func (b *Bipartite) ConnectedComponents() (us [][]int, vs [][]int) {
 // V-nodes NU()..NU()+NV()-1. It is used for girth computation and power
 // graphs of the whole bipartite graph.
 func (b *Bipartite) AsGraph() *Graph {
-	b.Normalize()
 	nu := b.u.N()
 	bld := NewCSRBuilder(nu+b.v.N(), b.u.Arcs())
 	for u := 0; u < nu; u++ {
@@ -409,7 +373,6 @@ func (b *Bipartite) VPower(k int) *Graph {
 // h + h² + … + h^k; for k = 1 the arcs are also at most Σ_u deg(u)·(deg(u)−1).
 // Both bounds are capped at the complete graph's.
 func (b *Bipartite) VPowerBound(k int) (arcs, maxDeg int) {
-	b.Normalize()
 	nv := b.v.N()
 	if k < 1 || nv == 0 {
 		return 0, 0
@@ -452,7 +415,6 @@ type PowerRows struct {
 
 // PowerRows returns a walker over the rows of VPower(k).
 func (b *Bipartite) PowerRows(k int) *PowerRows {
-	b.Normalize()
 	return &PowerRows{u: b.u, v: b.v, k: k, seenV: make([]int32, b.v.N())}
 }
 
@@ -553,7 +515,6 @@ func (p *PowerRows) appendRow(dst []int32, s int) []int32 {
 // UGraph returns the graph on U-nodes where two constraints are adjacent iff
 // they share a variable node (the graph G in the proof of Theorem 1.2).
 func (b *Bipartite) UGraph() *Graph {
-	b.Normalize()
 	nu := b.u.N()
 	bld := NewCSRBuilder(nu, 0)
 	seen := make([]int32, nu)

@@ -42,14 +42,6 @@ func (c CSR) Row(v int) []int32 { return c.Edges[c.Off[v]:c.Off[v+1]] }
 // Deg returns the length of row v.
 func (c CSR) Deg(v int) int { return int(c.Off[v+1] - c.Off[v]) }
 
-// clone returns a deep copy of c.
-func (c CSR) clone() CSR {
-	return CSR{
-		Off:   append([]int32(nil), c.Off...),
-		Edges: append([]int32(nil), c.Edges...),
-	}
-}
-
 // emptyCSR returns a CSR with n empty rows.
 func emptyCSR(n int) CSR { return CSR{Off: make([]int32, n+1)} }
 
@@ -144,7 +136,7 @@ func (b *CSRBuilder) Build() CSR {
 	if b.err != nil {
 		panic(b.err)
 	}
-	c := fillCSR(b.n, nil, b.arcs, false)
+	c := fillCSR(b.n, b.arcs, false)
 	sortDedupRows(&c)
 	return c
 }
@@ -156,7 +148,7 @@ func (b *CSRBuilder) BuildE() (CSR, error) {
 	if b.err != nil {
 		return CSR{}, b.err
 	}
-	c := fillCSR(b.n, nil, b.arcs, false)
+	c := fillCSR(b.n, b.arcs, false)
 	sortDedupRows(&c)
 	return c, nil
 }
@@ -169,25 +161,19 @@ func (b *CSRBuilder) BuildRaw() CSR {
 	if b.err != nil {
 		panic(b.err)
 	}
-	return fillCSR(b.n, nil, b.arcs, false)
+	return fillCSR(b.n, b.arcs, false)
 }
 
-// fillCSR runs degree-count-then-fill over an optional existing CSR plus a
-// flat (src, dst) arc buffer. Rows come out with base's arcs first (in row
-// order) followed by the buffered arcs in insertion order. flip swaps the
-// roles of src and dst in the buffer (used for the reverse side of a
-// bipartite graph, which shares one pending buffer with the forward side).
-func fillCSR(n int, base *CSR, arcs []int32, flip bool) CSR {
+// fillCSR runs degree-count-then-fill over a flat (src, dst) arc buffer:
+// rows come out holding their arcs in insertion order. flip swaps the roles
+// of src and dst (the reverse side of a bipartite graph, which is filled
+// from the same (u, v) pairs as the forward side).
+func fillCSR(n int, arcs []int32, flip bool) CSR {
 	s, d := 0, 1
 	if flip {
 		s, d = 1, 0
 	}
 	off := make([]int32, n+1)
-	if base != nil {
-		for v := 0; v < base.N(); v++ {
-			off[v+1] = int32(base.Deg(v))
-		}
-	}
 	for i := 0; i < len(arcs); i += 2 {
 		off[arcs[i+s]+1]++
 	}
@@ -197,13 +183,6 @@ func fillCSR(n int, base *CSR, arcs []int32, flip bool) CSR {
 	edges := make([]int32, off[n])
 	cursor := make([]int32, n)
 	copy(cursor, off[:n])
-	if base != nil {
-		for v := 0; v < base.N(); v++ {
-			row := base.Row(v)
-			copy(edges[cursor[v]:], row)
-			cursor[v] += int32(len(row))
-		}
-	}
 	for i := 0; i < len(arcs); i += 2 {
 		u := arcs[i+s]
 		edges[cursor[u]] = arcs[i+d]
@@ -299,22 +278,4 @@ func checkArcs(arcs int) {
 	if arcs > maxCSRArcs {
 		panic(fmt.Errorf("graph: %d directed arcs exceed the int32 CSR layout limit of %d", arcs, maxCSRArcs))
 	}
-}
-
-// mergeCSR rebuilds a sorted, deduplicated CSR over n rows from an existing
-// CSR plus a flat buffer of new arcs: the lazy-normalization step behind
-// Graph.AddEdge/Normalize. base may have fewer than n rows (node growth).
-func mergeCSR(n int, base CSR, arcs []int32) CSR {
-	c := fillCSR(n, &base, arcs, false)
-	sortDedupRows(&c)
-	return c
-}
-
-// mergeCSRFlipped is mergeCSR with the buffered arcs read as (dst, src):
-// the reverse-side merge of Bipartite, which stores its pending edges once
-// as (u, v) pairs and materializes both row sets from them.
-func mergeCSRFlipped(n int, base CSR, arcs []int32) CSR {
-	c := fillCSR(n, &base, arcs, true)
-	sortDedupRows(&c)
-	return c
 }

@@ -40,9 +40,9 @@ func randomEdgeList(n, m int, rng *rand.Rand) [][2]int32 {
 	return edges
 }
 
-// TestCSRRoundTripGraph cross-checks every CSR construction path (builder,
-// AddEdge + Normalize, lazy accessor-triggered merge) against the old
-// adjacency-list construction on random multigraph-ish edge lists.
+// TestCSRRoundTripGraph cross-checks both CSR construction paths (builder,
+// FromEdges) against the old adjacency-list construction on random
+// multigraph-ish edge lists.
 func TestCSRRoundTripGraph(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 0))
 	for trial := 0; trial < 50; trial++ {
@@ -58,24 +58,17 @@ func TestCSRRoundTripGraph(t *testing.T) {
 		}
 		fromBuilder := fromCSR(bld.Build())
 
-		// Path 2: AddEdge + explicit Normalize.
-		viaAdd := NewGraph(n)
-		for _, e := range edges {
-			if err := viaAdd.AddEdge(int(e[0]), int(e[1])); err != nil {
-				t.Fatal(err)
-			}
+		// Path 2: FromEdges, which validates and merges repeated edges.
+		wide := make([][2]int, len(edges))
+		for i, e := range edges {
+			wide[i] = [2]int{int(e[0]), int(e[1])}
 		}
-		viaAdd.Normalize()
-
-		// Path 3: AddEdge with the merge triggered lazily by the first read.
-		lazy := NewGraph(n)
-		for _, e := range edges {
-			if err := lazy.AddEdge(int(e[0]), int(e[1])); err != nil {
-				t.Fatal(err)
-			}
+		viaEdges, err := FromEdges(n, wide)
+		if err != nil {
+			t.Fatal(err)
 		}
 
-		for _, g := range []*Graph{fromBuilder, viaAdd, lazy} {
+		for _, g := range []*Graph{fromBuilder, viaEdges} {
 			if g.N() != n {
 				t.Fatalf("trial %d: N = %d, want %d", trial, g.N(), n)
 			}
@@ -103,14 +96,16 @@ func TestCSRRoundTripBipartite(t *testing.T) {
 		m := rng.IntN(3 * (nu + nv))
 		adjU := make([][]int32, nu)
 		adjV := make([][]int32, nv)
-		b := NewBipartite(nu, nv)
-		for i := 0; i < m; i++ {
+		edges := make([][2]int, m)
+		for i := range edges {
 			u, v := rng.IntN(nu), rng.IntN(nv)
 			adjU[u] = append(adjU[u], int32(v))
 			adjV[v] = append(adjV[v], int32(u))
-			if err := b.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
+			edges[i] = [2]int{u, v}
+		}
+		b, err := BipartiteFromEdges(nu, nv, edges)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sortDedup := func(adj [][]int32) {
 			for i := range adj {
@@ -134,32 +129,21 @@ func TestCSRRoundTripBipartite(t *testing.T) {
 }
 
 // TestCSRRoundTripMultigraph checks that incidence rows keep edge ids in
-// insertion order and retain parallel edges.
+// ascending (input) order and retain parallel edges.
 func TestCSRRoundTripMultigraph(t *testing.T) {
-	m := NewMultigraph(4)
-	ids := make([]int, 0, 5)
-	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 0}, {1, 3}} {
-		id, err := m.AddEdge(e[0], e[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if got := m.Deg(0); got != 3 {
-		t.Fatalf("Deg(0) = %d, want 3 (parallel edges count)", got)
-	}
-	if got := m.Incident(1); !slices.Equal(got, []int32{0, 1, 2, 4}) {
-		t.Fatalf("Incident(1) = %v, want edge ids in insertion order [0 1 2 4]", got)
-	}
-	// Incremental growth after a read must be reflected by the next read.
-	id, err := m.AddEdge(3, 0)
+	m, err := MultigraphFromEdges(4, [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Incident(3); !slices.Equal(got, []int32{4, int32(id)}) {
-		t.Fatalf("Incident(3) after growth = %v, want [4 %d]", got, id)
+	if got := m.Deg(0); got != 4 {
+		t.Fatalf("Deg(0) = %d, want 4 (parallel edges count)", got)
 	}
-	_ = ids
+	if got := m.Incident(1); !slices.Equal(got, []int32{0, 1, 2, 4}) {
+		t.Fatalf("Incident(1) = %v, want edge ids in input order [0 1 2 4]", got)
+	}
+	if got := m.Incident(3); !slices.Equal(got, []int32{4, 5}) {
+		t.Fatalf("Incident(3) = %v, want [4 5]", got)
+	}
 }
 
 // TestCSRBuilderAllocs is the acceptance guard for the CSR tentpole: a
@@ -202,7 +186,7 @@ func TestRandomSparseGraphAllocs(t *testing.T) {
 
 // TestTransformAllocs pins the transforms on the solver path to a small
 // constant number of allocations however large the instance: each builds
-// its CSR arrays directly (plus its scratch), where the pending-buffer
+// its CSR arrays directly (plus its scratch), where the edge-list
 // construction grew its buffer by doubling and sorted through per-call
 // temporaries. Each ceiling is the count at the time of writing plus two
 // of slack for the runtime's own allocations (e.g. a collection starting

@@ -87,37 +87,27 @@ func TestRandomRegularInfeasible(t *testing.T) {
 }
 
 func TestSelfLoopRejection(t *testing.T) {
-	g := NewGraph(3)
-	if err := g.AddEdge(1, 1); err == nil {
-		t.Error("Graph.AddEdge(1,1): self loop must be rejected")
+	for _, edges := range [][][2]int{{{1, 1}}, {{-1, 0}}, {{0, 3}}} {
+		if _, err := FromEdges(3, edges); err == nil {
+			t.Errorf("FromEdges(3, %v) must fail", edges)
+		}
 	}
-	if err := g.AddEdge(-1, 0); err == nil {
-		t.Error("Graph.AddEdge(-1,0): out of range must be rejected")
+	if _, err := MultigraphFromEdges(3, [][2]int{{2, 2}}); err == nil {
+		t.Error("MultigraphFromEdges with a self loop must fail")
 	}
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Error("Graph.AddEdge(0,3): out of range must be rejected")
+	for _, edges := range [][][2]int{{{2, 0}}, {{0, -1}}} {
+		if _, err := BipartiteFromEdges(2, 2, edges); err == nil {
+			t.Errorf("BipartiteFromEdges(2, 2, %v) must fail", edges)
+		}
 	}
-	if _, err := FromEdges(2, [][2]int{{0, 0}}); err == nil {
-		t.Error("FromEdges with a self loop must fail")
-	}
-	m := NewMultigraph(3)
-	if _, err := m.AddEdge(2, 2); err == nil {
-		t.Error("Multigraph.AddEdge(2,2): self loop must be rejected")
-	}
-	b := NewBipartite(2, 2)
-	if err := b.AddEdge(2, 0); err == nil {
-		t.Error("Bipartite.AddEdge(2,0): out-of-range U must be rejected")
-	}
-	if err := b.AddEdge(0, -1); err == nil {
-		t.Error("Bipartite.AddEdge(0,-1): out-of-range V must be rejected")
-	}
-	// The graph must stay usable after rejected insertions.
-	if err := g.AddEdge(0, 1); err != nil {
+	// A rejected list yields no graph; the same list without its bad edge
+	// builds normally.
+	g, err := FromEdges(3, [][2]int{{0, 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	g.Normalize()
 	if g.M() != 1 || !g.HasEdge(0, 1) {
-		t.Error("valid edge lost after rejected insertions")
+		t.Error("valid edge lost")
 	}
 }
 

@@ -137,7 +137,7 @@ func RandomBipartitePowerLaw(nu, nv int, gamma float64, maxDeg int, rng *rand.Ra
 	if gamma <= 1.05 {
 		gamma = 1.05
 	}
-	b := NewBipartite(nu, nv)
+	var pairs []int32
 	perm := make([]int32, nv)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -149,11 +149,10 @@ func RandomBipartitePowerLaw(nu, nv int, gamma float64, maxDeg int, rng *rand.Ra
 		for i := 0; i < d; i++ {
 			j := i + rng.IntN(nv-i)
 			perm[i], perm[j] = perm[j], perm[i]
-			b.addEdgeUnchecked(int32(u), perm[i])
+			pairs = append(pairs, int32(u), perm[i])
 		}
 	}
-	b.Normalize()
-	return b, nil
+	return bipartiteFromPairs(nu, nv, pairs), nil
 }
 
 // RandomRegular returns a d-regular simple graph on n nodes (n*d must be
@@ -359,7 +358,7 @@ func RandomBipartiteDegreeRange(nu, nv, dMin, dMax int, rng *rand.Rand) (*Bipart
 	if dMin > dMax || dMax > nv {
 		return nil, fmt.Errorf("graph: bad degree range [%d,%d] with nv=%d", dMin, dMax, nv)
 	}
-	b := NewBipartite(nu, nv)
+	var pairs []int32
 	perm := make([]int32, nv)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -369,11 +368,10 @@ func RandomBipartiteDegreeRange(nu, nv, dMin, dMax int, rng *rand.Rand) (*Bipart
 		for i := 0; i < d; i++ {
 			j := i + rng.IntN(nv-i)
 			perm[i], perm[j] = perm[j], perm[i]
-			b.addEdgeUnchecked(int32(u), perm[i])
+			pairs = append(pairs, int32(u), perm[i])
 		}
 	}
-	b.Normalize()
-	return b, nil
+	return bipartiteFromPairs(nu, nv, pairs), nil
 }
 
 // Cycle returns the cycle C_n (n >= 3).
@@ -407,14 +405,13 @@ func Complete(n int) *Graph {
 
 // CompleteBipartite returns K_{nu,nv} as a Bipartite.
 func CompleteBipartite(nu, nv int) *Bipartite {
-	b := NewBipartite(nu, nv)
+	pairs := make([]int32, 0, 2*nu*nv)
 	for u := 0; u < nu; u++ {
 		for v := 0; v < nv; v++ {
-			b.addEdgeUnchecked(int32(u), int32(v))
+			pairs = append(pairs, int32(u), int32(v))
 		}
 	}
-	b.Normalize()
-	return b
+	return bipartiteFromPairs(nu, nv, pairs)
 }
 
 // HighGirthTree returns a bipartite graph of girth ∞ (a tree) in which every
@@ -480,12 +477,12 @@ func SubdividedCycleBipartite(k int) (*Bipartite, error) {
 
 // EnsureGirthAtLeast removes one edge from every cycle shorter than g until
 // the bipartite graph has girth ≥ g (or is acyclic). It returns the repaired
-// graph and the number of removed edges. Left-side degrees can shrink, so
+// graph (b itself when nothing is removed) and the number of removed edges.
+// Left-side degrees can shrink, so
 // callers should re-check MinDegU. Used to build random-ish high-girth
 // instances for Section 5 experiments.
 func EnsureGirthAtLeast(b *Bipartite, g int) (*Bipartite, int) {
-	cur := b.Clone()
-	removed := 0
+	cur, removed := b, 0
 	for {
 		girth := cur.Girth()
 		if girth == 0 || girth >= g {
@@ -564,25 +561,17 @@ func SubdividedStar(d int) (*Bipartite, error) {
 	// then d·(d-1) pendant leaves under the children.
 	nu := 1 + d
 	nv := d + d*(d-1)
-	b := NewBipartite(nu, nv)
+	pairs := make([]int32, 0, 2*(nu-1+nv))
 	for i := 0; i < d; i++ {
 		// Root – connector i – child i+1.
-		if err := b.AddEdge(0, i); err != nil {
-			return nil, err
-		}
-		if err := b.AddEdge(1+i, i); err != nil {
-			return nil, err
-		}
+		pairs = append(pairs, 0, int32(i), int32(1+i), int32(i))
 	}
-	next := d
+	next := int32(d)
 	for c := 1; c <= d; c++ {
 		for j := 0; j < d-1; j++ {
-			if err := b.AddEdge(c, next); err != nil {
-				return nil, err
-			}
+			pairs = append(pairs, int32(c), next)
 			next++
 		}
 	}
-	b.Normalize()
-	return b, nil
+	return bipartiteFromPairs(nu, nv, pairs), nil
 }

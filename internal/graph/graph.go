@@ -12,15 +12,13 @@
 // All three graph types store their adjacency in compressed-sparse-row form
 // (see CSR): one flat offset array plus one flat edge array, so neighbor
 // scans are contiguous and million-node instances fit in a handful of
-// allocations. AddEdge buffers into a flat pending array; Normalize (or the
-// first read accessor) merges the buffer in O(n + m). Neighbor slices
-// returned by accessors are zero-copy views into the flat arrays.
+// allocations. Neighbor slices returned by accessors are zero-copy views
+// into the flat arrays.
 //
-// Because the merge is lazy, a read accessor on a graph with buffered edges
-// mutates it: call Normalize after the last AddEdge before sharing a graph
-// across goroutines. A normalized graph is immutable under reads and safe
-// for concurrent use (every generator and transform in this package returns
-// graphs already normalized).
+// Every Graph, Bipartite and Multigraph is immutable once its constructor
+// returns: there is no mutator, reads never write, and any value is safe
+// for concurrent use. Transforms build new values (sharing arrays with
+// their input where the layout allows) rather than modifying one.
 package graph
 
 import (
@@ -29,11 +27,9 @@ import (
 )
 
 // Graph is a simple undirected graph on nodes 0..N()-1 with sorted,
-// CSR-backed adjacency rows. Read accessors merge buffered AddEdge calls
-// lazily (see the package comment for the concurrency contract).
+// CSR-backed adjacency rows.
 type Graph struct {
-	csr     CSR
-	pending []int32 // flat (u, v) directed-arc pairs awaiting a merge
+	csr CSR
 }
 
 // NewGraph returns an empty graph with n nodes.
@@ -44,49 +40,35 @@ func NewGraph(n int) *Graph {
 // fromCSR wraps an already sorted-and-deduplicated CSR as a Graph.
 func fromCSR(c CSR) *Graph { return &Graph{csr: c} }
 
-// FromEdges builds a graph on n nodes from an edge list. Duplicate edges and
-// self loops are rejected.
+// FromEdges builds a graph on n nodes from an edge list. Repeated edges
+// (in either orientation) are merged; self loops and out-of-range endpoints
+// are errors.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	g := NewGraph(n)
+	bld := NewCSRBuilder(n, len(edges))
 	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+		if err := checkEdge("graph", n, e[0], e[1]); err != nil {
 			return nil, err
 		}
+		bld.Edge(int32(e[0]), int32(e[1]))
 	}
-	g.Normalize()
-	return g, nil
+	return fromCSR(bld.Build()), nil
 }
 
-// AddEdge inserts the undirected edge {u, v}. It returns an error for self
-// loops or out-of-range endpoints. Call Normalize after bulk insertion.
-func (g *Graph) AddEdge(u, v int) error {
-	n := g.N()
+// checkEdge reports a self loop {u, u} or an endpoint outside [0, n); what
+// names the graph kind in the error.
+func checkEdge(what string, n, u, v int) error {
 	if u == v {
-		return fmt.Errorf("graph: self loop at node %d", u)
+		return fmt.Errorf("%s: self loop at node %d", what, u)
 	}
 	if u < 0 || v < 0 || u >= n || v >= n {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+		return fmt.Errorf("%s: edge {%d,%d} out of range [0,%d)", what, u, v, n)
 	}
-	g.pending = append(g.pending, int32(u), int32(v), int32(v), int32(u))
 	return nil
-}
-
-// Normalize merges buffered edges into the CSR core, sorting rows and
-// removing duplicate parallel edges. Read accessors call it implicitly, so
-// it is only required for callers that want to control when the O(n + m)
-// rebuild happens.
-func (g *Graph) Normalize() {
-	if g.pending == nil {
-		return
-	}
-	g.csr = mergeCSR(g.N(), g.csr, g.pending)
-	g.pending = nil
 }
 
 // CSR exposes the flat offset/edge arrays (zero-copy; callers must not
 // modify them). Engines and checkers iterate neighbors directly off these.
 func (g *Graph) CSR() CSR {
-	g.Normalize()
 	return g.csr
 }
 
@@ -95,20 +77,17 @@ func (g *Graph) N() int { return g.csr.N() }
 
 // M returns the number of edges.
 func (g *Graph) M() int {
-	g.Normalize()
 	return g.csr.Arcs() / 2
 }
 
 // Deg returns the degree of node v.
 func (g *Graph) Deg(v int) int {
-	g.Normalize()
 	return g.csr.Deg(v)
 }
 
 // Neighbors returns the sorted neighbor list of v as a view into the flat
 // edge array; it must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {
-	g.Normalize()
 	return g.csr.Row(v)
 }
 
@@ -121,7 +100,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // MaxDeg returns the maximum degree Δ (0 for the empty graph).
 func (g *Graph) MaxDeg() int {
-	g.Normalize()
 	var d int
 	for v := 0; v < g.csr.N(); v++ {
 		if dv := g.csr.Deg(v); dv > d {
@@ -133,7 +111,6 @@ func (g *Graph) MaxDeg() int {
 
 // MinDeg returns the minimum degree δ (0 for the empty graph).
 func (g *Graph) MinDeg() int {
-	g.Normalize()
 	n := g.csr.N()
 	if n == 0 {
 		return 0
@@ -147,17 +124,8 @@ func (g *Graph) MinDeg() int {
 	return d
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		csr:     g.csr.clone(),
-		pending: append([]int32(nil), g.pending...),
-	}
-}
-
 // Edges returns the edge list with u < v in each pair.
 func (g *Graph) Edges() [][2]int {
-	g.Normalize()
 	edges := make([][2]int, 0, g.M())
 	for u := 0; u < g.csr.N(); u++ {
 		for _, v := range g.csr.Row(u) {
@@ -172,7 +140,6 @@ func (g *Graph) Edges() [][2]int {
 // InducedSubgraph returns the subgraph induced by keep, together with the
 // mapping from new node ids to original ids.
 func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
-	g.Normalize()
 	idx := make(map[int]int, len(keep))
 	orig := make([]int, len(keep))
 	for i, v := range keep {
@@ -192,7 +159,6 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 
 // ConnectedComponents returns the node sets of the connected components.
 func (g *Graph) ConnectedComponents() [][]int {
-	g.Normalize()
 	n := g.csr.N()
 	comp := make([]int, n)
 	for i := range comp {
@@ -228,7 +194,6 @@ func (g *Graph) ConnectedComponents() [][]int {
 // forest. It runs a BFS from every node, which is fine at the scale of the
 // experiment instances.
 func (g *Graph) Girth() int {
-	g.Normalize()
 	n := g.csr.N()
 	best := 0
 	dist := make([]int32, n)
@@ -273,7 +238,6 @@ func (g *Graph) Girth() int {
 // Power returns the k-th power graph: nodes are the same, and two distinct
 // nodes are adjacent iff their distance in g is at most k.
 func (g *Graph) Power(k int) *Graph {
-	g.Normalize()
 	n := g.csr.N()
 	if k < 1 {
 		return NewGraph(n)
@@ -284,7 +248,7 @@ func (g *Graph) Power(k int) *Graph {
 		visited[i] = -1
 	}
 	var queue []int32
-	depth := make([]int8, n)
+	depth := make([]int32, n)
 	for s := 0; s < n; s++ {
 		queue = append(queue[:0], int32(s))
 		visited[s] = int32(s)
@@ -312,7 +276,6 @@ func (g *Graph) Power(k int) *Graph {
 
 // DegreeHistogram returns a map degree → count.
 func (g *Graph) DegreeHistogram() map[int]int {
-	g.Normalize()
 	h := make(map[int]int)
 	for v := 0; v < g.csr.N(); v++ {
 		h[g.csr.Deg(v)]++

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,13 +9,10 @@ import (
 )
 
 func TestGraphBasics(t *testing.T) {
-	g := NewGraph(4)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.Normalize()
 	if g.N() != 4 || g.M() != 4 {
 		t.Fatalf("N=%d M=%d, want 4,4", g.N(), g.M())
 	}
@@ -30,23 +28,25 @@ func TestGraphBasics(t *testing.T) {
 }
 
 func TestGraphErrors(t *testing.T) {
-	g := NewGraph(3)
-	if err := g.AddEdge(1, 1); err == nil {
-		t.Error("self loop should error")
-	}
-	if err := g.AddEdge(0, 3); err == nil {
-		t.Error("out of range should error")
-	}
-	if _, err := FromEdges(2, [][2]int{{0, 2}}); err == nil {
-		t.Error("FromEdges should propagate errors")
+	for _, c := range []struct {
+		edges [][2]int
+		want  string
+	}{
+		{[][2]int{{0, 1}, {1, 1}}, "graph: self loop at node 1"},
+		{[][2]int{{0, 3}}, "graph: edge {0,3} out of range [0,3)"},
+		{[][2]int{{-1, 0}}, "graph: edge {-1,0} out of range [0,3)"},
+	} {
+		if _, err := FromEdges(3, c.edges); err == nil || err.Error() != c.want {
+			t.Errorf("FromEdges(3, %v) error = %v, want %q", c.edges, err, c.want)
+		}
 	}
 }
 
 func TestNormalizeDedups(t *testing.T) {
-	g := NewGraph(2)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(0, 1)
-	g.Normalize()
+	g, err := FromEdges(2, [][2]int{{0, 1}, {0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.M() != 1 {
 		t.Fatalf("duplicate edge survived: M=%d", g.M())
 	}
@@ -93,6 +93,13 @@ func TestPowerGraph(t *testing.T) {
 	if p.Power(0).M() != 0 {
 		t.Error("0th power should have no edges")
 	}
+	// Depths past 127 must still cut the walk at k (an 8-bit depth wraps).
+	long := PathGraph(300).Power(200)
+	for _, c := range [][2]int{{0, 200}, {150, 299}, {299, 200}} {
+		if got := long.Deg(c[0]); got != c[1] {
+			t.Errorf("deg_P300^200(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
 }
 
 func TestConnectedComponents(t *testing.T) {
@@ -135,21 +142,11 @@ func TestBipartiteBasics(t *testing.T) {
 	if b.MinDegU() != 2 || b.MaxDegU() != 2 || b.Rank() != 2 {
 		t.Fatalf("δ=%d Δ=%d r=%d, want 2,2,2", b.MinDegU(), b.MaxDegU(), b.Rank())
 	}
-	if err := b.AddEdge(2, 0); err == nil {
-		t.Error("out-of-range U should error")
-	}
-	if err := b.AddEdge(0, 3); err == nil {
-		t.Error("out-of-range V should error")
-	}
-}
-
-func TestBipartiteCloneIndependence(t *testing.T) {
-	b := CompleteBipartite(2, 2)
-	c := b.Clone()
-	_ = c.AddEdge(0, 0) // duplicate; normalize removes it
-	c.Normalize()
-	if b.M() != 4 || c.M() != 4 {
-		t.Errorf("clone not independent: %d %d", b.M(), c.M())
+	for _, e := range [][2]int{{2, 0}, {0, 3}} {
+		want := fmt.Sprintf("bipartite: edge (%d,%d) out of range U=[0,2) V=[0,3)", e[0], e[1])
+		if _, err := BipartiteFromEdges(2, 3, [][2]int{{0, 0}, e}); err == nil || err.Error() != want {
+			t.Errorf("BipartiteFromEdges with %v: error = %v, want %q", e, err, want)
+		}
 	}
 }
 
@@ -229,24 +226,22 @@ func TestBipartiteGirth(t *testing.T) {
 }
 
 func TestMultigraph(t *testing.T) {
-	m := NewMultigraph(3)
-	e1, err := m.AddEdge(0, 1)
+	m, err := MultigraphFromEdges(3, [][2]int{{0, 1}, {0, 1}, {1, 2}}) // parallel edge allowed
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := m.AddEdge(0, 1) // parallel edge allowed
-	_, _ = m.AddEdge(1, 2)
+	e1, e2 := 0, 1
 	if m.M() != 3 || m.Deg(0) != 2 || m.Deg(1) != 3 {
 		t.Fatalf("multigraph degrees wrong: M=%d deg0=%d deg1=%d", m.M(), m.Deg(0), m.Deg(1))
 	}
 	if m.Other(e1, 0) != 1 || m.Other(e2, 1) != 0 {
 		t.Error("Other wrong")
 	}
-	if _, err := m.AddEdge(1, 1); err == nil {
-		t.Error("self loop should error")
+	if _, err := MultigraphFromEdges(3, [][2]int{{0, 1}, {1, 1}}); err == nil || err.Error() != "multigraph: self loop at node 1" {
+		t.Errorf("self loop: error = %v", err)
 	}
-	if _, err := m.AddEdge(0, 5); err == nil {
-		t.Error("out of range should error")
+	if _, err := MultigraphFromEdges(3, [][2]int{{0, 5}}); err == nil || err.Error() != "multigraph: edge {0,5} out of range [0,3)" {
+		t.Errorf("out of range: error = %v", err)
 	}
 	o := &Orientation{Toward: []bool{true, false, true}}
 	// e1: 0->1, e2: 1->0, e3: 1->2. Node 1: in=1 out=2 → disc 1; node 0: disc 0.

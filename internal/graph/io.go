@@ -151,7 +151,10 @@ func ImportInstance(r io.Reader, name string) (*Bipartite, error) {
 	if nu < 0 || nv < 0 {
 		return nil, fmt.Errorf("%s:%d: negative instance shape %d %d", name, line, nu, nv)
 	}
-	b := NewBipartite(nu, nv)
+	if nu > math.MaxInt32 || nv > math.MaxInt32 {
+		return nil, fmt.Errorf("%s:%d: instance shape %d %d exceeds the int32 node-id limit of %d per side", name, line, nu, nv, math.MaxInt32)
+	}
+	var pairs []int32
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -162,15 +165,15 @@ func ImportInstance(r io.Reader, name string) (*Bipartite, error) {
 		if _, err := fmt.Sscan(text, &u, &v); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
 		}
-		if err := b.AddEdge(u, v); err != nil {
+		if err := checkBipartiteEdge(nu, nv, u, v); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
 		}
+		pairs = append(pairs, int32(u), int32(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	b.Normalize()
-	return b, nil
+	return bipartiteFromPairs(nu, nv, pairs), nil
 }
 
 // ReadInstance is ImportInstance over the contents of path.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -166,6 +168,108 @@ func TestImportInstanceErrors(t *testing.T) {
 			t.Errorf("%s: expected parse error", name)
 		}
 	}
+}
+
+// TestImportInstanceErrorText pins the exact errors of the shape checks and
+// of out-of-range edges. A header past the int32 node-id layout is rejected
+// from the header alone, before anything of the claimed size is allocated.
+func TestImportInstanceErrorText(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"2 2\n5 0\n", "f:2: bipartite: edge (5,0) out of range U=[0,2) V=[0,2)"},
+		{"# shape\n2 2\n\n0 -1\n", "f:4: bipartite: edge (0,-1) out of range U=[0,2) V=[0,2)"},
+		{"-1 2\n", "f:1: negative instance shape -1 2"},
+		{"2147483648 1\n0 0\n", "f:1: instance shape 2147483648 1 exceeds the int32 node-id limit of 2147483647 per side"},
+		{"# shape\n1 4294967297\n", "f:2: instance shape 1 4294967297 exceeds the int32 node-id limit of 2147483647 per side"},
+	} {
+		_, err := ImportInstance(strings.NewReader(c.in), "f")
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ImportInstance(%q) error = %v, want %q", c.in, err, c.want)
+		}
+	}
+}
+
+// FuzzImportInstance checks the instance reader on arbitrary text: it
+// either fails with a "name:" error or returns an instance whose rows are
+// sorted and duplicate-free, whose sides are transposes of each other,
+// whose edge count is the number of distinct parsed pairs, and which
+// survives a snapshot round trip unchanged.
+func FuzzImportInstance(f *testing.F) {
+	f.Add([]byte("2 3\n0 0\n0 1\n1 1\n1 2\n"))
+	f.Add([]byte("# c\n\n3 3\n2 0\n0 2\n0 2\n% dup above\n1 1 9\n"))
+	f.Add([]byte("0 0\n"))
+	f.Add([]byte("2 2\n5 0\n"))
+	f.Add([]byte("-1 2\n"))
+	f.Add([]byte("2147483648 1\n"))
+	f.Add([]byte("0x10 010\n15 7\n"))
+	f.Add([]byte("2 2\n0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return
+		}
+		// Parse the text independently: the header, then the distinct pairs.
+		var header []int
+		pairs := make(map[[2]int]bool)
+		for _, line := range strings.Split(string(data), "\n") {
+			text := strings.TrimSpace(line)
+			if text == "" || text[0] == '#' || text[0] == '%' {
+				continue
+			}
+			var a, b int
+			_, err := fmt.Sscan(text, &a, &b)
+			if header == nil {
+				if err != nil {
+					break
+				}
+				header = []int{a, b}
+			} else if err == nil {
+				pairs[[2]int{a, b}] = true
+			}
+		}
+		// A legal header may claim any amount of memory.
+		if header != nil && (header[0] > 1<<16 || header[1] > 1<<16) {
+			return
+		}
+		b, err := ImportInstance(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "fuzz:") {
+				t.Fatalf("error without the name prefix: %v", err)
+			}
+			return
+		}
+		if b.NU() != header[0] || b.NV() != header[1] {
+			t.Fatalf("shape %dx%d, header %v", b.NU(), b.NV(), header)
+		}
+		for _, side := range []CSR{b.CSRU(), b.CSRV()} {
+			for r := 0; r < side.N(); r++ {
+				row := side.Row(r)
+				for i := 1; i < len(row); i++ {
+					if row[i-1] >= row[i] {
+						t.Fatalf("row %d not sorted and duplicate-free: %v", r, row)
+					}
+				}
+			}
+		}
+		if b.CSRU().Arcs() != b.CSRV().Arcs() {
+			t.Fatalf("sides hold %d and %d arcs", b.CSRU().Arcs(), b.CSRV().Arcs())
+		}
+		if err := checkTranspose(b.CSRU(), b.CSRV(), "U→V"); err != nil {
+			t.Fatal(err)
+		}
+		if b.M() != len(pairs) {
+			t.Fatalf("M = %d, want %d distinct pairs", b.M(), len(pairs))
+		}
+		var buf bytes.Buffer
+		if err := b.ExportSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ImportBipartiteSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-importing an accepted instance: %v", err)
+		}
+		if !sameCSR(back.CSRU(), b.CSRU()) || !sameCSR(back.CSRV(), b.CSRV()) {
+			t.Fatal("snapshot round trip changed the instance")
+		}
+	})
 }
 
 func TestReadBipartiteFileDispatch(t *testing.T) {

@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // Multigraph is an undirected multigraph with explicit edge identities.
 // Parallel edges are allowed (Degree-Rank Reduction II produces them:
 // "there can be multiple edges between two nodes in G with distinct
@@ -9,57 +7,32 @@ import "fmt"
 // Definition 2.1 is computed on multigraphs.
 //
 // Endpoints are stored in two flat arrays indexed by edge id; the per-node
-// incidence lists are a CSR over edge ids, rebuilt lazily after AddEdge
-// calls. Incidence rows list edge ids in ascending order (insertion order),
-// exactly as the former slices-of-slices layout did, so Euler tours and
-// splitters iterate edges in the same sequence.
+// incidence lists are a CSR over edge ids. Incidence rows list edge ids in
+// ascending order, so Euler tours and splitters iterate edges in id order.
 type Multigraph struct {
-	n        int
-	tails    []int32 // tails[e], heads[e] are the endpoints of edge e
-	heads    []int32
-	inc      CSR // inc row v = edge ids incident to v (both endpoints listed)
-	incEdges int // number of edges reflected in inc
+	n     int
+	tails []int32 // tails[e], heads[e] are the endpoints of edge e
+	heads []int32
+	inc   CSR // inc row v = edge ids incident to v (both endpoints listed)
 }
 
-// NewMultigraph returns an empty multigraph on n nodes.
-func NewMultigraph(n int) *Multigraph {
-	return &Multigraph{n: n, inc: emptyCSR(n)}
-}
-
-// AddEdge appends an edge {u, v} (u != v) and returns its edge id.
-func (m *Multigraph) AddEdge(u, v int) (int, error) {
-	if u == v {
-		return 0, fmt.Errorf("multigraph: self loop at node %d", u)
+// MultigraphFromEdges builds a multigraph on n nodes whose edge e is
+// edges[e]. Parallel edges are kept; self loops and out-of-range endpoints
+// are errors.
+func MultigraphFromEdges(n int, edges [][2]int) (*Multigraph, error) {
+	tails, heads := make([]int32, len(edges)), make([]int32, len(edges))
+	bld := NewCSRBuilder(n, len(edges))
+	for e, uv := range edges {
+		u, v := uv[0], uv[1]
+		if err := checkEdge("multigraph", n, u, v); err != nil {
+			return nil, err
+		}
+		tails[e], heads[e] = int32(u), int32(v)
+		// Filling in edge-id order lists every row in ascending id order.
+		bld.arcToCol(int32(u), int32(e))
+		bld.arcToCol(int32(v), int32(e))
 	}
-	if u < 0 || v < 0 || u >= m.n || v >= m.n {
-		return 0, fmt.Errorf("multigraph: edge {%d,%d} out of range [0,%d)", u, v, m.n)
-	}
-	id := len(m.tails)
-	m.tails = append(m.tails, int32(u))
-	m.heads = append(m.heads, int32(v))
-	return id, nil
-}
-
-// Normalize rebuilds the incidence CSR from the endpoint arrays, like
-// Graph.Normalize: call it after the last AddEdge before sharing the
-// multigraph across goroutines (read accessors otherwise trigger the
-// rebuild lazily, which mutates the receiver).
-func (m *Multigraph) Normalize() { m.buildInc() }
-
-// buildInc rebuilds the incidence CSR from the endpoint arrays. Iterating
-// edges in id order fills every row in ascending edge-id order, matching
-// per-edge insertion order.
-func (m *Multigraph) buildInc() {
-	if m.incEdges == len(m.tails) {
-		return
-	}
-	bld := NewCSRBuilder(m.n, len(m.tails))
-	for e := range m.tails {
-		bld.arcToCol(m.tails[e], int32(e))
-		bld.arcToCol(m.heads[e], int32(e))
-	}
-	m.inc = bld.BuildRaw()
-	m.incEdges = len(m.tails)
+	return &Multigraph{n: n, tails: tails, heads: heads, inc: bld.BuildRaw()}, nil
 }
 
 // N returns the number of nodes.
@@ -70,14 +43,12 @@ func (m *Multigraph) M() int { return len(m.tails) }
 
 // Deg returns the degree of v, counting parallel edges.
 func (m *Multigraph) Deg(v int) int {
-	m.buildInc()
 	return m.inc.Deg(v)
 }
 
 // Incident returns the edge ids incident to v as a view into the flat
 // incidence array (do not modify).
 func (m *Multigraph) Incident(v int) []int32 {
-	m.buildInc()
 	return m.inc.Row(v)
 }
 
@@ -96,7 +67,6 @@ func (m *Multigraph) Other(e, v int) int {
 
 // MaxDeg returns the maximum degree.
 func (m *Multigraph) MaxDeg() int {
-	m.buildInc()
 	var d int
 	for v := 0; v < m.n; v++ {
 		if dv := m.inc.Deg(v); dv > d {
@@ -153,13 +123,11 @@ func (m *Multigraph) MaxDiscrepancy(o *Orientation) int {
 // MultigraphFromGraph copies a simple graph into multigraph form, returning
 // also the edge list in the multigraph's edge-id order.
 func MultigraphFromGraph(g *Graph) (*Multigraph, [][2]int) {
-	m := NewMultigraph(g.N())
 	edges := g.Edges()
-	for _, e := range edges {
-		if _, err := m.AddEdge(e[0], e[1]); err != nil {
-			// Unreachable: a valid simple graph has no loops or range errors.
-			panic(err)
-		}
+	m, err := MultigraphFromEdges(g.N(), edges)
+	if err != nil {
+		// Unreachable: a valid simple graph has no loops or range errors.
+		panic(err)
 	}
 	return m, edges
 }

@@ -13,14 +13,13 @@ import "fmt"
 func FromGraph(g *Graph) *Bipartite {
 	c := g.CSR()
 	n := c.N()
-	b := NewBipartite(n, n)
+	pairs := make([]int32, 0, 2*c.Arcs())
 	for u := 0; u < n; u++ {
 		for _, v := range c.Row(u) {
-			b.addEdgeUnchecked(int32(u), v)
+			pairs = append(pairs, int32(u), v)
 		}
 	}
-	b.Normalize()
-	return b
+	return bipartiteFromPairs(n, n, pairs)
 }
 
 // VirtualSplit is the virtual-node degree normalization of Section 2.4: a

@@ -2,10 +2,10 @@ package graph
 
 // Reference differential for the transforms on the solver path. The
 // rewritten functions build their CSR arrays directly; the references below
-// are the generic construction they replaced — buffer every edge with
-// addEdgeUnchecked (or CSRBuilder.Edge), then Normalize (fill, sort,
-// dedup) — kept here as the oracle, the way fused_test.go keeps the unfused
-// delivery path. Every rewritten function must match its reference array
+// are the generic construction they replaced — list every edge, then build
+// through BipartiteFromEdges (or CSRBuilder.Edge): a counting fill, sort and
+// dedup per side that shares no code with transposeRows — kept here as the
+// oracle, the way fused_test.go keeps the unfused delivery path. Every rewritten function must match its reference array
 // for array, on hand-built degenerate instances, on generated ones and on
 // fuzzed edge lists.
 
@@ -16,9 +16,18 @@ import (
 	"testing"
 )
 
-// refLeftRegular is RandomBipartiteLeftRegular through the pending buffer.
+// refFromEdges is BipartiteFromEdges on edges the caller built in range.
+func refFromEdges(nu, nv int, edges [][2]int) *Bipartite {
+	b, err := BipartiteFromEdges(nu, nv, edges)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// refLeftRegular is RandomBipartiteLeftRegular through BipartiteFromEdges.
 func refLeftRegular(nu, nv, d int, rng *rand.Rand) *Bipartite {
-	b := NewBipartite(nu, nv)
+	var edges [][2]int
 	perm := make([]int32, nv)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -27,16 +36,15 @@ func refLeftRegular(nu, nv, d int, rng *rand.Rand) *Bipartite {
 		for i := 0; i < d; i++ {
 			j := i + rng.IntN(nv-i)
 			perm[i], perm[j] = perm[j], perm[i]
-			b.addEdgeUnchecked(int32(u), perm[i])
+			edges = append(edges, [2]int{u, int(perm[i])})
 		}
 	}
-	b.Normalize()
-	return b
+	return refFromEdges(nu, nv, edges)
 }
 
 // refBiregular is RandomBipartiteBiregular with a map per duplicate scan,
-// a rescan from the first block after every swap attempt and the pending
-// buffer.
+// a rescan from the first block after every swap attempt and
+// BipartiteFromEdges.
 func refBiregular(nu, nv, dU int, rng *rand.Rand) *Bipartite {
 	total := nu * dU
 	slots := make([]int32, total)
@@ -67,14 +75,13 @@ func refBiregular(nu, nv, dU int, rng *rand.Rand) *Bipartite {
 			}
 		}
 		if badSlot < 0 {
-			b := NewBipartite(nu, nv)
+			var edges [][2]int
 			for u := 0; u < nu; u++ {
 				for i := 0; i < dU; i++ {
-					b.addEdgeUnchecked(int32(u), slots[u*dU+i])
+					edges = append(edges, [2]int{u, int(slots[u*dU+i])})
 				}
 			}
-			b.Normalize()
-			return b
+			return refFromEdges(nu, nv, edges)
 		}
 		j := rng.IntN(total)
 		uBad, uOther := badSlot/dU, j/dU
@@ -86,8 +93,8 @@ func refBiregular(nu, nv, dU int, rng *rand.Rand) *Bipartite {
 	return nil
 }
 
-// refNormalizeLeftDegrees is NormalizeLeftDegrees through the pending
-// buffer (argument checks omitted: callers compare error presence).
+// refNormalizeLeftDegrees is NormalizeLeftDegrees through
+// BipartiteFromEdges (argument checks omitted: callers compare error presence).
 func refNormalizeLeftDegrees(b *Bipartite, delta int) *VirtualSplit {
 	partsOf := func(d int) int {
 		if d > 2*delta {
@@ -100,7 +107,7 @@ func refNormalizeLeftDegrees(b *Bipartite, delta int) *VirtualSplit {
 		nuVirtual += partsOf(b.DegU(u))
 	}
 	var origin []int
-	nb := NewBipartite(nuVirtual, b.NV())
+	var edges [][2]int
 	uid := 0
 	for u := 0; u < b.NU(); u++ {
 		nbrs := b.NbrU(u)
@@ -114,31 +121,29 @@ func refNormalizeLeftDegrees(b *Bipartite, delta int) *VirtualSplit {
 				size++
 			}
 			for _, v := range nbrs[at : at+size] {
-				nb.addEdgeUnchecked(int32(uid), v)
+				edges = append(edges, [2]int{uid, int(v)})
 			}
 			origin = append(origin, u)
 			uid++
 			at += size
 		}
 	}
-	nb.Normalize()
-	return &VirtualSplit{B: nb, Origin: origin}
+	return &VirtualSplit{B: refFromEdges(nuVirtual, b.NV(), edges), Origin: origin}
 }
 
-// refTruncateLeftDegrees is TruncateLeftDegrees through the pending buffer.
+// refTruncateLeftDegrees is TruncateLeftDegrees through BipartiteFromEdges.
 func refTruncateLeftDegrees(b *Bipartite, keep int) *Bipartite {
-	nb := NewBipartite(b.NU(), b.NV())
+	var edges [][2]int
 	for u := 0; u < b.NU(); u++ {
 		take := b.NbrU(u)
 		if len(take) > keep {
 			take = take[:keep]
 		}
 		for _, v := range take {
-			nb.addEdgeUnchecked(int32(u), v)
+			edges = append(edges, [2]int{u, int(v)})
 		}
 	}
-	nb.Normalize()
-	return nb
+	return refFromEdges(b.NU(), b.NV(), edges)
 }
 
 // refVPower is VPower through CSRBuilder: each pair once, both arcs, then
@@ -183,23 +188,22 @@ func refVPower(b *Bipartite, k int) *Graph {
 	return fromCSR(bld.Build())
 }
 
-// refInducedSubgraph is InducedSubgraph with map relabels and the pending
-// buffer.
+// refInducedSubgraph is InducedSubgraph with map relabels and
+// BipartiteFromEdges.
 func refInducedSubgraph(b *Bipartite, usKeep, vsKeep []int) *Bipartite {
 	vIdx := make(map[int]int, len(vsKeep))
 	for i, v := range vsKeep {
 		vIdx[v] = i
 	}
-	sub := NewBipartite(len(usKeep), len(vsKeep))
+	var edges [][2]int
 	for i, u := range usKeep {
 		for _, v := range b.NbrU(u) {
 			if j, ok := vIdx[int(v)]; ok {
-				sub.addEdgeUnchecked(int32(i), int32(j))
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	sub.Normalize()
-	return sub
+	return refFromEdges(len(usKeep), len(vsKeep), edges)
 }
 
 // refConnectedComponents is ConnectedComponents with one FIFO queue over
@@ -453,12 +457,10 @@ func transformInstances(t *testing.T) map[string]*Bipartite {
 		"biregular":   must(RandomBipartiteBiregular(50, 75, 6, rng)),
 		"star":        must(SubdividedStar(8)),
 		"tree":        must(HighGirthTree(4, 3)),
-		"pending-only": func() *Bipartite {
-			b := NewBipartite(2, 3) // edges still buffered: transforms normalize first
-			b.addEdgeUnchecked(1, 2)
-			b.addEdgeUnchecked(0, 2)
-			return b
-		}(),
+		// Edges listed against row order, so V row 2 is filled as [1 0] and
+		// must come out sorted. (The name predates the constructors: it was
+		// the instance whose edges were still buffered when read.)
+		"pending-only": edges(2, 3, [][2]int{{1, 2}, {0, 2}}),
 	}
 }
 
@@ -471,7 +473,7 @@ func TestTransformsMatchReference(t *testing.T) {
 }
 
 // TestLeftRegularMatchesReference pins the generator: same instance and
-// the same number of draws from rng as the pending-buffer construction.
+// the same number of draws from rng as the reference construction.
 func TestLeftRegularMatchesReference(t *testing.T) {
 	for _, sh := range [][3]int{{0, 0, 0}, {0, 5, 3}, {4, 0, 0}, {5, 5, 0}, {5, 5, 5}, {1, 300, 300}, {40, 60, 10}, {300, 1000, 24}} {
 		nu, nv, d := sh[0], sh[1], sh[2]
@@ -527,13 +529,13 @@ func FuzzBipartiteTransforms(f *testing.F) {
 		if len(pairs) > 4096 {
 			return
 		}
-		b := NewBipartite(n, m)
+		var list [][2]int
 		if n > 0 && m > 0 {
 			for i := 0; i+1 < len(pairs); i += 2 {
-				b.addEdgeUnchecked(int32(int(pairs[i])%n), int32(int(pairs[i+1])%m))
+				list = append(list, [2]int{int(pairs[i]) % n, int(pairs[i+1]) % m})
 			}
 		}
-		b.Normalize()
+		b := refFromEdges(n, m, list)
 		checkTransformsMatch(t, b, rand.New(rand.NewPCG(seed, 0)))
 
 		dd := int(d) % (m + 1)

@@ -211,15 +211,16 @@ func CoverViaCLambda(b *graph.Bipartite, p CLambdaParams, solve CLambdaSolver) (
 				}
 			}
 		}
-		hi := graph.NewBipartite(len(virtual), b.NV())
+		var edges [][2]int
 		for vi, vc := range virtual {
 			for _, v := range vc.nbrs {
-				if err := hi.AddEdge(vi, int(v)); err != nil {
-					return nil, 0, fmt.Errorf("multicolor: building H_%d: %w", it, err)
-				}
+				edges = append(edges, [2]int{vi, int(v)})
 			}
 		}
-		hi.Normalize()
+		hi, err := graph.BipartiteFromEdges(len(virtual), b.NV(), edges)
+		if err != nil {
+			return nil, 0, fmt.Errorf("multicolor: building H_%d: %w", it, err)
+		}
 		sub, err := solve(hi, CLambdaParams{Palette: p.Palette, Lambda: p.Lambda, MinDeg: minVirtualDeg})
 		if err != nil {
 			return nil, 0, fmt.Errorf("multicolor: iteration %d oracle: %w", it, err)

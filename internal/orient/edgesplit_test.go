@@ -65,7 +65,10 @@ func TestEdgeSplitDeterministicWithoutSource(t *testing.T) {
 }
 
 func TestEdgeSplitEmpty(t *testing.T) {
-	m := graph.NewMultigraph(4)
+	m, err := graph.MultigraphFromEdges(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := EdgeSplit(m, 0.5, nil)
 	if res.Rounds != 0 || len(res.Colors) != 0 {
 		t.Errorf("empty multigraph should cost nothing: %+v", res)

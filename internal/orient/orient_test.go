@@ -10,16 +10,18 @@ import (
 
 func randomMulti(n, m int, seed uint64) *graph.Multigraph {
 	rng := prob.NewSource(seed).Rand()
-	mg := graph.NewMultigraph(n)
-	for i := 0; i < m; i++ {
+	edges := make([][2]int, m)
+	for i := range edges {
 		u := rng.IntN(n)
 		v := rng.IntN(n)
 		for v == u {
 			v = rng.IntN(n)
 		}
-		if _, err := mg.AddEdge(u, v); err != nil {
-			panic(err)
-		}
+		edges[i] = [2]int{u, v}
+	}
+	mg, err := graph.MultigraphFromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return mg
 }
@@ -56,7 +58,10 @@ func TestEulerianSplitDiscrepancy(t *testing.T) {
 }
 
 func TestEulerianSplitEmpty(t *testing.T) {
-	m := graph.NewMultigraph(5)
+	m, err := graph.MultigraphFromEdges(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := EulerianSplit(m)
 	if res.Rounds != 0 || len(res.O.Toward) != 0 {
 		t.Errorf("empty multigraph should cost nothing: %+v", res)

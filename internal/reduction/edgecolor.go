@@ -68,11 +68,13 @@ func EdgeColoringViaSplitting(g *graph.Graph, lowDeg int, src *prob.Source) (*Ed
 			if len(members) == 0 {
 				continue
 			}
-			sub := graph.NewMultigraph(g.N())
-			for _, ei := range members {
-				if _, err := sub.AddEdge(edges[ei][0], edges[ei][1]); err != nil {
-					return nil, fmt.Errorf("reduction: edge class %d: %w", c, err)
-				}
+			classEdges := make([][2]int, len(members))
+			for j, ei := range members {
+				classEdges[j] = edges[ei]
+			}
+			sub, err := graph.MultigraphFromEdges(g.N(), classEdges)
+			if err != nil {
+				return nil, fmt.Errorf("reduction: edge class %d: %w", c, err)
 			}
 			var classSrc *prob.Source
 			if src != nil {

@@ -55,7 +55,7 @@ func BuildSinklessInstance(g *graph.Graph, ids []int) (*SinklessInstance, error)
 	for i, e := range edges {
 		edgeIdx[e] = i
 	}
-	b := graph.NewBipartite(n, len(edges))
+	var pairs [][2]int
 	for v := 0; v < n; v++ {
 		larger := 0
 		for _, w := range g.Neighbors(v) {
@@ -72,12 +72,13 @@ func BuildSinklessInstance(g *graph.Graph, ids []int) (*SinklessInstance, error)
 			if v > int(w) {
 				key = [2]int{int(w), v}
 			}
-			if err := b.AddEdge(v, edgeIdx[key]); err != nil {
-				return nil, fmt.Errorf("reduction: building B: %w", err)
-			}
+			pairs = append(pairs, [2]int{v, edgeIdx[key]})
 		}
 	}
-	b.Normalize()
+	b, err := graph.BipartiteFromEdges(n, len(edges), pairs)
+	if err != nil {
+		return nil, fmt.Errorf("reduction: building B: %w", err)
+	}
 	return &SinklessInstance{B: b, Edges: edges, IDs: ids}, nil
 }
 

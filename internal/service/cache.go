@@ -10,7 +10,7 @@ import (
 	"repro/internal/prob"
 )
 
-// instanceCache is the LRU instance cache: built, normalized bipartite CSRs
+// instanceCache is the LRU instance cache: built bipartite CSRs
 // keyed by (generator, params, seed), shared read-only by every job that
 // sweeps the same instance. Builds are deduplicated singleflight-style —
 // concurrent jobs missing on the same key wait for one build instead of
@@ -52,9 +52,8 @@ func cacheKey(spec SweepSpec, seed uint64) string {
 }
 
 // get returns the cached instance for key, building it (once, even under
-// concurrent misses) when absent. The returned instance is shared: callers
-// must treat it as read-only — it is normalized before publication so no
-// lazy CSR merge races the readers.
+// concurrent misses) when absent. The returned instance is shared, which is
+// safe because graphs are immutable once built.
 func (c *instanceCache) get(key string, build func() (*graph.Bipartite, error)) (*graph.Bipartite, error) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
@@ -79,10 +78,6 @@ func (c *instanceCache) get(key string, build func() (*graph.Bipartite, error)) 
 	c.mu.Unlock()
 
 	b, err := build()
-	if err == nil {
-		// Settle lazily-merged CSR state before other goroutines read it.
-		b.Normalize()
-	}
 	e.b, e.err = b, err
 	if err != nil {
 		c.mu.Lock()

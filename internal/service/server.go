@@ -347,7 +347,7 @@ func (s *Server) runSweep(j *job) (trials []experiments.TrialResult, rounds, msg
 			Graphs: []experiments.GraphSpec{{
 				Name: spec.Gen,
 				Build: func(*prob.Source) (*graph.Bipartite, error) {
-					// The shared cached instance (normalized, read-only);
+					// The shared cached instance (immutable);
 					// build failures surface per cell like any build error.
 					return b, err
 				},
