@@ -122,10 +122,3 @@ func mergedTrace(first *Trace, second *Trace) Trace {
 	t.Merge("", second)
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -108,42 +108,14 @@ func (b *Bipartite) NbrV(v int) []int32 {
 }
 
 // MinDegU returns δ, the minimum degree on the left side (0 if U is empty).
-func (b *Bipartite) MinDegU() int {
-	nu := b.u.N()
-	if nu == 0 {
-		return 0
-	}
-	d := b.u.Deg(0)
-	for u := 1; u < nu; u++ {
-		if du := b.u.Deg(u); du < d {
-			d = du
-		}
-	}
-	return d
-}
+func (b *Bipartite) MinDegU() int { return b.u.minDeg() }
 
 // MaxDegU returns Δ, the maximum degree on the left side.
-func (b *Bipartite) MaxDegU() int {
-	var d int
-	for u := 0; u < b.u.N(); u++ {
-		if du := b.u.Deg(u); du > d {
-			d = du
-		}
-	}
-	return d
-}
+func (b *Bipartite) MaxDegU() int { return b.u.maxDeg() }
 
 // Rank returns r, the maximum degree on the right side (the rank of the
 // corresponding hypergraph).
-func (b *Bipartite) Rank() int {
-	var d int
-	for v := 0; v < b.v.N(); v++ {
-		if dv := b.v.Deg(v); dv > d {
-			d = dv
-		}
-	}
-	return d
-}
+func (b *Bipartite) Rank() int { return b.v.maxDeg() }
 
 // Edges returns all (u, v) pairs.
 func (b *Bipartite) Edges() [][2]int {

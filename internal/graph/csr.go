@@ -42,6 +42,26 @@ func (c CSR) Row(v int) []int32 { return c.Edges[c.Off[v]:c.Off[v+1]] }
 // Deg returns the length of row v.
 func (c CSR) Deg(v int) int { return int(c.Off[v+1] - c.Off[v]) }
 
+// maxDeg returns the longest row's length (0 with no rows).
+func (c CSR) maxDeg() (d int) {
+	for v := 0; v < c.N(); v++ {
+		d = max(d, c.Deg(v))
+	}
+	return d
+}
+
+// minDeg returns the shortest row's length (0 with no rows).
+func (c CSR) minDeg() int {
+	if c.N() == 0 {
+		return 0
+	}
+	d := c.Deg(0)
+	for v := 1; v < c.N(); v++ {
+		d = min(d, c.Deg(v))
+	}
+	return d
+}
+
 // emptyCSR returns a CSR with n empty rows.
 func emptyCSR(n int) CSR { return CSR{Off: make([]int32, n+1)} }
 

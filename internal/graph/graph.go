@@ -99,30 +99,10 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // MaxDeg returns the maximum degree Δ (0 for the empty graph).
-func (g *Graph) MaxDeg() int {
-	var d int
-	for v := 0; v < g.csr.N(); v++ {
-		if dv := g.csr.Deg(v); dv > d {
-			d = dv
-		}
-	}
-	return d
-}
+func (g *Graph) MaxDeg() int { return g.csr.maxDeg() }
 
 // MinDeg returns the minimum degree δ (0 for the empty graph).
-func (g *Graph) MinDeg() int {
-	n := g.csr.N()
-	if n == 0 {
-		return 0
-	}
-	d := g.csr.Deg(0)
-	for v := 1; v < n; v++ {
-		if dv := g.csr.Deg(v); dv < d {
-			d = dv
-		}
-	}
-	return d
-}
+func (g *Graph) MinDeg() int { return g.csr.minDeg() }
 
 // Edges returns the edge list with u < v in each pair.
 func (g *Graph) Edges() [][2]int {

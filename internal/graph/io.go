@@ -128,44 +128,31 @@ func ReadEdgeList(path string, opt EdgeListOptions) (*Graph, []int64, error) {
 func ImportInstance(r io.Reader, name string) (*Bipartite, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	line := 0
-	header := ""
-	for sc.Scan() {
-		line++
-		header = strings.TrimSpace(sc.Text())
-		if header != "" && header[0] != '#' && header[0] != '%' {
-			break
-		}
-		header = ""
-	}
-	if header == "" {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return nil, fmt.Errorf("%s: missing \"nu nv\" header", name)
-	}
-	var nu, nv int
-	if _, err := fmt.Sscan(header, &nu, &nv); err != nil {
-		return nil, fmt.Errorf("%s:%d: bad header %q (want \"nu nv\"): %w", name, line, header, err)
-	}
-	if nu < 0 || nv < 0 {
-		return nil, fmt.Errorf("%s:%d: negative instance shape %d %d", name, line, nu, nv)
-	}
-	if nu > math.MaxInt32 || nv > math.MaxInt32 {
-		return nil, fmt.Errorf("%s:%d: instance shape %d %d exceeds the int32 node-id limit of %d per side", name, line, nu, nv, math.MaxInt32)
-	}
+	nu, nv := -1, -1 // until the header is read
 	var pairs []int32
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || text[0] == '#' || text[0] == '%' {
 			continue
 		}
-		var u, v int
-		if _, err := fmt.Sscan(text, &u, &v); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
+		u, v, err := parsePair(text)
+		if nu < 0 {
+			if err != nil {
+				return nil, fmt.Errorf("%s:%d: bad header %q (want \"nu nv\"): %w", name, line, text, err)
+			}
+			if u < 0 || v < 0 {
+				return nil, fmt.Errorf("%s:%d: negative instance shape %d %d", name, line, u, v)
+			}
+			if u > math.MaxInt32 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("%s:%d: instance shape %d %d exceeds the int32 node-id limit of %d per side", name, line, u, v, math.MaxInt32)
+			}
+			nu, nv = u, v
+			continue
 		}
-		if err := checkBipartiteEdge(nu, nv, u, v); err != nil {
+		if err == nil {
+			err = checkBipartiteEdge(nu, nv, u, v)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
 		}
 		pairs = append(pairs, int32(u), int32(v))
@@ -173,7 +160,25 @@ func ImportInstance(r io.Reader, name string) (*Bipartite, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
+	if nu < 0 {
+		return nil, fmt.Errorf("%s: missing \"nu nv\" header", name)
+	}
 	return bipartiteFromPairs(nu, nv, pairs), nil
+}
+
+// parsePair parses a line of exactly two base-10 integers.
+func parsePair(text string) (a, b int, err error) {
+	f := strings.Fields(text)
+	if len(f) != 2 {
+		return 0, 0, fmt.Errorf("want two fields, got %q", text)
+	}
+	if a, err = strconv.Atoi(f[0]); err != nil {
+		return 0, 0, fmt.Errorf("bad node ID %q: %w", f[0], err)
+	}
+	if b, err = strconv.Atoi(f[1]); err != nil {
+		return 0, 0, fmt.Errorf("bad node ID %q: %w", f[1], err)
+	}
+	return a, b, nil
 }
 
 // ReadInstance is ImportInstance over the contents of path.

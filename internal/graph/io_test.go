@@ -151,6 +151,14 @@ func TestImportInstance(t *testing.T) {
 	if b.NU() != 2 || b.NV() != 3 || b.M() != 4 {
 		t.Fatalf("parsed sizes wrong: NU=%d NV=%d M=%d", b.NU(), b.NV(), b.M())
 	}
+	// A leading zero is a decimal digit, in the header and in an edge.
+	b, err = ImportInstance(strings.NewReader("011 9\n10 08\n"), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NU() != 11 || b.NV() != 9 || b.M() != 1 || b.NbrU(10)[0] != 8 {
+		t.Errorf("zero-padded ids: got %dx%d with edges %v, want 11x9 with edge (10,8)", b.NU(), b.NV(), b.Edges())
+	}
 }
 
 func TestImportInstanceErrors(t *testing.T) {
@@ -163,6 +171,15 @@ func TestImportInstanceErrors(t *testing.T) {
 		"edge-u-range":    "2 2\n5 0\n",
 		"edge-v-range":    "2 2\n0 5\n",
 		"truncated-edge":  "2 2\n0\n",
+		// Node IDs and shapes are base 10, two fields per line. Read with
+		// octal and hex prefixes and trailing tokens ignored, each of these
+		// would load.
+		"octal-edge":      "9 9\n0 010\n",
+		"bad-octal-edge":  "8 8\n0 08\n",
+		"hex-edge":        "9 9\n0 0x3\n",
+		"trailing-edge":   "9 9\n0 1 7\n",
+		"octal-header":    "02147483648 1\n",
+		"trailing-header": "9 9 4\n",
 	} {
 		if _, err := ImportInstance(strings.NewReader(in), name); err == nil {
 			t.Errorf("%s: expected parse error", name)
@@ -202,11 +219,14 @@ func FuzzImportInstance(f *testing.F) {
 	f.Add([]byte("2147483648 1\n"))
 	f.Add([]byte("0x10 010\n15 7\n"))
 	f.Add([]byte("2 2\n0\n"))
+	f.Add([]byte("9 9\n0 010\n0 08\n"))
+	f.Add([]byte("9 9 4\n0 0x3\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		// Parse the text independently: the header, then the distinct pairs.
+		// Parse the text independently: the header, then the distinct pairs,
+		// each a line of exactly two base-10 integers.
 		var header []int
 		pairs := make(map[[2]int]bool)
 		for _, line := range strings.Split(string(data), "\n") {
@@ -215,7 +235,12 @@ func FuzzImportInstance(f *testing.F) {
 				continue
 			}
 			var a, b int
-			_, err := fmt.Sscan(text, &a, &b)
+			err := fmt.Errorf("%q is not two fields", text)
+			if f := strings.Fields(text); len(f) == 2 {
+				if a, err = strconv.Atoi(f[0]); err == nil {
+					b, err = strconv.Atoi(f[1])
+				}
+			}
 			if header == nil {
 				if err != nil {
 					break
@@ -235,6 +260,9 @@ func FuzzImportInstance(f *testing.F) {
 				t.Fatalf("error without the name prefix: %v", err)
 			}
 			return
+		}
+		if header == nil {
+			t.Fatalf("accepted %q, whose header is not two base-10 integers", data)
 		}
 		if b.NU() != header[0] || b.NV() != header[1] {
 			t.Fatalf("shape %dx%d, header %v", b.NU(), b.NV(), header)

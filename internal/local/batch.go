@@ -581,13 +581,13 @@ func batchRun(t *Topology, trials []Trial, bopts BatchOptions) ([]Stats, []error
 				tr.weight -= tr.finishedWeight
 			}
 			if tr.faults != nil {
-				var crashed []int32
+				var next faultSlots
 				if tr.bnodes != nil {
-					crashed = tr.faults.boundaryBit(r, tr.pass.next, &tr.stats)
+					next = tr.pass.next
 				} else {
-					crashed = tr.faults.boundaryWord(r, pl.wnext, tr.base, &tr.stats)
+					next = wordSlots(pl.wnext[tr.base : tr.base+arcs])
 				}
-				if len(crashed) > 0 {
+				if crashed := tr.faults.boundary(r, next, tr.dead, &tr.stats); len(crashed) > 0 {
 					if tr.bnodes != nil {
 						tr.bdead.own()
 					}
@@ -816,10 +816,12 @@ func runBatchUnitBit(sc *unitScratch, u *batchUnit) {
 // and packs the shard's survivors, in order, to its front. Per retiree it
 // drops the messages this round delivered to it (counted into u.drop for
 // the coordinator to uncount), clears its row, kills its arcs on the bit
-// plane and marks it dead. Every write is to the retiree's own row, slots
-// and flags, or to the shard's range of the active set and of the bit
-// pass's retiree list, so the units of a compaction run concurrently; the
-// shared words of adjacent bit rows are read and cleared atomically.
+// plane and marks it dead, in the dead set the coordinator's fault pass
+// then reads; a unit never touches fault state. Every write is to the
+// retiree's own row, slots and flags, or to the shard's range of the active
+// set and of the bit pass's retiree list, so the units of a compaction run
+// concurrently; the shared words of adjacent bit rows are read and cleared
+// atomically.
 func compactUnit(t *Topology, pl *batchPlanes, u *batchUnit) {
 	tr := u.trial
 	keep, at := u.lo, u.at
@@ -844,9 +846,6 @@ func compactUnit(t *Topology, pl *batchPlanes, u *batchUnit) {
 			}
 		}
 		tr.dead[v] = true
-		if tr.faults != nil {
-			tr.faults.markDown(v)
-		}
 	}
 	u.drop = drop
 }

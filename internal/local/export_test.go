@@ -36,7 +36,8 @@ func OverlayLayers(e Engine) int {
 
 // Oracle is the reference run of every differential test in the package:
 // the sequential engine forced onto the boxed plane. Its loop, runSeqBoxed,
-// reads every message as a plain Message value and shares no code with the
-// word and bit loops it checks, so the suites stay reference-vs-throughput
-// differentials.
+// reads every message as a plain Message value and shares no round code
+// with the word and bit loops it checks, so the suites stay
+// reference-vs-throughput differentials. The fault pass is shared by all
+// three loops; TestFaultGoldens pins it against literals instead.
 var Oracle = Overlay{Plane: PlaneBoxed}.On(SequentialEngine{})

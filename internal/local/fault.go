@@ -16,8 +16,11 @@ package local
 //     sequential stream state that scheduling could reorder.
 //   - Faults are applied only at round boundaries, in the engines'
 //     single-threaded coordinator sections, where the next plane is already
-//     bit-identical across engines. Workers touch the fault state only to
-//     mark their own shard's retirees down at compaction (markDown).
+//     bit-identical across engines. Workers never touch the fault state.
+//
+// One pass serves every plane: it reads and writes the next plane only
+// through faultSlots, one slot per inbox arc, and reads the run's own dead
+// set for the nodes that terminated or crashed.
 //
 // Per boundary (after round r has executed and nodes that terminated in
 // round r have been retired) the pass runs in a fixed order:
@@ -119,11 +122,11 @@ type heldMsg struct {
 	msg  Message
 }
 
-// faultState is the per-run (per-trial, under BatchRun) fault machinery. It
-// is touched only between rounds: by the coordinator, except that the units
-// of a compaction mark their own retirees down (markDown writes one node's
-// flag). A run without active faults carries a nil *faultState and pays one
-// nil check per boundary.
+// faultState is the per-run (per-trial, under BatchRun) fault machinery.
+// Only the coordinator touches it, between rounds; the set of nodes that
+// terminated or crashed is the run's own dead set, which the engine passes
+// to each boundary. A run without active faults carries a nil *faultState
+// and pays one nil check per boundary.
 type faultState struct {
 	t          *Topology
 	dropK      uint64 // prob.KeyedStream(seed, faultKindDrop)
@@ -132,7 +135,6 @@ type faultState struct {
 	dropT      uint64 // drop iff keyed bits < dropT
 	crashT     uint64
 	delay      int
-	down       []bool // nodes that terminated or crashed
 	buckets    [][]heldMsg
 	crashedBuf []int32
 }
@@ -159,7 +161,6 @@ func newFaultState(t *Topology, fp *FaultPlan) (*faultState, error) {
 		crashK: prob.KeyedStream(fp.Seed, faultKindCrash),
 		dropT:  probThreshold(fp.Drop),
 		crashT: probThreshold(fp.Crash),
-		down:   make([]bool, t.N()),
 	}
 	if fs.dropT > 0 && fp.Delay > 0 {
 		fs.delay = fp.Delay
@@ -170,18 +171,11 @@ func newFaultState(t *Topology, fp *FaultPlan) (*faultState, error) {
 	return fs, nil
 }
 
-// markDown records that node v terminated (engines call it exactly where
-// they set dead[v] / kill(v) for same-round terminators, before the boundary
-// pass runs). Redeliveries to down nodes are dropped and down rows are
-// skipped by the drop scan.
-func (fs *faultState) markDown(v int32) { fs.down[v] = true }
-
 // pickCrashes draws the crash-stop decisions for the given round over the
-// still-running nodes, marks them down, and returns them (in ascending node
-// order, reusing an internal buffer). Stats accounting and row cleanup are
-// the callers'; engine bookkeeping (active sets, channels, delivery tables)
-// is the engines'.
-func (fs *faultState) pickCrashes(round int) []int32 {
+// nodes not yet dead and returns them (in ascending node order, reusing an
+// internal buffer). Marking them dead, stats accounting and row cleanup are
+// the callers'.
+func (fs *faultState) pickCrashes(round int, dead []bool) []int32 {
 	if fs.crashT == 0 {
 		return nil
 	}
@@ -189,41 +183,101 @@ func (fs *faultState) pickCrashes(round int) []int32 {
 	crashed := fs.crashedBuf[:0]
 	n := int32(fs.t.N())
 	for v := int32(0); v < n; v++ {
-		if fs.down[v] || prob.KeyedAt(roundK, uint64(v)) >= fs.crashT {
-			continue
+		if !dead[v] && prob.KeyedAt(roundK, uint64(v)) < fs.crashT {
+			crashed = append(crashed, v)
 		}
-		fs.down[v] = true
-		crashed = append(crashed, v)
 	}
 	fs.crashedBuf = crashed
 	return crashed
 }
 
-// boundaryBoxed runs the fault pass over the boxed loop's next plane after
-// round r; see the file comment for the pass order. It returns the nodes
-// crashed for round r+1, which the engine must retire exactly like
-// same-round terminators.
-func (fs *faultState) boundaryBoxed(r int, next []Message, stats *Stats) []int32 {
+// faultSlots is the fault pass's view of a run's next plane: one slot per
+// inbox arc, indexed like the topology's arcs, so every plane sees the same
+// fault decisions. The boxed plane, a word trial's region of the word plane
+// and a bit trial's packed plane implement it.
+type faultSlots interface {
+	full(i int32) bool    // slot i holds a message
+	take(i int32) heldMsg // empty slot i and return its message (recv unset)
+	put(h heldMsg)        // write h back into its empty slot h.arc
+}
+
+// boxedSlots is the boxed loop's next plane.
+type boxedSlots []Message
+
+func (s boxedSlots) full(i int32) bool { return s[i] != nil }
+
+func (s boxedSlots) take(i int32) heldMsg {
+	m := s[i]
+	s[i] = nil
+	return heldMsg{arc: i, msg: m}
+}
+
+func (s boxedSlots) put(h heldMsg) { s[h.arc] = h.msg }
+
+// wordSlots is a word trial's region of the word next plane.
+type wordSlots []Word
+
+func (s wordSlots) full(i int32) bool { return s[i] != NilWord }
+
+func (s wordSlots) take(i int32) heldMsg {
+	w := s[i]
+	s[i] = NilWord
+	return heldMsg{arc: i, val: uint64(w)}
+}
+
+func (s wordSlots) put(h heldMsg) { s[h.arc] = Word(h.val) }
+
+// A bit plane's slot value is the whole lane, presence bit included. take
+// and put are plain read-modify-writes of a word shared with neighbouring
+// lanes: they race with nothing only at a round boundary.
+
+func (pl bitPlane) full(i int32) bool {
+	j := uint32(i) << pl.width
+	return pl.lanes[j>>6]>>(j&63)&1 != 0
+}
+
+func (pl bitPlane) take(i int32) heldMsg {
+	j := uint32(i) << pl.width
+	m := uint64(1)<<(1<<pl.width) - 1
+	lane := pl.lanes[j>>6] >> (j & 63) & m
+	pl.lanes[j>>6] &^= m << (j & 63)
+	return heldMsg{arc: i, val: lane}
+}
+
+func (pl bitPlane) put(h heldMsg) {
+	j := uint32(h.arc) << pl.width
+	m := uint64(1)<<(1<<pl.width) - 1
+	pl.lanes[j>>6] = pl.lanes[j>>6]&^(m<<(j&63)) | h.val<<(j&63)
+}
+
+// boundary runs the fault pass over the next plane after round r; see the
+// file comment for the pass order. dead holds the nodes that terminated in
+// round r or earlier or crashed before it; the pass only reads it. It
+// returns the nodes crashed for round r+1, which the engine must retire
+// exactly like same-round terminators, dead flag included.
+func (fs *faultState) boundary(r int, next faultSlots, dead []bool, stats *Stats) []int32 {
 	t := fs.t
 	if fs.dropT > 0 {
 		dropR := prob.KeyedAt(fs.dropK, uint64(r))
 		delayR := prob.KeyedAt(fs.delayK, uint64(r))
 		n := int32(t.N())
 		for w := int32(0); w < n; w++ {
-			if fs.down[w] {
+			if dead[w] {
 				continue
 			}
 			for i := t.off[w]; i < t.off[w+1]; i++ {
-				m := next[i]
-				if m == nil || prob.KeyedAt(dropR, uint64(i)) >= fs.dropT {
+				// The keyed draw is inlined and the slot test is not, so
+				// draw first: only the slots it drops pay the test.
+				if prob.KeyedAt(dropR, uint64(i)) >= fs.dropT || !next.full(i) {
 					continue
 				}
-				next[i] = nil
+				h := next.take(i)
 				stats.Messages--
 				if fs.buckets != nil {
 					d := 1 + int(prob.KeyedAt(delayR, uint64(i))%uint64(fs.delay))
 					b := (r + d) % (fs.delay + 1)
-					fs.buckets[b] = append(fs.buckets[b], heldMsg{arc: i, recv: w, msg: m})
+					h.recv = w
+					fs.buckets[b] = append(fs.buckets[b], h)
 					stats.Delayed++
 				} else {
 					stats.Dropped++
@@ -234,150 +288,23 @@ func (fs *faultState) boundaryBoxed(r int, next []Message, stats *Stats) []int32
 	if fs.buckets != nil {
 		b := r % (fs.delay + 1)
 		for _, h := range fs.buckets[b] {
-			if fs.down[h.recv] || next[h.arc] != nil {
+			if dead[h.recv] || next.full(h.arc) {
 				stats.Dropped++
 				continue
 			}
-			next[h.arc] = h.msg
+			next.put(h)
 			stats.Messages++
 		}
 		fs.buckets[b] = fs.buckets[b][:0]
 	}
-	crashed := fs.pickCrashes(r + 1)
+	crashed := fs.pickCrashes(r+1, dead)
 	for _, v := range crashed {
 		for i := t.off[v]; i < t.off[v+1]; i++ {
-			if next[i] != nil {
-				next[i] = nil
+			if next.full(i) {
+				next.take(i)
 				stats.Messages--
 				stats.Dropped++
 			}
-		}
-	}
-	stats.Crashed += len(crashed)
-	return crashed
-}
-
-// boundaryWord is boundaryBoxed over a word next plane (the trial's region
-// starts at base).
-func (fs *faultState) boundaryWord(r int, next []Word, base int, stats *Stats) []int32 {
-	t := fs.t
-	if fs.dropT > 0 {
-		dropR := prob.KeyedAt(fs.dropK, uint64(r))
-		delayR := prob.KeyedAt(fs.delayK, uint64(r))
-		n := int32(t.N())
-		for w := int32(0); w < n; w++ {
-			if fs.down[w] {
-				continue
-			}
-			for i := t.off[w]; i < t.off[w+1]; i++ {
-				m := next[base+int(i)]
-				if m == NilWord || prob.KeyedAt(dropR, uint64(i)) >= fs.dropT {
-					continue
-				}
-				next[base+int(i)] = NilWord
-				stats.Messages--
-				if fs.buckets != nil {
-					d := 1 + int(prob.KeyedAt(delayR, uint64(i))%uint64(fs.delay))
-					b := (r + d) % (fs.delay + 1)
-					fs.buckets[b] = append(fs.buckets[b], heldMsg{arc: i, recv: w, val: uint64(m)})
-					stats.Delayed++
-				} else {
-					stats.Dropped++
-				}
-			}
-		}
-	}
-	if fs.buckets != nil {
-		b := r % (fs.delay + 1)
-		for _, h := range fs.buckets[b] {
-			if fs.down[h.recv] || next[base+int(h.arc)] != NilWord {
-				stats.Dropped++
-				continue
-			}
-			next[base+int(h.arc)] = Word(h.val)
-			stats.Messages++
-		}
-		fs.buckets[b] = fs.buckets[b][:0]
-	}
-	crashed := fs.pickCrashes(r + 1)
-	for _, v := range crashed {
-		for i := t.off[v]; i < t.off[v+1]; i++ {
-			if next[base+int(i)] != NilWord {
-				next[base+int(i)] = NilWord
-				stats.Messages--
-				stats.Dropped++
-			}
-		}
-	}
-	stats.Crashed += len(crashed)
-	return crashed
-}
-
-// lane returns the packed lane of arc slot i (presence bit and value).
-func (pl bitPlane) lane(i int32) uint64 {
-	j := uint32(i) << pl.width
-	return pl.lanes[j>>6] >> (j & 63) & (uint64(1)<<(1<<pl.width) - 1)
-}
-
-// setLane overwrites the packed lane of arc slot i. Coordinator-only: the
-// plain read-modify-write races with nothing at a round boundary.
-func (pl bitPlane) setLane(i int32, lane uint64) {
-	j := uint32(i) << pl.width
-	m := (uint64(1)<<(1<<pl.width) - 1) << (j & 63)
-	pl.lanes[j>>6] = pl.lanes[j>>6]&^m | lane<<(j&63)
-}
-
-// boundaryBit is boundaryBoxed over a packed bit next plane (under BatchRun,
-// the trial's own region viewed as a standalone plane). Fault decisions key
-// on the same arc slot indices as the other planes, so a program that runs
-// on several planes sees identical faults on all of them.
-func (fs *faultState) boundaryBit(r int, next bitPlane, stats *Stats) []int32 {
-	t := fs.t
-	if fs.dropT > 0 {
-		dropR := prob.KeyedAt(fs.dropK, uint64(r))
-		delayR := prob.KeyedAt(fs.delayK, uint64(r))
-		n := int32(t.N())
-		for w := int32(0); w < n; w++ {
-			if fs.down[w] {
-				continue
-			}
-			for i := t.off[w]; i < t.off[w+1]; i++ {
-				lane := next.lane(i)
-				if lane&1 == 0 || prob.KeyedAt(dropR, uint64(i)) >= fs.dropT {
-					continue
-				}
-				next.setLane(i, 0)
-				stats.Messages--
-				if fs.buckets != nil {
-					d := 1 + int(prob.KeyedAt(delayR, uint64(i))%uint64(fs.delay))
-					b := (r + d) % (fs.delay + 1)
-					fs.buckets[b] = append(fs.buckets[b], heldMsg{arc: i, recv: w, val: lane})
-					stats.Delayed++
-				} else {
-					stats.Dropped++
-				}
-			}
-		}
-	}
-	if fs.buckets != nil {
-		b := r % (fs.delay + 1)
-		for _, h := range fs.buckets[b] {
-			if fs.down[h.recv] || next.lane(h.arc)&1 != 0 {
-				stats.Dropped++
-				continue
-			}
-			next.setLane(h.arc, h.val)
-			stats.Messages++
-		}
-		fs.buckets[b] = fs.buckets[b][:0]
-	}
-	crashed := fs.pickCrashes(r + 1)
-	for _, v := range crashed {
-		lo, hi := t.off[v], t.off[v+1]
-		if k := next.countRow(lo, hi); k > 0 {
-			stats.Messages -= k
-			stats.Dropped += k
-			next.clearRow(lo, hi, false)
 		}
 	}
 	stats.Crashed += len(crashed)

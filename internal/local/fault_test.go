@@ -293,3 +293,61 @@ func TestFaultSeedIndependence(t *testing.T) {
 		t.Errorf("different fault seeds produced identical traces (hash %x)", h1)
 	}
 }
+
+// TestFaultGoldens pins the fault semantics absolutely: the cross-engine
+// suites above compare the planes only with each other, and every plane
+// runs the same fault pass, so a bug in that pass would move them all
+// together. The literals are the oracle's Stats and output hash of the
+// bit2 echo program under each faultConfigs plan. Two further plans are
+// checked by hand on every engine × forced plane: dropping every message
+// delivers none, and crashing every node after round 1 ends the run there
+// with every node crashed and every pending message dropped.
+func TestFaultGoldens(t *testing.T) {
+	g := graph.RandomGraph(150, 0.05, prob.NewSource(77).Rand())
+	topo := local.NewTopology(g)
+	n := g.N()
+	run := func(e local.Engine, plane local.Plane, fp local.FaultPlan) (local.Stats, uint64) {
+		t.Helper()
+		out := make([]uint64, n)
+		stats, err := e.Run(topo, bit2EchoFactory(8, out), local.Options{
+			Source: prob.NewSource(3),
+			Plane:  plane,
+			Faults: &fp,
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", fp, err)
+		}
+		return stats, outHash(out)
+	}
+	golden := map[string]struct {
+		stats local.Stats
+		hash  uint64
+	}{
+		"drop":             {local.Stats{Rounds: 9, Messages: 3725, Dropped: 884}, 0x427402ebd8f7437c},
+		"drop+delay":       {local.Stats{Rounds: 9, Messages: 3935, Dropped: 520, Delayed: 1311}, 0x27435143ac5b939e},
+		"crash":            {local.Stats{Rounds: 9, Messages: 3206, Dropped: 175, Crashed: 49}, 0x8ae3880779659fcc},
+		"drop+delay+crash": {local.Stats{Rounds: 9, Messages: 3502, Dropped: 371, Delayed: 628, Crashed: 26}, 0x3b5d84eb4e974146},
+	}
+	for _, fc := range faultConfigs() {
+		want, ok := golden[fc.name]
+		if !ok {
+			t.Fatalf("no golden for fault config %q", fc.name)
+		}
+		stats, h := run(local.Oracle, local.PlaneAuto, fc.fp)
+		if stats != want.stats || h != want.hash {
+			t.Errorf("%s: oracle stats %#v hash %#x, want %#v hash %#x", fc.name, stats, h, want.stats, want.hash)
+		}
+	}
+	for _, eng := range allEngines() {
+		for _, plane := range planeCases() {
+			s, _ := run(eng.e, plane, local.FaultPlan{Seed: 5, Drop: 1})
+			if s.Messages != 0 || s.Dropped == 0 || s.Delayed != 0 || s.Crashed != 0 {
+				t.Errorf("%s/%v: Drop 1 gave %+v, want no delivered message and some dropped", eng.name, plane, s)
+			}
+			s, _ = run(eng.e, plane, local.FaultPlan{Seed: 5, Crash: 1})
+			if s.Rounds != 1 || s.Crashed != n || s.Messages != 0 || s.Dropped == 0 || s.Delayed != 0 {
+				t.Errorf("%s/%v: Crash 1 gave %+v, want 1 round, %d crashed, no delivered message", eng.name, plane, s, n)
+			}
+		}
+	}
+}

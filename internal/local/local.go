@@ -457,8 +457,9 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (Stats, error)
 // Message = any planes allocate per send row, so a throughput path would
 // buy little; boxed programs are tests, benchmarks and facade callers,
 // never a shipped solver. Because it reads every message as a plain value
-// and shares no code with the word and bit loops, the differential suites
-// use it as their reference.
+// and shares no round code with the word and bit loops, the differential
+// suites use it as their reference; the fault pass (fault.go) is the one
+// piece all three loops share, and TestFaultGoldens pins it absolutely.
 func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	// Double-buffered flat message arrays sharing the topology's offsets:
@@ -530,10 +531,7 @@ func runSeqBoxed(t *Topology, nodes []Node, maxRounds int, fs *faultState, ctl *
 			dead[v] = true
 		}
 		if fs != nil {
-			for _, v := range newlyDone {
-				fs.markDown(v)
-			}
-			for _, v := range fs.boundaryBoxed(r, next, &stats) {
+			for _, v := range fs.boundary(r, boxedSlots(next), dead, &stats) {
 				done[v] = true
 				dead[v] = true
 				remaining--

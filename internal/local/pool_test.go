@@ -2,6 +2,7 @@ package local
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,9 +207,12 @@ func TestWorkerPoolEmptyTopology(t *testing.T) {
 
 // TestWorkerPoolSizedToWork pins the worker cap: a run starts no more
 // workers than a round can carve units, and a run capped to one worker
-// starts none — its units run inline. Node 0 reads runtime.NumGoroutine in
-// round 1, after the pool started, for 64 requested workers.
+// starts none — its units run inline. Node 0 counts the pool's workers in
+// round 1, after the pool started, for 64 requested workers: the live
+// goroutines that startBatchWorkers created from this test's goroutine, so
+// no other goroutine of the process, starting or exiting, counts.
 func TestWorkerPoolSizedToWork(t *testing.T) {
+	created := "created by repro/internal/local.startBatchWorkers in goroutine " + goroutineID() + "\n"
 	for _, tc := range []struct {
 		name    string
 		g       *graph.Graph
@@ -220,24 +224,39 @@ func TestWorkerPoolSizedToWork(t *testing.T) {
 		{"cycle30", graph.Cycle(30), 3},
 	} {
 		topo := NewTopology(tc.g)
-		seen := 0
+		seen := -1
 		idx := 0
 		f := func(View) Node {
 			first := idx == 0
 			idx++
 			return WordProgram(WordFunc(func(int, []Word, []Word) bool {
 				if first {
-					seen = runtime.NumGoroutine()
+					seen = strings.Count(allStacks(), created)
 				}
 				return true
 			}))
 		}
-		before := runtime.NumGoroutine()
 		if _, err := (WorkerPoolEngine{Workers: 64}).Run(topo, f, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if seen != before+tc.workers {
-			t.Errorf("%s: %d goroutines inside the run, %d before; want %d workers", tc.name, seen, before, tc.workers)
+		if seen != tc.workers {
+			t.Errorf("%s: %d pool workers inside the run, want %d", tc.name, seen, tc.workers)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id, as stack dumps print it.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf, false)]), "goroutine "), " ")
+	return id
+}
+
+// allStacks returns the stack dump of every goroutine.
+func allStacks() string {
+	for buf := make([]byte, 1<<16); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return string(buf[:n])
 		}
 	}
 }

@@ -445,10 +445,3 @@ func splitActive(sub *graph.Graph, eps float64, src *prob.Source) ([]int, bool, 
 	}
 	return labels, false, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -168,7 +168,7 @@ func (o *UniformSplitOptions) normalize(n int) {
 		o.Eps = 0.15
 	}
 	if o.MinDeg <= 0 {
-		o.MinDeg = int(math.Ceil(2 * math.Log(2*float64(maxInt(2, n))) / (o.Eps * o.Eps)))
+		o.MinDeg = int(math.Ceil(2 * math.Log(2*float64(max(2, n))) / (o.Eps * o.Eps)))
 	}
 }
 
@@ -251,8 +251,8 @@ func ColoringViaSplitting(g *graph.Graph, eng local.Engine, opts UniformSplitOpt
 	opts.normalize(n)
 	res := &ColoringResult{}
 	maxDeg := g.MaxDeg()
-	loglogTarget := prob.CeilLog2(prob.CeilLog2(maxInt(4, n)) + 1)
-	levels := prob.FloorLog2(maxInt(1, maxDeg)) - loglogTarget
+	loglogTarget := prob.CeilLog2(prob.CeilLog2(max(4, n)) + 1)
+	levels := prob.FloorLog2(max(1, maxDeg)) - loglogTarget
 	if levels < 0 {
 		levels = 0
 	}
@@ -345,13 +345,6 @@ func groupByPart(part []int, parts int) [][]int {
 		members[p] = append(members[p], v)
 	}
 	return members
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // DefectiveSplit computes the defective 2-coloring of footnote 2
